@@ -11,17 +11,15 @@ import argparse
 import math
 from pathlib import Path
 
-import numpy as np
-
 from levybarrier import (
-    FilterSpec,
     LevyModel,
     Method,
     OptionContract,
     default_grid,
     price,
-    price_fl,
+    reference_price,
 )
+from levybarrier.cli import REFERENCE_M, fit_slope
 
 MODELS = {
     "kou": LevyModel.kou(sigma=0.1, lam=3.0, p=0.3, eta1=40.0, eta2=12.0, r=0.05, q_div=0.02),
@@ -42,9 +40,7 @@ METHODS = [Method.FGM, Method.FGM_F, Method.FL, Method.FL_F]
 def run_case(name, model_name, barriers, N, out_dir, m_list):
     model = MODELS[model_name]
     c = OptionContract(S0=1.0, K=1.1, T=1.0, N=N, r=0.05, q_div=0.02, **barriers)
-    poly = model_name == "vg"
-    ref_filter = FilterSpec.exponential() if poly else None
-    reference = price_fl(c, model, default_grid(c, model, 2**16), ref_filter).price
+    reference = reference_price(c, model, default_grid(c, model, REFERENCE_M))
     rows = ["M,price,abs_error,cpu_seconds,avg_iterations,method,filter"]
     print(f"\n{name}: reference = {reference:.12e}")
     for method in METHODS:
@@ -60,10 +56,8 @@ def run_case(name, model_name, barriers, N, out_dir, m_list):
                 f"{M},{res.price:.12e},{err:.12e},{res.cpu_seconds:.12e},"
                 f"{iters},{res.method.value},{res.filter.label()}"
             )
-        positive = [(math.log2(m), math.log2(e)) for m, e in zip(m_list, errors) if e > 0]
-        if len(positive) >= 2:
-            xs, ys = zip(*positive)
-            slope = np.polyfit(xs, ys, 1)[0]
+        slope = fit_slope(m_list, errors)
+        if not math.isnan(slope):
             print(f"  {method.value:6s} slope = {slope:+.2f}   err@max-M = {errors[-1]:.2e}")
     path = Path(out_dir) / f"{name}.csv"
     path.write_text("\n".join(rows) + "\n")

@@ -8,7 +8,7 @@ stored reference values, average fixed-point iterations and timing.
 
 import math
 
-from levybarrier import FilterSpec, LevyModel, OptionContract, default_grid, price_fgm_double
+from levybarrier import FilterSpec, LevyModel, OptionContract, default_grid, price_fgm
 
 REFERENCES = {
     "kou": {
@@ -43,7 +43,7 @@ def main():
         print(f"{'N':>5} {'price':>16} {'abs dev':>10} {'iters':>7} {'cpu (s)':>9}")
         for N, ref in REFERENCES[name].items():
             c = contract(N)
-            res = price_fgm_double(c, model, default_grid(c, model, 1024), filt)
+            res = price_fgm(c, model, default_grid(c, model, 1024), filt)
             print(
                 f"{N:>5} {res.price:>16.11f} {abs(res.price - ref):>10.2e} "
                 f"{res.avg_iterations:>7.3f} {res.cpu_seconds:>9.4f}"

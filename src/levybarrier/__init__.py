@@ -13,9 +13,9 @@ from .pricers import (
     PricingResult,
     default_grid,
     price,
-    price_fgm_double,
-    price_fgm_single,
+    price_fgm,
     price_fl,
+    reference_price,
 )
 from .ztransform import ZInversionConfig
 
@@ -44,8 +44,8 @@ __all__ = [
     "hilbert_kernel",
     "mc_price",
     "price",
-    "price_fgm_double",
-    "price_fgm_single",
+    "price_fgm",
     "price_fl",
     "quad_price",
+    "reference_price",
 ]

@@ -22,29 +22,31 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import os
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .filters import FilterKind, FilterSpec
-from .grid import GridSpec, SampledSpectrum, build_grid, inverse_dft
-from .levy import DecayKind, LevyModel, ModelKind, decay_class
+from .filters import FilterKind, FilterSpec, filter_profile
+from .grid import SampledSpectrum, build_grid, inverse_dft
+from .levy import LevyModel
 from .oracle import OracleConfig, mc_price, quad_price
 from .payoff import OptionContract
 from .pricers import (
     FixedPointSettings,
     Method,
     PricingResult,
-    default_x_max,
+    default_grid,
     price as run_pricer,
-    price_fl,
+    reference_price,
 )
 from .wiener_hopf import BranchFailureError, SingularInputError
 from .ztransform import ZInversionConfig
 
-__all__ = ["main", "ConfigError", "RunConfig", "load_config"]
+__all__ = ["main", "ConfigError", "RunConfig", "load_config", "fit_slope"]
 
 NUM_FMT = "%.12e"
 REFERENCE_M = 2**16
@@ -69,41 +71,22 @@ _MODEL_PARAM_KEYS = {
     "gaussian": ("sigma",),
 }
 
-_KNOWN_KEYS = {
-    "model.kind",
-    "contract.S0",
-    "contract.K",
-    "contract.U",
-    "contract.L",
-    "contract.r",
-    "contract.q",
-    "contract.T",
-    "contract.N",
-    "contract.type",
-    "contract.alpha",
-    "method",
-    "filter.kind",
-    "filter.p",
-    "filter.theta",
-    "filter.eps",
-    "grid.M",
-    "grid.x_max",
-    "grid.width",
-    "zt.gamma",
-    "zt.ne",
-    "zt.me",
-    "zt.accelerated",
-    "fixpoint.tol",
-    "fixpoint.max_iter",
-    "oracle.quad_points",
-    "oracle.mc_paths",
-    "oracle.mc_seed",
-    "oracle.stderr_mult",
-    "output.csv",
-    "output.cache",
+# section -> key names; "method" is the one key without a section
+_SECTION_KEYS = {
+    "model": ("kind",),
+    "contract": ("S0", "K", "U", "L", "r", "q", "T", "N", "type", "alpha"),
+    "filter": ("kind", "p", "theta", "eps"),
+    "grid": ("M", "x_max", "width"),
+    "zt": ("gamma", "ne", "me", "accelerated"),
+    "fixpoint": ("tol", "max_iter"),
+    "oracle": ("quad_points", "mc_paths", "mc_seed", "stderr_mult"),
+    "output": ("csv", "cache"),
+    **_MODEL_PARAM_KEYS,
 }
-for _kind, _names in _MODEL_PARAM_KEYS.items():
-    _KNOWN_KEYS.update(f"{_kind}.{name}" for name in _names)
+
+_KNOWN_KEYS = {"method"} | {
+    f"{section}.{name}" for section, names in _SECTION_KEYS.items() for name in names
+}
 
 
 def _parse_lines(text: str) -> dict[str, str]:
@@ -137,19 +120,6 @@ class RunConfig:
     oracle: OracleConfig
     csv_path: str | None = None
     cache_path: str | None = None
-
-    def grid(self, M: int) -> GridSpec:
-        x_max = self.x_max
-        if x_max is None:
-            x_max = default_x_max(self.contract, self.model, self.width)
-        return build_grid(M, x_max)
-
-    def filter_for(self, method: Method) -> FilterSpec:
-        if method.filtered:
-            if self.filt.active:
-                return self.filt
-            return FilterSpec.exponential()
-        return FilterSpec.none()
 
 
 def _need(raw: dict[str, str], key: str) -> str:
@@ -386,7 +356,17 @@ def write_cache_entry(
     lines = ["# model contract_hash N tag price"]
     for (mkey, ckey, n, etag), price in sorted(entries.items()):
         lines.append(f"{mkey} {ckey} {n} {etag} {NUM_FMT % price}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    # write a sibling file and rename it over the cache, so a reader never
+    # sees a partial file
+    target = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def lookup_reference(cfg: RunConfig) -> float | None:
@@ -400,29 +380,17 @@ def lookup_reference(cfg: RunConfig) -> float | None:
     return None
 
 
-def reference_price(cfg: RunConfig, M: int = REFERENCE_M) -> float:
-    """Backward-induction reference at a large grid: unfiltered for
-    exponentially decaying characteristic functions, filtered otherwise."""
-    poly = decay_class(cfg.model, cfg.contract.dt).kind is DecayKind.POLYNOMIAL
-    filt = FilterSpec.exponential() if poly else FilterSpec.none()
-    return price_fl(cfg.contract, cfg.model, cfg.grid(M), filt).price
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
 def _run_one(cfg: RunConfig, method: Method, M: int) -> PricingResult:
-    return run_pricer(
-        cfg.contract,
-        cfg.model,
-        method,
-        cfg.grid(M),
-        cfg.filter_for(method),
-        cfg.zcfg,
-        cfg.fixpoint,
-    )
+    # the configured filter serves the filtered methods; price() supplies
+    # the defaults otherwise
+    filt = cfg.filt if method.filtered and cfg.filt.active else None
+    grid = default_grid(cfg.contract, cfg.model, M, cfg.x_max, cfg.width)
+    return run_pricer(cfg.contract, cfg.model, method, grid, filt, cfg.zcfg, cfg.fixpoint)
 
 
 def cmd_price(cfg: RunConfig) -> int:
@@ -459,7 +427,9 @@ def cmd_price(cfg: RunConfig) -> int:
     return 0
 
 
-def _fit_slope(ms: list[int], errors: list[float]) -> float:
+def fit_slope(ms: list[int], errors: list[float]) -> float:
+    """Least-squares slope of log2 error against log2 M over the nonzero
+    errors; nan with fewer than two of them."""
     pts = [(math.log2(m), math.log2(e)) for m, e in zip(ms, errors) if e > 0]
     if len(pts) < 2:
         return float("nan")
@@ -475,7 +445,8 @@ def cmd_converge(cfg: RunConfig) -> int:
         raise ConfigError("grid.M: converge needs an increasing sweep list")
     reference = lookup_reference(cfg)
     if reference is None:
-        reference = reference_price(cfg)
+        grid = default_grid(cfg.contract, cfg.model, REFERENCE_M, cfg.x_max, cfg.width)
+        reference = reference_price(cfg.contract, cfg.model, grid)
         if cfg.cache_path:
             write_cache_entry(cfg.cache_path, cfg.model, cfg.contract, "fl-ref", reference)
     rows = []
@@ -497,7 +468,7 @@ def cmd_converge(cfg: RunConfig) -> int:
                     result.filter.label(),
                 ]
             )
-        slopes.append((method, _fit_slope(cfg.m_list, errors)))
+        slopes.append((method, fit_slope(cfg.m_list, errors)))
     print(f"reference = {NUM_FMT % reference}")
     for method, slope in slopes:
         print(f"slope method={method.value} log2_error_slope={slope:.3f}")
@@ -579,9 +550,7 @@ def cmd_oracle(cfg: RunConfig, with_mc: bool) -> int:
 
 
 def cmd_filters_dump(cfg: RunConfig, csv_path: str | None) -> int:
-    grid = cfg.grid(cfg.m_list[-1])
-    from .filters import filter_profile
-
+    grid = default_grid(cfg.contract, cfg.model, cfg.m_list[-1], cfg.x_max, cfg.width)
     spec = cfg.filt if cfg.filt.active else FilterSpec.exponential()
     sigma = filter_profile(spec, grid)
     psi = cfg.model.char_function(grid.xi, cfg.contract.dt)
@@ -656,12 +625,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "oracle":
             return cmd_oracle(cfg, with_mc=args.mc)
         return cmd_filters_dump(cfg, args.out or cfg.csv_path)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except (BranchFailureError, SingularInputError, NumericalFailure) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        # ConfigError, and the pricers' checks of the contract they are given
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -17,9 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SampledSpectrum
-
-__all__ = ["FilterKind", "FilterSpec", "eval_filter", "apply_filter"]
+__all__ = ["FilterKind", "FilterSpec", "eval_filter", "filter_profile"]
 
 DEFAULT_EXPONENT = 12
 DEFAULT_THETA = 16.0 * math.log(10.0)
@@ -106,13 +104,6 @@ def eval_filter(spec: FilterSpec, eta) -> np.ndarray | float:
     else:
         out = _planck(e, spec.eps)
     return float(out[0]) if scalar else out
-
-
-def apply_filter(spec: FilterSpec, f: SampledSpectrum) -> SampledSpectrum:
-    """Pointwise sigma(xi_k/xi_max) * f(xi_k); identity for kind none."""
-    if spec.kind is FilterKind.NONE:
-        return f
-    return f.with_values(eval_filter(spec, f.grid.eta) * f.values)
 
 
 def filter_profile(spec: FilterSpec, grid) -> np.ndarray:

@@ -19,7 +19,6 @@ from functools import cached_property
 import numpy as np
 
 __all__ = [
-    "GridMismatchError",
     "GridSpec",
     "SampledSpectrum",
     "SampledDensity",
@@ -28,10 +27,6 @@ __all__ = [
     "inverse_dft",
     "inverse_at_zero",
 ]
-
-
-class GridMismatchError(ValueError):
-    """Raised when two sampled objects do not share a grid."""
 
 
 @dataclass(frozen=True)
@@ -113,11 +108,6 @@ class SampledDensity:
         if len(v) != self.grid.M:
             raise ValueError(f"expected {self.grid.M} samples, got {len(v)}")
         object.__setattr__(self, "values", v)
-
-
-def require_same_grid(a, b) -> None:
-    if a.grid != b.grid:
-        raise GridMismatchError(f"grid mismatch: {a.grid} vs {b.grid}")
 
 
 def forward_dft(density: SampledDensity) -> SampledSpectrum:

@@ -11,28 +11,30 @@ circular FFT, which is exact for the centre window: the needed output
 lags never wrap.  Kernels are cached per grid since pricers reuse them
 heavily.
 
-The projections split a spectrum into the transforms of the x > b and
-x < b restrictions of the underlying function (or of the band l < x < u)
-without leaving the frequency domain; barrier shifts enter as pointwise
-phase factors, so barriers need not lie on the x lattice.
+The projections ``above_values``, ``below_values`` and ``window_values``
+split a spectrum into the transforms of the x > b and x < b restrictions
+of the underlying function (or of the band l < x < u) without leaving
+the frequency domain; barrier shifts enter as pointwise phase factors,
+so barriers need not lie on the x lattice.  Like ``HilbertKernel.apply``
+they take and return raw length-M sample arrays on the kernel's grid.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .grid import GridSpec, SampledSpectrum, require_same_grid
+from .grid import GridSpec
 
 __all__ = [
     "HilbertKernel",
     "hilbert_kernel",
-    "discrete_hilbert",
-    "plemelj_decompose",
-    "plemelj_decompose_shifted",
-    "window_between_barriers",
+    "above_values",
+    "below_values",
+    "window_values",
 ]
 
 
@@ -69,78 +71,31 @@ def hilbert_kernel(grid: GridSpec) -> HilbertKernel:
     return HilbertKernel.for_grid(grid)
 
 
-def _check(f: SampledSpectrum, kernel: HilbertKernel) -> None:
-    require_same_grid(f, kernel)
-
-
-def discrete_hilbert(f: SampledSpectrum, kernel: HilbertKernel) -> SampledSpectrum:
-    _check(f, kernel)
-    return f.with_values(kernel.apply(f.values))
-
-
-def plemelj_decompose(
-    f: SampledSpectrum, kernel: HilbertKernel
-) -> tuple[SampledSpectrum, SampledSpectrum]:
-    """Split f into (plus, minus) with plus + minus = f exactly.
-
-    plus is the transform of the x > 0 restriction, minus of x < 0.
-    """
-    _check(f, kernel)
-    ih = 1j * kernel.apply(f.values)
-    return (
-        f.with_values(0.5 * (f.values + ih)),
-        f.with_values(0.5 * (f.values - ih)),
-    )
-
-
 def _shifted_half(values: np.ndarray, b: float, kernel: HilbertKernel) -> np.ndarray:
     """e^{i b xi} * i * H[e^{-i b xi} f] on the grid."""
+    if not math.isfinite(b):
+        raise ValueError(f"barrier must be finite, got {b}")
     xi = kernel.grid.xi
     phase = np.exp(-1j * b * xi)
     return np.exp(1j * b * xi) * (1j * kernel.apply(phase * values))
 
 
-def plemelj_decompose_shifted(
-    f: SampledSpectrum, b: float, side: str, kernel: HilbertKernel
-) -> SampledSpectrum:
-    """Transform of the restriction of f's function to x > b or x < b.
-
-    side is "above" (+) or "below" (-); b = 0 reduces to the unshifted
-    decomposition.
-    """
-    _check(f, kernel)
-    if side not in ("above", "below"):
-        raise ValueError(f"side must be 'above' or 'below', got {side!r}")
-    if not np.isfinite(b):
-        raise ValueError(f"barrier must be finite, got {b}")
-    half = _shifted_half(f.values, b, kernel)
-    sign = 1.0 if side == "above" else -1.0
-    return f.with_values(0.5 * (f.values + sign * half))
-
-
-def window_between_barriers(
-    f: SampledSpectrum, l: float, u: float, kernel: HilbertKernel
-) -> SampledSpectrum:
-    """Transform of the restriction of f's function to l < x < u."""
-    _check(f, kernel)
-    if not l < u:
-        raise ValueError(f"need l < u, got l={l}, u={u}")
-    vals = 0.5 * (_shifted_half(f.values, l, kernel) - _shifted_half(f.values, u, kernel))
-    return f.with_values(vals)
-
-
 def window_values(
     values: np.ndarray, l: float, u: float, kernel: HilbertKernel
 ) -> np.ndarray:
-    """Raw-array band window used in pricer hot loops."""
+    """Transform of the restriction of the function to l < x < u."""
+    if not l < u:
+        raise ValueError(f"need l < u, got l={l}, u={u}")
     return 0.5 * (_shifted_half(values, l, kernel) - _shifted_half(values, u, kernel))
 
 
 def above_values(values: np.ndarray, b: float, kernel: HilbertKernel) -> np.ndarray:
-    """Raw-array x > b projection used in pricer hot loops."""
+    """Transform of the restriction of the function to x > b; b = 0 is the
+    plain Plemelj half (values + i H[values]) / 2."""
     return 0.5 * (values + _shifted_half(values, b, kernel))
 
 
 def below_values(values: np.ndarray, b: float, kernel: HilbertKernel) -> np.ndarray:
-    """Raw-array x < b projection used in pricer hot loops."""
+    """Transform of the restriction of the function to x < b; the
+    complement of above_values, so the two halves sum to the input."""
     return 0.5 * (values - _shifted_half(values, b, kernel))

@@ -32,8 +32,6 @@ __all__ = [
     "DecayKind",
     "DecayClass",
     "LevyModel",
-    "char_function",
-    "char_exponent",
     "decay_class",
 ]
 
@@ -239,14 +237,6 @@ class LevyModel:
         else:  # vg
             c2 = p["sigma"] ** 2 + p["nu"] * p["theta"] ** 2
         return c2 * t
-
-
-def char_function(model: LevyModel, xi, t: float) -> np.ndarray:
-    return model.char_function(xi, t)
-
-
-def char_exponent(model: LevyModel, xi) -> np.ndarray:
-    return model.char_exponent(xi)
 
 
 def decay_class(model: LevyModel, dt: float) -> DecayClass:

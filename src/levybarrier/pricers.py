@@ -3,12 +3,13 @@
 Four methods are provided, all returning the t = 0 value of a discretely
 monitored knock-out option with N dates:
 
-* ``price_fgm_single`` / ``price_fgm_double`` solve the fluctuation
-  identities for the barrier-constrained transition law in the combined
-  Fourier/z-transform domain.  Per contour point q the kernel
-  Phi = 1 - q Psi is factorised (Wiener-Hopf) and the barrier terms are
-  isolated with half-line projections; the double-barrier coupling is
-  resolved by a small fixed-point iteration.  Two monitoring dates are
+* ``price_fgm`` solves the fluctuation identities for the
+  barrier-constrained transition law in the combined Fourier/z-transform
+  domain.  Per contour point q the kernel Phi = 1 - q Psi is factorised
+  (Wiener-Hopf) and the barrier terms are isolated with half-line
+  projections.  A down-and-out contract is solved directly; the
+  double-barrier coupling is resolved by a small fixed-point iteration.
+  Up-and-out contracts are not supported.  Two monitoring dates are
   withheld from the z-index and restored as explicit Psi factors, which
   smooths both ends of the scheme, so the inversion targets index N - 2.
   Cost is independent of N once the Euler-accelerated contour is in use.
@@ -41,19 +42,18 @@ from .hilbert import HilbertKernel, above_values, below_values, hilbert_kernel, 
 from .levy import DecayKind, LevyModel, ModelKind, decay_class
 from .payoff import OptionContract, damped_payoff_fourier
 from .wiener_hopf import factorize_values
-from .ztransform import ZInversionConfig, contour_points, invert, use_euler
+from .ztransform import ZInversionConfig, contour_points, invert
 
 __all__ = [
     "Method",
     "PricingResult",
-    "SpitzerState",
     "FixedPointSettings",
     "default_x_max",
     "default_grid",
-    "price_fgm_single",
-    "price_fgm_double",
+    "price_fgm",
     "price_fl",
     "price",
+    "reference_price",
 ]
 
 GRID_WIDTH_STDS = 12.0
@@ -85,20 +85,6 @@ class PricingResult:
     avg_iterations: float | None = None
     max_iter_hit: bool = False
     imag_residual: float = 0.0
-
-
-@dataclass
-class SpitzerState:
-    """Per-contour-point intermediates of the double-barrier solve."""
-
-    q: complex
-    phi: np.ndarray
-    phi_plus: np.ndarray
-    phi_minus: np.ndarray
-    j_plus: np.ndarray
-    j_minus: np.ndarray
-    f: np.ndarray
-    iterations: int
 
 
 @dataclass(frozen=True)
@@ -173,11 +159,11 @@ def _payoff_conj(contract: OptionContract, grid: GridSpec) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# z-transform-domain pricers
+# z-transform-domain pricer
 # ---------------------------------------------------------------------------
 
 
-def _spitzer_single_value(
+def _down_out_spectrum(
     q: complex,
     psi: np.ndarray,
     pay_conj: np.ndarray,
@@ -185,18 +171,17 @@ def _spitzer_single_value(
     grid: GridSpec,
     kernel: HilbertKernel,
     sigma: np.ndarray | None,
-) -> complex:
-    """Transform-domain value at one contour point, single lower barrier."""
+) -> np.ndarray:
+    """Direct solve at one contour point, lower barrier only."""
     psi_f = psi if sigma is None else sigma * psi
     phi_plus, phi_minus = factorize_values(1.0 - q * psi_f, kernel)
     shift = np.exp(-1j * l * grid.xi)
     p_in = shift * psi_f / phi_minus
     p_plus = 0.5 * (p_in + 1j * kernel.apply(p_in))
-    f = pay_conj * psi * np.conj(shift) * p_plus / phi_plus
-    return inverse_at_zero(SampledSpectrum(grid, f))
+    return pay_conj * psi * np.conj(shift) * p_plus / phi_plus
 
 
-def _spitzer_double_state(
+def _band_spectrum(
     q: complex,
     psi: np.ndarray,
     pay_conj: np.ndarray,
@@ -207,8 +192,9 @@ def _spitzer_double_state(
     sigma: np.ndarray | None,
     filter_factorization: bool,
     fp: FixedPointSettings,
-) -> SpitzerState:
-    """Fixed-point solve of the coupled barrier terms at one contour point."""
+) -> tuple[np.ndarray, int]:
+    """Fixed-point solve of the coupled barrier terms at one contour point;
+    returns the spectrum and the number of sweeps."""
     psi_fact = psi if not filter_factorization else sigma * psi
     phi = 1.0 - q * psi_fact
     phi_plus, phi_minus = factorize_values(phi, kernel)
@@ -217,7 +203,6 @@ def _spitzer_double_state(
     e_u = np.exp(-1j * u * xi)
     e_ul = np.exp(1j * (u - l) * xi)
     j_plus = np.zeros(grid.M, dtype=complex)
-    j_minus = np.zeros(grid.M, dtype=complex)
     f_old: np.ndarray | None = None
     iterations = 0
     while True:
@@ -238,83 +223,39 @@ def _spitzer_double_state(
         if iterations >= fp.max_iter:
             break
         f_old = f
-    return SpitzerState(
-        q=q,
-        phi=phi,
-        phi_plus=phi_plus,
-        phi_minus=phi_minus,
-        j_plus=j_plus,
-        j_minus=j_minus,
-        f=f,
-        iterations=iterations,
-    )
+    return f, iterations
 
 
-def price_fgm_single(
-    contract: OptionContract,
-    model: LevyModel,
-    grid: GridSpec,
-    filt: FilterSpec | None = None,
-    zcfg: ZInversionConfig | None = None,
-    kernel: HilbertKernel | None = None,
-) -> PricingResult:
-    """Down-and-out price via the direct (non-iterative) identity.
-
-    Requires a lower barrier and N >= 3; an upper barrier, if present,
-    is not monitored by this method."""
-    filt = filt or FilterSpec.none()
-    if not contract.has_lower:
-        raise ValueError("single-barrier pricer requires a lower barrier")
-    if contract.N < 3:
-        raise ValueError("z-domain pricers require N >= 3")
-    kernel = kernel or hilbert_kernel(grid)
-    cfg = _zconfig(contract, zcfg)
-    sigma = filter_profile(filt, grid) if filt.active else None
-
-    start = time.perf_counter()
-    psi = model.char_function(grid.xi + 1j * contract.alpha, contract.dt)
-    pay_conj = _payoff_conj(contract, grid)
-    l, _ = _barriers(contract, grid)
-    pts = contour_points(cfg).points
-    vals = np.array(
-        [
-            _spitzer_single_value(q, psi, pay_conj, l, grid, kernel, sigma)
-            for q in pts
-        ]
-    )
-    undiscounted = invert(vals, cfg)
-    price_val = math.exp(-contract.r * contract.T) * undiscounted
-    elapsed = time.perf_counter() - start
-    imag = float(abs(vals[0].imag))  # q on the real axis must price real
-    method = Method.FGM_F if filt.active else Method.FGM
-    return PricingResult(price_val, grid.M, elapsed, method, filt, imag_residual=imag)
-
-
-def price_fgm_double(
+def price_fgm(
     contract: OptionContract,
     model: LevyModel,
     grid: GridSpec,
     filt: FilterSpec | None = None,
     zcfg: ZInversionConfig | None = None,
     fp: FixedPointSettings | None = None,
-    kernel: HilbertKernel | None = None,
 ) -> PricingResult:
-    """Double-barrier price via the fixed-point identity.
+    """Down-and-out or double-barrier price in the z-domain.
 
-    With an active filter the projection inputs are tapered; for
-    polynomially decaying characteristic functions the factorisation
-    input is tapered as well."""
+    A lower barrier alone is solved by the direct identity; with an
+    upper barrier as well the coupled barrier terms are solved by the
+    fixed-point iteration, whose average sweep count is reported.  With
+    an active filter the projection inputs are tapered; the
+    factorisation input is tapered for a single barrier, and for a band
+    only when the characteristic function decays polynomially.
+    Requires a lower barrier and N >= 3."""
     filt = filt or FilterSpec.none()
     fp = fp or FixedPointSettings()
-    if not (contract.has_lower and contract.has_upper):
-        raise ValueError("double-barrier pricer requires finite L < U")
+    if not contract.has_lower:
+        raise ValueError("z-domain pricer requires a lower barrier; use fl for up-and-out")
     if contract.N < 3:
         raise ValueError("z-domain pricers require N >= 3")
-    kernel = kernel or hilbert_kernel(grid)
+    kernel = hilbert_kernel(grid)
     cfg = _zconfig(contract, zcfg)
     sigma = filter_profile(filt, grid) if filt.active else None
+    band = contract.has_upper
     filter_fact = (
-        filt.active
+        band
+        and filt.active
         and decay_class(model, contract.dt).kind is DecayKind.POLYNOMIAL
     )
 
@@ -325,14 +266,14 @@ def price_fgm_double(
     pts = contour_points(cfg).points
     vals = np.empty(len(pts), dtype=complex)
     iters = np.empty(len(pts))
-    max_hit = False
     for idx, q in enumerate(pts):
-        state = _spitzer_double_state(
-            q, psi, pay_conj, l, u, grid, kernel, sigma, filter_fact, fp
-        )
-        vals[idx] = inverse_at_zero(SampledSpectrum(grid, state.f))
-        iters[idx] = state.iterations
-        max_hit = max_hit or state.iterations >= fp.max_iter
+        if band:
+            f, iters[idx] = _band_spectrum(
+                q, psi, pay_conj, l, u, grid, kernel, sigma, filter_fact, fp
+            )
+        else:
+            f = _down_out_spectrum(q, psi, pay_conj, l, grid, kernel, sigma)
+        vals[idx] = inverse_at_zero(SampledSpectrum(grid, f))
     undiscounted = invert(vals, cfg)
     price_val = math.exp(-contract.r * contract.T) * undiscounted
     elapsed = time.perf_counter() - start
@@ -343,9 +284,9 @@ def price_fgm_double(
         elapsed,
         method,
         filt,
-        avg_iterations=float(np.mean(iters)),
-        max_iter_hit=max_hit,
-        imag_residual=float(abs(vals[0].imag)),
+        avg_iterations=float(np.mean(iters)) if band else None,
+        max_iter_hit=band and bool(np.max(iters) >= fp.max_iter),
+        imag_residual=float(abs(vals[0].imag)),  # q on the real axis must price real
     )
 
 
@@ -359,7 +300,6 @@ def price_fl(
     model: LevyModel,
     grid: GridSpec,
     filt: FilterSpec | None = None,
-    kernel: HilbertKernel | None = None,
 ) -> PricingResult:
     """Backward induction over the N monitoring dates in the frequency
     domain: N - 1 propagate-and-window steps, one final bare propagation,
@@ -372,7 +312,7 @@ def price_fl(
     and a negative alpha keeps the carrier integrable when the upper
     barrier is infinite."""
     filt = filt or FilterSpec.none()
-    kernel = kernel or hilbert_kernel(grid)
+    kernel = hilbert_kernel(grid)
 
     start = time.perf_counter()
     vhat = damped_payoff_fourier(contract, grid).values
@@ -412,9 +352,8 @@ def price(
     filt: FilterSpec | None = None,
     zcfg: ZInversionConfig | None = None,
     fp: FixedPointSettings | None = None,
-    kernel: HilbertKernel | None = None,
 ) -> PricingResult:
-    """Dispatch on method and barrier geometry.
+    """Dispatch on method.
 
     Filtered methods fall back to the default exponential taper when no
     filter is supplied; an explicitly inactive filter is rejected."""
@@ -426,7 +365,13 @@ def price(
     if not method.filtered and filt.active:
         raise ValueError(f"method {method.value} does not take a filter")
     if method.recursive:
-        return price_fl(contract, model, grid, filt, kernel)
-    if contract.has_upper:
-        return price_fgm_double(contract, model, grid, filt, zcfg, fp, kernel)
-    return price_fgm_single(contract, model, grid, filt, zcfg, kernel)
+        return price_fl(contract, model, grid, filt)
+    return price_fgm(contract, model, grid, filt, zcfg, fp)
+
+
+def reference_price(contract: OptionContract, model: LevyModel, grid: GridSpec) -> float:
+    """Backward-induction reference on a (large) grid: unfiltered for
+    exponentially decaying characteristic functions, filtered otherwise."""
+    poly = decay_class(model, contract.dt).kind is DecayKind.POLYNOMIAL
+    filt = FilterSpec.exponential() if poly else FilterSpec.none()
+    return price_fl(contract, model, grid, filt).price

@@ -1,4 +1,4 @@
-"""Wiener-Hopf factorisation and additive decomposition of spectra.
+"""Wiener-Hopf factorisation of sampled spectra.
 
 The multiplicative split Phi = Phi_plus * Phi_minus (factors analytic in
 the upper / lower half-planes) is obtained by decomposing log Phi with
@@ -10,19 +10,14 @@ winding check below is purely defensive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .grid import SampledSpectrum
-from .hilbert import HilbertKernel, plemelj_decompose
+from .hilbert import HilbertKernel
 
 __all__ = [
     "SingularInputError",
     "BranchFailureError",
-    "FactorPair",
-    "factorize",
-    "decompose_additive",
+    "factorize_values",
 ]
 
 MIN_MODULUS = 1e-14
@@ -34,12 +29,6 @@ class SingularInputError(ValueError):
 
 class BranchFailureError(ArithmeticError):
     """Phase winding detected; a continuous log branch is unavailable."""
-
-
-@dataclass(frozen=True)
-class FactorPair:
-    plus: SampledSpectrum
-    minus: SampledSpectrum
 
 
 def _continuous_log(values: np.ndarray) -> np.ndarray:
@@ -55,25 +44,10 @@ def _continuous_log(values: np.ndarray) -> np.ndarray:
     return np.log(mod) + 1j * phase
 
 
-def factorize(phi: SampledSpectrum, kernel: HilbertKernel) -> FactorPair:
-    """Phi -> (Phi_plus, Phi_minus) with Phi_plus * Phi_minus = Phi."""
-    h = phi.with_values(_continuous_log(phi.values))
-    h_plus, h_minus = plemelj_decompose(h, kernel)
-    return FactorPair(
-        plus=phi.with_values(np.exp(h_plus.values)),
-        minus=phi.with_values(np.exp(h_minus.values)),
-    )
-
-
 def factorize_values(values: np.ndarray, kernel: HilbertKernel) -> tuple[np.ndarray, np.ndarray]:
-    """Raw-array factorisation used in pricer hot loops."""
+    """Phi -> (Phi_plus, Phi_minus) with Phi_plus * Phi_minus = Phi, on raw
+    length-M sample arrays."""
     h = _continuous_log(values)
     ih = 1j * kernel.apply(h)
     return np.exp(0.5 * (h + ih)), np.exp(0.5 * (h - ih))
 
-
-def decompose_additive(
-    f: SampledSpectrum, kernel: HilbertKernel
-) -> tuple[SampledSpectrum, SampledSpectrum]:
-    """Additive split f = plus + minus via the half-line projections."""
-    return plemelj_decompose(f, kernel)

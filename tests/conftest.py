@@ -46,6 +46,12 @@ def down_and_out(N: int, **kw) -> OptionContract:
     return OptionContract(**args)
 
 
+def up_and_out(N: int, **kw) -> OptionContract:
+    args = dict(S0=1.0, K=1.1, T=1.0, N=N, r=RATE, q_div=DIVIDEND, U=1.2)
+    args.update(kw)
+    return OptionContract(**args)
+
+
 def european(N: int = 1, **kw) -> OptionContract:
     args = dict(S0=1.0, K=1.1, T=1.0, N=N, r=RATE, q_div=DIVIDEND)
     args.update(kw)

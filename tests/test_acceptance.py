@@ -22,16 +22,14 @@ from levybarrier import (
     build_grid,
     default_grid,
     mc_price,
-    price_fgm_double,
-    price_fgm_single,
+    price_fgm,
     price_fl,
     quad_price,
 )
 from levybarrier.cli import pulse_recovery
 from levybarrier.grid import build_grid as _build
-from levybarrier.hilbert import hilbert_kernel
-from levybarrier.wiener_hopf import factorize
-from levybarrier.grid import SampledSpectrum
+from levybarrier.hilbert import above_values, below_values, hilbert_kernel
+from levybarrier.wiener_hopf import factorize_values
 from levybarrier.ztransform import ZInversionConfig, contour_points, invert_euler
 from conftest import double_barrier, down_and_out
 
@@ -68,7 +66,7 @@ def test_criterion_1_kou_table(kou):
     ok = True
     for N, target in KOU_TABLE.items():
         c = double_barrier(N)
-        res = price_fgm_double(c, kou, default_grid(c, kou, 1024), EXP)
+        res = price_fgm(c, kou, default_grid(c, kou, 1024), EXP)
         err = abs(res.price - target)
         ok &= err <= 1e-9 and res.avg_iterations <= 2.2 and res.cpu_seconds < 1.0
         rows.append(f"N={N}: err={err:.2e} iters={res.avg_iterations:.3f} t={res.cpu_seconds:.3f}s")
@@ -81,7 +79,7 @@ def test_criterion_2_nig_table(nig):
     ok = True
     for N, target in NIG_TABLE.items():
         c = double_barrier(N)
-        res = price_fgm_double(c, nig, default_grid(c, nig, 1024), EXP)
+        res = price_fgm(c, nig, default_grid(c, nig, 1024), EXP)
         err = abs(res.price - target)
         ok &= err <= tol[N]
         rows.append(f"N={N}: err={err:.2e} (tol {tol[N]:.0e})")
@@ -94,10 +92,10 @@ def test_criterion_3_convergence_orders(kou, kou_n52_reference):
     unfiltered = []
     for M in ms:
         g = default_grid(c, kou, M)
-        unfiltered.append(abs(price_fgm_double(c, kou, g).price - kou_n52_reference))
+        unfiltered.append(abs(price_fgm(c, kou, g).price - kou_n52_reference))
     slope = float(np.polyfit(np.log2(ms), np.log2(unfiltered), 1)[0])
     filt_err = abs(
-        price_fgm_double(c, kou, default_grid(c, kou, 2**12), EXP).price - kou_n52_reference
+        price_fgm(c, kou, default_grid(c, kou, 2**12), EXP).price - kou_n52_reference
     )
     ok = -2.6 <= slope <= -1.6 and filt_err <= 1e-11
     assert report(3, ok, f"unfiltered slope={slope:.3f}; filtered err@2^12={filt_err:.2e}")
@@ -121,7 +119,7 @@ def test_criterion_4_vg_single_barrier_improvement(vg, vg_single_reference):
         strict &= e_filt < e_unf
         rows.append(f"2^{int(math.log2(M))}: {e_filt:.1e}/{e_unf:.1e}")
     g12 = default_grid(c, vg, 2**12)
-    fgm_err = abs(price_fgm_single(c, vg, g12, EXP).price - vg_single_reference)
+    fgm_err = abs(price_fgm(c, vg, g12, EXP).price - vg_single_reference)
     fl_err = abs(price_fl(c, vg, g12, EXP).price - vg_single_reference)
     ratio = fgm_err / fl_err
     ok = strict and ratio <= 10.0
@@ -176,23 +174,19 @@ def test_criterion_7_projection_and_factorisation_identities(all_models):
     qs = cfg.rho * np.exp(1j * np.pi * np.array([0, 12, 25, 38, 50]) / 50)
     worst_sum = 0.0
     worst_prod = 0.0
-    from levybarrier.hilbert import plemelj_decompose
 
     for model in all_models.values():
         psi = model.char_function(g.xi, 1.0 / 52.0)
         for q in qs:
-            phi = SampledSpectrum(g, 1.0 - q * psi)
-            plus, minus = plemelj_decompose(phi, kern)
-            worst_sum = max(
-                worst_sum,
-                float(np.max(np.abs(plus.values + minus.values - phi.values))),
-            )
-            fp = factorize(phi, kern)
-            prod = fp.plus.values * fp.minus.values
-            mask = np.abs(phi.values) > 1e-10
+            phi = 1.0 - q * psi
+            plus, minus = above_values(phi, 0.0, kern), below_values(phi, 0.0, kern)
+            worst_sum = max(worst_sum, float(np.max(np.abs(plus + minus - phi))))
+            phi_plus, phi_minus = factorize_values(phi, kern)
+            prod = phi_plus * phi_minus
+            mask = np.abs(phi) > 1e-10
             worst_prod = max(
                 worst_prod,
-                float(np.max(np.abs(prod - phi.values)[mask] / np.abs(phi.values)[mask])),
+                float(np.max(np.abs(prod - phi)[mask] / np.abs(phi)[mask])),
             )
     ok = worst_sum < 1e-15 * 2.0 and worst_prod < 1e-12
     assert report(7, ok, f"sum identity={worst_sum:.2e}; product identity={worst_prod:.2e}")
@@ -246,8 +240,8 @@ def test_criterion_10_timing_profiles(kou):
     c52, c504 = double_barrier(52), double_barrier(504)
     g52 = default_grid(c52, kou, 1024)
     g504 = default_grid(c504, kou, 1024)
-    t52 = median_time(lambda: price_fgm_double(c52, kou, g52, EXP))
-    t504 = median_time(lambda: price_fgm_double(c504, kou, g504, EXP))
+    t52 = median_time(lambda: price_fgm(c52, kou, g52, EXP))
+    t504 = median_time(lambda: price_fgm(c504, kou, g504, EXP))
     f52 = median_time(lambda: price_fl(c52, kou, g52))
     f504 = median_time(lambda: price_fl(c504, kou, g504))
     fgm_ratio = t504 / t52

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -63,6 +64,28 @@ def test_duplicate_and_malformed_keys(tmp_path, capsys):
     assert main(["price", "--config", cfg3]) == 2
 
 
+KOU_DOUBLE_CFG = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "kou_double.cfg"
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("contract.N", "2"),  # the z-domain pricers need N >= 3
+        ("contract.alpha", "50"),  # outside the kou strip of regularity
+        ("contract.L", "0"),  # up-and-out: fgm needs a lower barrier
+    ],
+)
+def test_pricer_rejection_is_config_error(tmp_path, capsys, key, value):
+    text = KOU_DOUBLE_CFG.read_text()
+    text, count = re.subn(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text, flags=re.M)
+    assert count == 1
+    cfg = write_config(tmp_path, text)
+    assert main(["price", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_empty_sweep_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE_CONFIG.replace("grid.M = 512", "grid.M = "))
     assert main(["converge", "--config", cfg]) == 2
@@ -104,6 +127,8 @@ def test_oracle_writes_cache_and_price_reports_error(tmp_path, capsys):
     assert main(["price", "--config", cfg]) == 0
     out = capsys.readouterr().out
     assert "reference = " in out and "abs_error = " in out
+    # the cache is replaced whole: no temporary file stays behind
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["refs.txt", "run.cfg"]
 
 
 def test_converge_writes_csv_and_slope(tmp_path, capsys):

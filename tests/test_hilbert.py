@@ -7,14 +7,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import toeplitz
 
-from levybarrier.grid import GridMismatchError, SampledSpectrum, build_grid, inverse_dft
-from levybarrier.hilbert import (
-    discrete_hilbert,
-    hilbert_kernel,
-    plemelj_decompose,
-    plemelj_decompose_shifted,
-    window_between_barriers,
-)
+from levybarrier.grid import SampledSpectrum, build_grid, inverse_dft
+from levybarrier.hilbert import above_values, below_values, hilbert_kernel, window_values
 
 
 def direct_kernel_matrix(M: int) -> np.ndarray:
@@ -28,7 +22,7 @@ def direct_kernel_matrix(M: int) -> np.ndarray:
 
 def gaussian_spectrum(M=4096, x_max=10.0):
     g = build_grid(M, x_max)
-    return g, SampledSpectrum(g, np.exp(-g.xi**2 / 2).astype(complex))
+    return g, np.exp(-g.xi**2 / 2).astype(complex)
 
 
 def test_kernel_values_via_delta():
@@ -44,8 +38,8 @@ def test_kernel_values_via_delta():
 
 def test_zero_maps_to_zero():
     g = build_grid(64, 1.0)
-    f = SampledSpectrum(g, np.zeros(64, dtype=complex))
-    assert np.all(discrete_hilbert(f, hilbert_kernel(g)).values == 0)
+    f = np.zeros(64, dtype=complex)
+    assert np.all(hilbert_kernel(g).apply(f) == 0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -62,8 +56,8 @@ def test_fft_convolution_matches_direct_sum(seed, M):
 def test_lorentzian_pair():
     # H[1/(1+xi^2)] = xi/(1+xi^2)
     g = build_grid(2**14, 14.0)
-    f = SampledSpectrum(g, (1.0 / (1.0 + g.xi**2)).astype(complex))
-    h = discrete_hilbert(f, hilbert_kernel(g)).values
+    f = (1.0 / (1.0 + g.xi**2)).astype(complex)
+    h = hilbert_kernel(g).apply(f)
     exact = g.xi / (1.0 + g.xi**2)
     assert np.max(np.abs(h - exact)) < 1e-6
 
@@ -71,15 +65,16 @@ def test_lorentzian_pair():
 def test_plemelj_sum_identity():
     g = build_grid(512, 5.0)
     rng = np.random.default_rng(11)
-    f = SampledSpectrum(g, rng.standard_normal(512) + 1j * rng.standard_normal(512))
-    plus, minus = plemelj_decompose(f, hilbert_kernel(g))
-    assert np.max(np.abs(plus.values + minus.values - f.values)) < 1e-15 * np.max(np.abs(f.values))
+    f = rng.standard_normal(512) + 1j * rng.standard_normal(512)
+    kern = hilbert_kernel(g)
+    plus, minus = above_values(f, 0.0, kern), below_values(f, 0.0, kern)
+    assert np.max(np.abs(plus + minus - f)) < 1e-15 * np.max(np.abs(f))
 
 
 def test_plemelj_projects_gaussian_onto_half_line():
     g, f = gaussian_spectrum()
     kern = hilbert_kernel(g)
-    plus, _ = plemelj_decompose(f, kern)
+    plus = above_values(f, 0.0, kern)
 
     # frequency-domain check against direct quadrature of the half-density
     def half_transform(xi):
@@ -89,10 +84,10 @@ def test_plemelj_projects_gaussian_onto_half_line():
 
     for k in (2048, 2300, 2900, 1500):
         xi = g.xi[k]
-        assert plus.values[k] == pytest.approx(half_transform(xi), abs=1e-6)
+        assert plus[k] == pytest.approx(half_transform(xi), abs=1e-6)
 
     # log-price-domain recovery: right only, ringing decays away from 0
-    dens = inverse_dft(plus).values.real
+    dens = inverse_dft(SampledSpectrum(g, plus)).values.real
     exact = np.where(g.x > 0, np.exp(-g.x**2 / 2) / math.sqrt(2 * math.pi), 0.0)
     err = np.abs(dens - exact)
     assert np.max(err[np.abs(g.x) > 0.5]) < 1e-3
@@ -103,40 +98,42 @@ def test_plemelj_symmetry_for_real_even_input():
     # decay fast enough that lag-window truncation cannot break the
     # odd/even pairing; the k = -M/2 node has no mirror and is skipped
     g = build_grid(256, 3.0)
-    f = SampledSpectrum(g, np.exp(-g.xi**2 / 8.0).astype(complex))
+    f = np.exp(-g.xi**2 / 8.0).astype(complex)
     kern = hilbert_kernel(g)
-    h = discrete_hilbert(f, kern).values[1:]
+    h = kern.apply(f)[1:]
     assert np.max(np.abs(h + h[::-1])) < 1e-13
     # for real even input the halves are conjugates and mirror images
-    plus, minus = plemelj_decompose(f, kern)
-    assert np.max(np.abs(plus.values - np.conj(minus.values))) < 1e-13
-    assert np.max(np.abs(plus.values[1:] - minus.values[1:][::-1])) < 1e-13
+    plus, minus = above_values(f, 0.0, kern), below_values(f, 0.0, kern)
+    assert np.max(np.abs(plus - np.conj(minus))) < 1e-13
+    assert np.max(np.abs(plus[1:] - minus[1:][::-1])) < 1e-13
 
 
 def test_shift_reduces_to_plain_decomposition_at_zero():
     g, f = gaussian_spectrum(M=1024, x_max=6.0)
     kern = hilbert_kernel(g)
-    plus, minus = plemelj_decompose(f, kern)
-    above = plemelj_decompose_shifted(f, 0.0, "above", kern)
-    below = plemelj_decompose_shifted(f, 0.0, "below", kern)
-    assert np.max(np.abs(above.values - plus.values)) < 1e-14
-    assert np.max(np.abs(below.values - minus.values)) < 1e-14
+    # the plain Plemelj halves (f +- i H f) / 2
+    ih = 1j * kern.apply(f)
+    plus, minus = 0.5 * (f + ih), 0.5 * (f - ih)
+    above = above_values(f, 0.0, kern)
+    below = below_values(f, 0.0, kern)
+    assert np.max(np.abs(above - plus)) < 1e-14
+    assert np.max(np.abs(below - minus)) < 1e-14
 
 
 def test_shifted_halves_sum_to_input():
     g, f = gaussian_spectrum(M=1024, x_max=6.0)
     kern = hilbert_kernel(g)
     b = -0.1625
-    above = plemelj_decompose_shifted(f, b, "above", kern)
-    below = plemelj_decompose_shifted(f, b, "below", kern)
-    assert np.max(np.abs(above.values + below.values - f.values)) < 1e-15
+    above = above_values(f, b, kern)
+    below = below_values(f, b, kern)
+    assert np.max(np.abs(above + below - f)) < 1e-15
 
 
 def test_shifted_projection_matches_quadrature():
     g, f = gaussian_spectrum()
     kern = hilbert_kernel(g)
     b = math.log(0.85)
-    above = plemelj_decompose_shifted(f, b, "above", kern)
+    above = above_values(f, b, kern)
 
     def tail_transform(xi):
         re = quad(lambda x: math.exp(-x * x / 2) / math.sqrt(2 * math.pi) * math.cos(xi * x), b, 12, limit=200)[0]
@@ -144,32 +141,32 @@ def test_shifted_projection_matches_quadrature():
         return re + 1j * im
 
     for k in (2048, 2500, 1700):
-        assert above.values[k] == pytest.approx(tail_transform(g.xi[k]), abs=1e-6)
+        assert above[k] == pytest.approx(tail_transform(g.xi[k]), abs=1e-6)
 
 
 def test_window_algebra():
     g, f = gaussian_spectrum(M=2048, x_max=8.0)
     kern = hilbert_kernel(g)
     l, u = math.log(0.85), math.log(1.15)
-    w = window_between_barriers(f, l, u, kern)
-    above = plemelj_decompose_shifted(f, l, "above", kern)
-    below = plemelj_decompose_shifted(f, u, "below", kern)
-    combo = above.values + below.values - f.values
-    assert np.max(np.abs(w.values - combo)) < 1e-14
+    w = window_values(f, l, u, kern)
+    above = above_values(f, l, kern)
+    below = below_values(f, u, kern)
+    combo = above + below - f
+    assert np.max(np.abs(w - combo)) < 1e-14
 
     # a band holding all the mass, barriers well inside the lattice,
     # reproduces the input
     gwide = build_grid(2048, 12.0)
-    fwide = SampledSpectrum(gwide, np.exp(-gwide.xi**2 / 2).astype(complex))
-    full = window_between_barriers(fwide, -6.0, 6.0, hilbert_kernel(gwide))
-    assert np.max(np.abs(full.values - fwide.values)) < 1e-6
+    fwide = np.exp(-gwide.xi**2 / 2).astype(complex)
+    full = window_values(fwide, -6.0, 6.0, hilbert_kernel(gwide))
+    assert np.max(np.abs(full - fwide)) < 1e-6
 
 
 def test_window_matches_quadrature():
     g, f = gaussian_spectrum()
     kern = hilbert_kernel(g)
     l, u = math.log(0.85), math.log(1.15)
-    w = window_between_barriers(f, l, u, kern)
+    w = window_values(f, l, u, kern)
 
     def band_transform(xi):
         re = quad(lambda x: math.exp(-x * x / 2) / math.sqrt(2 * math.pi) * math.cos(xi * x), l, u)[0]
@@ -177,17 +174,17 @@ def test_window_matches_quadrature():
         return re + 1j * im
 
     for k in (2048, 2400, 1600, 3000):
-        assert w.values[k] == pytest.approx(band_transform(g.xi[k]), abs=1e-6)
+        assert w[k] == pytest.approx(band_transform(g.xi[k]), abs=1e-6)
 
 
 def test_double_transform_is_near_negation():
     errs = {}
     for M in (2**10, 2**12):
         g = build_grid(M, 10.0)
-        f = SampledSpectrum(g, np.exp(-g.xi**2 / 2).astype(complex))
+        f = np.exp(-g.xi**2 / 2).astype(complex)
         kern = hilbert_kernel(g)
-        hh = discrete_hilbert(discrete_hilbert(f, kern), kern).values
-        errs[M] = np.max(np.abs(hh + f.values))
+        hh = kern.apply(kern.apply(f))
+        errs[M] = np.max(np.abs(hh + f))
     assert errs[2**12] < errs[2**10]
     assert errs[2**12] < 5e-3
 
@@ -198,13 +195,11 @@ def test_exponential_decay_gives_geometric_convergence():
     x_max = 6.0
     f_of = lambda xi: np.exp(-((xi / 40.0) ** 2)).astype(complex)
     ref_grid = build_grid(2**11, x_max)
-    ref = plemelj_decompose(
-        SampledSpectrum(ref_grid, f_of(ref_grid.xi)), hilbert_kernel(ref_grid)
-    )[0].values
+    ref = above_values(f_of(ref_grid.xi), 0.0, hilbert_kernel(ref_grid))
     errors = []
     for M in (2**7, 2**8, 2**9):
         g = build_grid(M, x_max)
-        plus = plemelj_decompose(SampledSpectrum(g, f_of(g.xi)), hilbert_kernel(g))[0].values
+        plus = above_values(f_of(g.xi), 0.0, hilbert_kernel(g))
         offset = (ref_grid.M - M) // 2
         errors.append(np.max(np.abs(plus - ref[offset : offset + M])))
     assert errors[1] < 0.6 * errors[0]
@@ -217,13 +212,11 @@ def test_polynomial_decay_truncation_rate():
     x_max = 6.0
     ref_grid = build_grid(2**13, x_max)
     f_of = lambda xi: (1.0 / (1.0 + xi**2)).astype(complex)
-    ref = plemelj_decompose(
-        SampledSpectrum(ref_grid, f_of(ref_grid.xi)), hilbert_kernel(ref_grid)
-    )[0].values
+    ref = above_values(f_of(ref_grid.xi), 0.0, hilbert_kernel(ref_grid))
     errors = []
     for M in (2**8, 2**9, 2**10):
         g = build_grid(M, x_max)
-        plus = plemelj_decompose(SampledSpectrum(g, f_of(g.xi)), hilbert_kernel(g))[0].values
+        plus = above_values(f_of(g.xi), 0.0, hilbert_kernel(g))
         offset = (ref_grid.M - M) // 2
         err = np.abs(plus - ref[offset : offset + M])
         errors.append(np.max(err[np.abs(g.xi) <= 5.0]))
@@ -231,21 +224,13 @@ def test_polynomial_decay_truncation_rate():
     assert errors[2] < 1.5 * errors[1] / 8.0
 
 
-def test_grid_mismatch_rejected():
-    g1 = build_grid(64, 1.0)
-    g2 = build_grid(64, 2.0)
-    f = SampledSpectrum(g1, np.ones(64, dtype=complex))
-    with pytest.raises(GridMismatchError):
-        discrete_hilbert(f, hilbert_kernel(g2))
-
-
 def test_bad_arguments_rejected():
     g = build_grid(64, 1.0)
-    f = SampledSpectrum(g, np.ones(64, dtype=complex))
+    f = np.ones(64, dtype=complex)
     kern = hilbert_kernel(g)
     with pytest.raises(ValueError):
-        plemelj_decompose_shifted(f, 0.1, "sideways", kern)
+        above_values(f, math.inf, kern)
     with pytest.raises(ValueError):
-        plemelj_decompose_shifted(f, math.inf, "above", kern)
+        below_values(f, -math.inf, kern)
     with pytest.raises(ValueError):
-        window_between_barriers(f, 0.5, 0.5, kern)
+        window_values(f, 0.5, 0.5, kern)

@@ -11,13 +11,12 @@ from levybarrier import (
     build_grid,
     default_grid,
     price,
-    price_fgm_double,
-    price_fgm_single,
+    price_fgm,
     price_fl,
     quad_price,
 )
 from levybarrier.oracle import black_scholes_price
-from conftest import double_barrier, down_and_out, european
+from conftest import double_barrier, down_and_out, european, up_and_out
 
 EXP = FilterSpec.exponential()
 
@@ -57,10 +56,10 @@ def test_fl_reproduces_double_barrier_references(kou, nig):
 
 def test_fgm_double_matches_references_at_m1024(kou, nig):
     c4 = double_barrier(4)
-    res = price_fgm_double(c4, kou, default_grid(c4, kou, 1024), EXP)
+    res = price_fgm(c4, kou, default_grid(c4, kou, 1024), EXP)
     assert abs(res.price - KOU_DOUBLE[4]) < 1e-11
     c52 = double_barrier(52)
-    res52 = price_fgm_double(c52, nig, default_grid(c52, nig, 1024), EXP)
+    res52 = price_fgm(c52, nig, default_grid(c52, nig, 1024), EXP)
     assert abs(res52.price - NIG_DOUBLE[52]) < 1e-9
 
 
@@ -69,17 +68,19 @@ def test_fgm_single_filtered_matches_unfiltered_for_fast_decay(kou):
     # taper; both variants agree within the method's own error envelope
     c = down_and_out(52)
     g = default_grid(c, kou, 1024)
-    pu = price_fgm_single(c, kou, g).price
-    pf = price_fgm_single(c, kou, g, EXP).price
+    pu = price_fgm(c, kou, g).price
+    pf = price_fgm(c, kou, g, EXP).price
     assert abs(pu - pf) < 1e-8
 
 
 def test_fgm_single_vanilla_limit(kou):
     # a lower barrier far below the payoff region prices the plain call
     c = down_and_out(52, L=0.2)
-    res = price_fgm_single(c, kou, default_grid(c, kou, 2**12))
+    res = price_fgm(c, kou, default_grid(c, kou, 2**12))
     ref = quad_price(european(N=52), kou, OracleConfig(quad_points=2**15))
     assert res.price == pytest.approx(ref, abs=1e-6)
+    # the direct single-barrier solve has no fixed point to report
+    assert res.avg_iterations is None and not res.max_iter_hit
 
 
 def test_fgm_double_degenerate_band_limit(kou):
@@ -87,15 +88,15 @@ def test_fgm_double_degenerate_band_limit(kou):
     # lower-barrier price
     xm = 2.23
     cd = double_barrier(52, U=5.0)
-    pd = price_fgm_double(cd, kou, build_grid(2**12, xm), EXP).price
-    ps = price_fgm_single(down_and_out(52), kou, build_grid(2**12, xm), EXP).price
+    pd = price_fgm(cd, kou, build_grid(2**12, xm), EXP).price
+    ps = price_fgm(down_and_out(52), kou, build_grid(2**12, xm), EXP).price
     assert pd == pytest.approx(ps, abs=1e-6)
 
 
 def test_fgm_single_vg_agrees_with_backward_induction(vg):
     c = down_and_out(252, L=0.85)
     ref = price_fl(c, vg, default_grid(c, vg, 2**16), EXP).price
-    res = price_fgm_single(c, vg, default_grid(c, vg, 2**13), EXP)
+    res = price_fgm(c, vg, default_grid(c, vg, 2**13), EXP)
     assert res.price == pytest.approx(ref, abs=1e-5)
 
 
@@ -114,7 +115,7 @@ def test_monotonicity_across_barrier_geometries(kou):
 def test_prices_are_numerically_real(kou, nig):
     c = double_barrier(52)
     for model in (kou, nig):
-        res = price_fgm_double(c, model, default_grid(c, model, 1024), EXP)
+        res = price_fgm(c, model, default_grid(c, model, 1024), EXP)
         assert res.imag_residual < 1e-10 * abs(res.price)
         res_fl = price_fl(c, model, default_grid(c, model, 2**12))
         assert res_fl.imag_residual < 1e-10 * abs(res_fl.price)
@@ -123,7 +124,7 @@ def test_prices_are_numerically_real(kou, nig):
 def test_fixed_point_iteration_counts(kou, nig):
     for model in (kou, nig):
         c = double_barrier(52)
-        res = price_fgm_double(c, model, default_grid(c, model, 1024), EXP)
+        res = price_fgm(c, model, default_grid(c, model, 1024), EXP)
         assert res.avg_iterations is not None and res.avg_iterations <= 3.0
         assert not res.max_iter_hit
 
@@ -136,18 +137,18 @@ def test_euler_parameters_sit_on_stability_plateau(kou):
     prices = {}
     for dn, dm in ((0, 0), (-4, 0), (4, 0), (0, -4), (0, 4), (-4, -4), (4, 4)):
         zcfg = ZInversionConfig(n=1, n_e=12 + dn, m_e=20 + dm)
-        prices[(dn, dm)] = price_fgm_double(c, kou, g, EXP, zcfg=zcfg).price
+        prices[(dn, dm)] = price_fgm(c, kou, g, EXP, zcfg=zcfg).price
     base = prices[(0, 0)]
     assert max(abs(v - base) for v in prices.values()) < 1e-9
 
 
 def test_geometry_validation(kou):
     with pytest.raises(ValueError):
-        price_fgm_single(european(4), kou, default_grid(european(4), kou, 256))
+        price_fgm(european(4), kou, default_grid(european(4), kou, 256))
     with pytest.raises(ValueError):
-        price_fgm_single(down_and_out(2), kou, default_grid(down_and_out(2), kou, 256))
+        price_fgm(down_and_out(2), kou, default_grid(down_and_out(2), kou, 256))
     with pytest.raises(ValueError):
-        price_fgm_double(down_and_out(4), kou, default_grid(down_and_out(4), kou, 256))
+        price_fgm(up_and_out(4), kou, default_grid(up_and_out(4), kou, 256))
 
 
 def test_method_filter_dispatch(kou):

@@ -2,13 +2,8 @@ import numpy as np
 import pytest
 
 from levybarrier.grid import SampledSpectrum, build_grid, inverse_dft
-from levybarrier.hilbert import hilbert_kernel
-from levybarrier.wiener_hopf import (
-    BranchFailureError,
-    SingularInputError,
-    decompose_additive,
-    factorize,
-)
+from levybarrier.hilbert import above_values, below_values, hilbert_kernel
+from levybarrier.wiener_hopf import BranchFailureError, SingularInputError, factorize_values
 from levybarrier.ztransform import ZInversionConfig
 
 
@@ -20,9 +15,9 @@ def contour(n=50, count=5):
 
 def test_unit_input_gives_unit_factors():
     g = build_grid(256, 2.0)
-    fp = factorize(SampledSpectrum(g, np.ones(256, dtype=complex)), hilbert_kernel(g))
-    assert np.max(np.abs(fp.plus.values - 1.0)) < 1e-15
-    assert np.max(np.abs(fp.minus.values - 1.0)) < 1e-15
+    plus, minus = factorize_values(np.ones(256, dtype=complex), hilbert_kernel(g))
+    assert np.max(np.abs(plus - 1.0)) < 1e-15
+    assert np.max(np.abs(minus - 1.0)) < 1e-15
 
 
 def test_product_identity_all_models(all_models):
@@ -32,12 +27,12 @@ def test_product_identity_all_models(all_models):
     for model in all_models.values():
         psi = model.char_function(g.xi, dt)
         for q in contour():
-            phi = SampledSpectrum(g, 1.0 - q * psi)
-            assert np.min(np.abs(phi.values)) >= 1.0 - abs(q) - 1e-12
-            fp = factorize(phi, kern)
-            prod = fp.plus.values * fp.minus.values
-            mask = np.abs(phi.values) > 1e-10
-            rel = np.abs(prod - phi.values)[mask] / np.abs(phi.values)[mask]
+            phi = 1.0 - q * psi
+            assert np.min(np.abs(phi)) >= 1.0 - abs(q) - 1e-12
+            plus, minus = factorize_values(phi, kern)
+            prod = plus * minus
+            mask = np.abs(phi) > 1e-10
+            rel = np.abs(prod - phi)[mask] / np.abs(phi)[mask]
             assert np.max(rel) < 1e-12
 
 
@@ -47,16 +42,15 @@ def test_factor_tails_flatten(kou):
     g = build_grid(2**12, 1.5)
     kern = hilbert_kernel(g)
     q = ZInversionConfig(n=50).rho
-    phi = SampledSpectrum(g, 1.0 - q * kou.char_function(g.xi, 1.0 / 52.0))
-    fp = factorize(phi, kern)
+    phi = 1.0 - q * kou.char_function(g.xi, 1.0 / 52.0)
     edge = np.abs(g.eta) > 0.95
     centre = np.abs(g.eta) < 0.05
-    for factor in (fp.plus.values, fp.minus.values):
+    for factor in factorize_values(phi, kern):
         edge_dev = np.max(np.abs(factor[edge] - 1.0))
         assert edge_dev < 2e-2
         assert edge_dev < 0.2 * np.max(np.abs(factor[centre] - 1.0))
         # far slower than the input's own tail decay
-        assert edge_dev > 100 * np.max(np.abs(phi.values[edge] - 1.0))
+        assert edge_dev > 100 * np.max(np.abs(phi[edge] - 1.0))
 
 
 def test_plus_factor_log_supported_on_positive_axis(kou):
@@ -65,9 +59,9 @@ def test_plus_factor_log_supported_on_positive_axis(kou):
     g = build_grid(2**12, 1.5)
     kern = hilbert_kernel(g)
     q = ZInversionConfig(n=50).rho
-    phi = SampledSpectrum(g, 1.0 - q * kou.char_function(g.xi, 1.0 / 52.0))
-    fp = factorize(phi, kern)
-    h_plus = SampledSpectrum(g, np.log(fp.plus.values))
+    phi = 1.0 - q * kou.char_function(g.xi, 1.0 / 52.0)
+    plus, _ = factorize_values(phi, kern)
+    h_plus = SampledSpectrum(g, np.log(plus))
     dens = inverse_dft(h_plus).values
     total = np.sum(np.abs(dens))
     left = g.x < -10 * g.dx
@@ -80,14 +74,14 @@ def test_plus_factor_log_supported_on_positive_axis(kou):
 def test_additive_split():
     g = build_grid(512, 4.0)
     kern = hilbert_kernel(g)
-    zero = SampledSpectrum(g, np.zeros(512, dtype=complex))
-    plus, minus = decompose_additive(zero, kern)
-    assert np.all(plus.values == 0) and np.all(minus.values == 0)
+    zero = np.zeros(512, dtype=complex)
+    plus, minus = above_values(zero, 0.0, kern), below_values(zero, 0.0, kern)
+    assert np.all(plus == 0) and np.all(minus == 0)
 
     rng = np.random.default_rng(5)
-    f = SampledSpectrum(g, rng.standard_normal(512) + 1j * rng.standard_normal(512))
-    plus, minus = decompose_additive(f, kern)
-    assert np.max(np.abs(plus.values + minus.values - f.values)) < 1e-15 * np.max(np.abs(f.values))
+    f = rng.standard_normal(512) + 1j * rng.standard_normal(512)
+    plus, minus = above_values(f, 0.0, kern), below_values(f, 0.0, kern)
+    assert np.max(np.abs(plus + minus - f)) < 1e-15 * np.max(np.abs(f))
 
 
 def test_additive_split_of_right_supported_function():
@@ -96,9 +90,9 @@ def test_additive_split_of_right_supported_function():
     g = build_grid(2**12, 10.0)
     kern = hilbert_kernel(g)
     sigma = 0.5
-    spec = SampledSpectrum(g, np.exp(3j * g.xi - sigma**2 * g.xi**2 / 2))
-    _, minus = decompose_additive(spec, kern)
-    dens = inverse_dft(minus).values.real
+    spec = np.exp(3j * g.xi - sigma**2 * g.xi**2 / 2)
+    minus = below_values(spec, 0.0, kern)
+    dens = inverse_dft(SampledSpectrum(g, minus)).values.real
     assert np.max(np.abs(dens)) < 1e-6
 
 
@@ -107,7 +101,7 @@ def test_singular_input_rejected():
     vals = np.ones(64, dtype=complex)
     vals[10] = 0.0
     with pytest.raises(SingularInputError):
-        factorize(SampledSpectrum(g, vals), hilbert_kernel(g))
+        factorize_values(vals, hilbert_kernel(g))
 
 
 def test_phase_winding_detected():
@@ -116,4 +110,4 @@ def test_phase_winding_detected():
     # branch does not exist
     winding = np.exp(1j * 2.0 * np.pi * g.eta)
     with pytest.raises(BranchFailureError):
-        factorize(SampledSpectrum(g, winding.astype(complex)), hilbert_kernel(g))
+        factorize_values(winding.astype(complex), hilbert_kernel(g))
