@@ -8,7 +8,9 @@ dxi = pi/x_max, xi_max = pi/dx.  The transform pair implemented here is
     inv:  f(x_j)     = dxi / (2 pi) * sum_k fhat(xi_k) exp(-i x_j xi_k)
 
 computed via the FFT with fftshift bookkeeping so callers only ever see
-centred indices.  All arrays are complex128.
+centred indices.  All arrays are complex128.  The lattice arrays
+``x``, ``xi`` and ``eta`` are cached on the (shared) GridSpec and are
+read-only.
 """
 
 from __future__ import annotations
@@ -26,7 +28,14 @@ __all__ = [
     "forward_dft",
     "inverse_dft",
     "inverse_at_zero",
+    "read_only",
 ]
+
+
+def read_only(array: np.ndarray) -> np.ndarray:
+    """Mark an array shared between pricing calls read-only and return it."""
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -56,16 +65,16 @@ class GridSpec:
 
     @cached_property
     def x(self) -> np.ndarray:
-        return np.arange(-self.M // 2, self.M // 2) * self.dx
+        return read_only(np.arange(-self.M // 2, self.M // 2) * self.dx)
 
     @cached_property
     def xi(self) -> np.ndarray:
-        return np.arange(-self.M // 2, self.M // 2) * self.dxi
+        return read_only(np.arange(-self.M // 2, self.M // 2) * self.dxi)
 
     @cached_property
     def eta(self) -> np.ndarray:
         """Scaled frequency xi/xi_max; left endpoint is exactly -1."""
-        return np.arange(-self.M // 2, self.M // 2) / (self.M // 2)
+        return read_only(np.arange(-self.M // 2, self.M // 2) / (self.M // 2))
 
 
 def build_grid(M: int, x_max: float) -> GridSpec:

@@ -18,6 +18,14 @@ monitored knock-out option with N dates:
   date, applying the barrier window between propagation steps; cost is
   linear in N.
 
+Everything that does not change within a pricing call is computed once
+per call: the grid's Hilbert kernel (cached per grid), Psi, the
+conjugated payoff, the taper and the barrier phase vectors
+(``barrier_phases``), and for ``price_fgm`` the q-invariant products
+(phase-shifted Psi, payoff * Psi, sigma * Psi, e^{i(u-l) xi}) shared by
+all contour points.  Only q-dependent work runs per contour point or
+per monitoring date.
+
 The filtered variants multiply the inputs of the Hilbert-transform
 stages by a spectral taper sigma(xi/xi_max), which restores exponential
 tail decay destroyed by the band-edge truncation (and, for polynomially
@@ -32,13 +40,21 @@ from __future__ import annotations
 import enum
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .filters import FilterSpec, filter_profile
 from .grid import GridSpec, SampledSpectrum, build_grid, inverse_at_zero
-from .hilbert import HilbertKernel, above_values, below_values, hilbert_kernel, window_values
+from .hilbert import (
+    BarrierPhases,
+    above_values,
+    barrier_phases,
+    below_values,
+    hilbert_kernel,
+    window_values,
+)
 from .levy import DecayKind, LevyModel, ModelKind, decay_class
 from .payoff import OptionContract, damped_payoff_fourier
 from .wiener_hopf import factorize_values
@@ -163,67 +179,76 @@ def _payoff_conj(contract: OptionContract, grid: GridSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _down_out_spectrum(
-    q: complex,
+def _down_out_solver(
     psi: np.ndarray,
-    pay_conj: np.ndarray,
-    l: float,
-    grid: GridSpec,
-    kernel: HilbertKernel,
+    pay_psi: np.ndarray,
+    phases: BarrierPhases,
     sigma: np.ndarray | None,
-) -> np.ndarray:
-    """Direct solve at one contour point, lower barrier only."""
+) -> Callable[[complex], tuple[np.ndarray, int]]:
+    """Direct solve per contour point, lower barrier only; the q-invariant
+    products are formed once here."""
+    kernel = phases.kernel
     psi_f = psi if sigma is None else sigma * psi
-    phi_plus, phi_minus = factorize_values(1.0 - q * psi_f, kernel)
-    shift = np.exp(-1j * l * grid.xi)
-    p_in = shift * psi_f / phi_minus
-    p_plus = 0.5 * (p_in + 1j * kernel.apply(p_in))
-    return pay_conj * psi * np.conj(shift) * p_plus / phi_plus
+    shifted = phases.down_l * psi_f  # lower barrier shifted to the origin
+    pay_up = pay_psi * phases.up_l
+
+    def solve(q: complex) -> tuple[np.ndarray, int]:
+        phi_plus, phi_minus = factorize_values(1.0 - q * psi_f, kernel)
+        p_in = shifted / phi_minus
+        p_plus = 0.5 * (p_in + 1j * kernel.apply(p_in))
+        return pay_up * p_plus / phi_plus, 1
+
+    return solve
 
 
-def _band_spectrum(
-    q: complex,
+def _band_solver(
     psi: np.ndarray,
-    pay_conj: np.ndarray,
-    l: float,
-    u: float,
-    grid: GridSpec,
-    kernel: HilbertKernel,
+    pay_psi: np.ndarray,
+    phases: BarrierPhases,
     sigma: np.ndarray | None,
     filter_factorization: bool,
     fp: FixedPointSettings,
-) -> tuple[np.ndarray, int]:
-    """Fixed-point solve of the coupled barrier terms at one contour point;
-    returns the spectrum and the number of sweeps."""
+) -> Callable[[complex], tuple[np.ndarray, int]]:
+    """Fixed-point solve of the coupled barrier terms per contour point,
+    returning the spectrum and the number of sweeps; the q-invariant
+    products are formed once here."""
+    kernel = phases.kernel
     psi_fact = psi if not filter_factorization else sigma * psi
-    phi = 1.0 - q * psi_fact
-    phi_plus, phi_minus = factorize_values(phi, kernel)
-    xi = grid.xi
-    e_l = np.exp(-1j * l * xi)  # shift lower barrier to the origin
-    e_u = np.exp(-1j * u * xi)
-    e_ul = np.exp(1j * (u - l) * xi)
-    j_plus = np.zeros(grid.M, dtype=complex)
-    f_old: np.ndarray | None = None
-    iterations = 0
-    while True:
-        p = (e_l * psi - e_ul * j_plus) / phi_minus
-        if sigma is not None:
-            p = sigma * p
-        p_minus = 0.5 * (p - 1j * kernel.apply(p))
-        j_minus = p_minus * phi_minus
-        qq = (e_u * psi - np.conj(e_ul) * j_minus) / phi_plus
-        if sigma is not None:
-            qq = sigma * qq
-        q_plus = 0.5 * (qq + 1j * kernel.apply(qq))
-        j_plus = q_plus * phi_plus
-        f = pay_conj * psi / phi * (psi - np.conj(e_l) * j_minus - np.conj(e_u) * j_plus)
-        iterations += 1
-        if f_old is not None and np.max(np.abs(f - f_old)) <= fp.tol:
-            break
-        if iterations >= fp.max_iter:
-            break
-        f_old = f
-    return f, iterations
+    xi = kernel.grid.xi
+    e_ul = np.exp(1j * (phases.u - phases.l) * xi)
+    e_lu = np.conj(e_ul)
+    psi_l = phases.down_l * psi
+    psi_u = phases.down_u * psi
+    up_l, up_u = phases.up_l, phases.up_u
+    zeros = np.zeros(kernel.grid.M, dtype=complex)
+
+    def solve(q: complex) -> tuple[np.ndarray, int]:
+        phi = 1.0 - q * psi_fact
+        phi_plus, phi_minus = factorize_values(phi, kernel)
+        j_plus = zeros
+        f_old: np.ndarray | None = None
+        iterations = 0
+        while True:
+            p = (psi_l - e_ul * j_plus) / phi_minus
+            if sigma is not None:
+                p = sigma * p
+            p_minus = 0.5 * (p - 1j * kernel.apply(p))
+            j_minus = p_minus * phi_minus
+            qq = (psi_u - e_lu * j_minus) / phi_plus
+            if sigma is not None:
+                qq = sigma * qq
+            q_plus = 0.5 * (qq + 1j * kernel.apply(qq))
+            j_plus = q_plus * phi_plus
+            f = pay_psi / phi * (psi - up_l * j_minus - up_u * j_plus)
+            iterations += 1
+            if f_old is not None and np.max(np.abs(f - f_old)) <= fp.tol:
+                break
+            if iterations >= fp.max_iter:
+                break
+            f_old = f
+        return f, iterations
+
+    return solve
 
 
 def price_fgm(
@@ -261,18 +286,18 @@ def price_fgm(
 
     start = time.perf_counter()
     psi = model.char_function(grid.xi + 1j * contract.alpha, contract.dt)
-    pay_conj = _payoff_conj(contract, grid)
+    pay_psi = _payoff_conj(contract, grid) * psi
     l, u = _barriers(contract, grid)
+    phases = barrier_phases(kernel, l, u if band else None)
+    if band:
+        solve = _band_solver(psi, pay_psi, phases, sigma, filter_fact, fp)
+    else:
+        solve = _down_out_solver(psi, pay_psi, phases, sigma)
     pts = contour_points(cfg).points
     vals = np.empty(len(pts), dtype=complex)
     iters = np.empty(len(pts))
     for idx, q in enumerate(pts):
-        if band:
-            f, iters[idx] = _band_spectrum(
-                q, psi, pay_conj, l, u, grid, kernel, sigma, filter_fact, fp
-            )
-        else:
-            f = _down_out_spectrum(q, psi, pay_conj, l, grid, kernel, sigma)
+        f, iters[idx] = solve(q)
         vals[idx] = inverse_at_zero(SampledSpectrum(grid, f))
     undiscounted = invert(vals, cfg)
     price_val = math.exp(-contract.r * contract.T) * undiscounted
@@ -319,12 +344,15 @@ def price_fl(
     psi = np.conj(model.char_function(grid.xi + 1j * contract.alpha, contract.dt))
     step = psi if not filt.active else filter_profile(filt, grid) * psi
     l, u = _barriers(contract, grid)
+    phases = barrier_phases(
+        kernel, l if contract.has_lower else None, u if contract.has_upper else None
+    )
     if contract.has_lower and contract.has_upper:
-        project = lambda v: window_values(v, l, u, kernel)
+        project = lambda v: window_values(v, phases)
     elif contract.has_lower:
-        project = lambda v: above_values(v, l, kernel)
+        project = lambda v: above_values(v, phases)
     elif contract.has_upper:
-        project = lambda v: below_values(v, u, kernel)
+        project = lambda v: below_values(v, phases)
     else:
         project = lambda v: v  # no monitoring between dates
     for _ in range(contract.N - 1):

@@ -28,7 +28,7 @@ from levybarrier import (
 )
 from levybarrier.cli import pulse_recovery
 from levybarrier.grid import build_grid as _build
-from levybarrier.hilbert import above_values, below_values, hilbert_kernel
+from levybarrier.hilbert import above_values, barrier_phases, below_values, hilbert_kernel
 from levybarrier.wiener_hopf import factorize_values
 from levybarrier.ztransform import ZInversionConfig, contour_points, invert_euler
 from conftest import double_barrier, down_and_out
@@ -179,7 +179,8 @@ def test_criterion_7_projection_and_factorisation_identities(all_models):
         psi = model.char_function(g.xi, 1.0 / 52.0)
         for q in qs:
             phi = 1.0 - q * psi
-            plus, minus = above_values(phi, 0.0, kern), below_values(phi, 0.0, kern)
+            plus = above_values(phi, barrier_phases(kern, l=0.0))
+            minus = below_values(phi, barrier_phases(kern, u=0.0))
             worst_sum = max(worst_sum, float(np.max(np.abs(plus + minus - phi))))
             phi_plus, phi_minus = factorize_values(phi, kern)
             prod = phi_plus * phi_minus

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.linalg import toeplitz
 
 from levybarrier.grid import SampledSpectrum, build_grid, inverse_dft
-from levybarrier.hilbert import above_values, below_values, hilbert_kernel, window_values
+from levybarrier.hilbert import above_values, barrier_phases, below_values, hilbert_kernel, window_values
 
 
 def direct_kernel_matrix(M: int) -> np.ndarray:
@@ -67,14 +67,15 @@ def test_plemelj_sum_identity():
     rng = np.random.default_rng(11)
     f = rng.standard_normal(512) + 1j * rng.standard_normal(512)
     kern = hilbert_kernel(g)
-    plus, minus = above_values(f, 0.0, kern), below_values(f, 0.0, kern)
+    plus = above_values(f, barrier_phases(kern, l=0.0))
+    minus = below_values(f, barrier_phases(kern, u=0.0))
     assert np.max(np.abs(plus + minus - f)) < 1e-15 * np.max(np.abs(f))
 
 
 def test_plemelj_projects_gaussian_onto_half_line():
     g, f = gaussian_spectrum()
     kern = hilbert_kernel(g)
-    plus = above_values(f, 0.0, kern)
+    plus = above_values(f, barrier_phases(kern, l=0.0))
 
     # frequency-domain check against direct quadrature of the half-density
     def half_transform(xi):
@@ -103,7 +104,8 @@ def test_plemelj_symmetry_for_real_even_input():
     h = kern.apply(f)[1:]
     assert np.max(np.abs(h + h[::-1])) < 1e-13
     # for real even input the halves are conjugates and mirror images
-    plus, minus = above_values(f, 0.0, kern), below_values(f, 0.0, kern)
+    plus = above_values(f, barrier_phases(kern, l=0.0))
+    minus = below_values(f, barrier_phases(kern, u=0.0))
     assert np.max(np.abs(plus - np.conj(minus))) < 1e-13
     assert np.max(np.abs(plus[1:] - minus[1:][::-1])) < 1e-13
 
@@ -114,8 +116,8 @@ def test_shift_reduces_to_plain_decomposition_at_zero():
     # the plain Plemelj halves (f +- i H f) / 2
     ih = 1j * kern.apply(f)
     plus, minus = 0.5 * (f + ih), 0.5 * (f - ih)
-    above = above_values(f, 0.0, kern)
-    below = below_values(f, 0.0, kern)
+    above = above_values(f, barrier_phases(kern, l=0.0))
+    below = below_values(f, barrier_phases(kern, u=0.0))
     assert np.max(np.abs(above - plus)) < 1e-14
     assert np.max(np.abs(below - minus)) < 1e-14
 
@@ -124,8 +126,8 @@ def test_shifted_halves_sum_to_input():
     g, f = gaussian_spectrum(M=1024, x_max=6.0)
     kern = hilbert_kernel(g)
     b = -0.1625
-    above = above_values(f, b, kern)
-    below = below_values(f, b, kern)
+    above = above_values(f, barrier_phases(kern, l=b))
+    below = below_values(f, barrier_phases(kern, u=b))
     assert np.max(np.abs(above + below - f)) < 1e-15
 
 
@@ -133,7 +135,7 @@ def test_shifted_projection_matches_quadrature():
     g, f = gaussian_spectrum()
     kern = hilbert_kernel(g)
     b = math.log(0.85)
-    above = above_values(f, b, kern)
+    above = above_values(f, barrier_phases(kern, l=b))
 
     def tail_transform(xi):
         re = quad(lambda x: math.exp(-x * x / 2) / math.sqrt(2 * math.pi) * math.cos(xi * x), b, 12, limit=200)[0]
@@ -148,9 +150,9 @@ def test_window_algebra():
     g, f = gaussian_spectrum(M=2048, x_max=8.0)
     kern = hilbert_kernel(g)
     l, u = math.log(0.85), math.log(1.15)
-    w = window_values(f, l, u, kern)
-    above = above_values(f, l, kern)
-    below = below_values(f, u, kern)
+    w = window_values(f, barrier_phases(kern, l, u))
+    above = above_values(f, barrier_phases(kern, l=l))
+    below = below_values(f, barrier_phases(kern, u=u))
     combo = above + below - f
     assert np.max(np.abs(w - combo)) < 1e-14
 
@@ -158,7 +160,7 @@ def test_window_algebra():
     # reproduces the input
     gwide = build_grid(2048, 12.0)
     fwide = np.exp(-gwide.xi**2 / 2).astype(complex)
-    full = window_values(fwide, -6.0, 6.0, hilbert_kernel(gwide))
+    full = window_values(fwide, barrier_phases(hilbert_kernel(gwide), -6.0, 6.0))
     assert np.max(np.abs(full - fwide)) < 1e-6
 
 
@@ -166,7 +168,7 @@ def test_window_matches_quadrature():
     g, f = gaussian_spectrum()
     kern = hilbert_kernel(g)
     l, u = math.log(0.85), math.log(1.15)
-    w = window_values(f, l, u, kern)
+    w = window_values(f, barrier_phases(kern, l, u))
 
     def band_transform(xi):
         re = quad(lambda x: math.exp(-x * x / 2) / math.sqrt(2 * math.pi) * math.cos(xi * x), l, u)[0]
@@ -195,11 +197,11 @@ def test_exponential_decay_gives_geometric_convergence():
     x_max = 6.0
     f_of = lambda xi: np.exp(-((xi / 40.0) ** 2)).astype(complex)
     ref_grid = build_grid(2**11, x_max)
-    ref = above_values(f_of(ref_grid.xi), 0.0, hilbert_kernel(ref_grid))
+    ref = above_values(f_of(ref_grid.xi), barrier_phases(hilbert_kernel(ref_grid), l=0.0))
     errors = []
     for M in (2**7, 2**8, 2**9):
         g = build_grid(M, x_max)
-        plus = above_values(f_of(g.xi), 0.0, hilbert_kernel(g))
+        plus = above_values(f_of(g.xi), barrier_phases(hilbert_kernel(g), l=0.0))
         offset = (ref_grid.M - M) // 2
         errors.append(np.max(np.abs(plus - ref[offset : offset + M])))
     assert errors[1] < 0.6 * errors[0]
@@ -212,11 +214,11 @@ def test_polynomial_decay_truncation_rate():
     x_max = 6.0
     ref_grid = build_grid(2**13, x_max)
     f_of = lambda xi: (1.0 / (1.0 + xi**2)).astype(complex)
-    ref = above_values(f_of(ref_grid.xi), 0.0, hilbert_kernel(ref_grid))
+    ref = above_values(f_of(ref_grid.xi), barrier_phases(hilbert_kernel(ref_grid), l=0.0))
     errors = []
     for M in (2**8, 2**9, 2**10):
         g = build_grid(M, x_max)
-        plus = above_values(f_of(g.xi), 0.0, hilbert_kernel(g))
+        plus = above_values(f_of(g.xi), barrier_phases(hilbert_kernel(g), l=0.0))
         offset = (ref_grid.M - M) // 2
         err = np.abs(plus - ref[offset : offset + M])
         errors.append(np.max(err[np.abs(g.xi) <= 5.0]))
@@ -229,8 +231,56 @@ def test_bad_arguments_rejected():
     f = np.ones(64, dtype=complex)
     kern = hilbert_kernel(g)
     with pytest.raises(ValueError):
-        above_values(f, math.inf, kern)
+        above_values(f, barrier_phases(kern, l=math.inf))
     with pytest.raises(ValueError):
-        below_values(f, -math.inf, kern)
+        below_values(f, barrier_phases(kern, u=-math.inf))
     with pytest.raises(ValueError):
-        window_values(f, 0.5, 0.5, kern)
+        window_values(f, barrier_phases(kern, 0.5, 0.5))
+    # a projection needs the phases of the barrier(s) it cuts at
+    with pytest.raises(ValueError):
+        above_values(f, barrier_phases(kern, u=0.5))
+    with pytest.raises(ValueError):
+        below_values(f, barrier_phases(kern, l=0.5))
+    with pytest.raises(ValueError):
+        window_values(f, barrier_phases(kern, l=0.5))
+
+
+@pytest.mark.parametrize("M", [1024, 8192])
+def test_stacked_apply_matches_row_by_row(M):
+    g = build_grid(M, 4.0)
+    kern = hilbert_kernel(g)
+    rng = np.random.default_rng(M)
+    rows = rng.standard_normal((3, M)) + 1j * rng.standard_normal((3, M))
+    stacked = kern.apply(rows)
+    assert stacked.shape == (3, M)
+    for row, out in zip(rows, stacked):
+        # the 1-D path is the zero-padded length-2M circular convolution
+        padded = np.concatenate([row, np.zeros(M, dtype=complex)])
+        single = np.fft.ifft(np.fft.fft(padded) * kern.kernel_fft)[:M]
+        assert np.array_equal(kern.apply(row), single)
+        assert np.array_equal(out, single)
+
+
+@pytest.mark.parametrize("M", [1024, 8192, 65536])
+def test_window_equals_two_separate_shifted_transforms(M):
+    g, f = gaussian_spectrum(M=M, x_max=8.0)
+    kern = hilbert_kernel(g)
+    l, u = math.log(0.85), math.log(1.15)
+    halves = [
+        np.exp(1j * b * g.xi) * (1j * kern.apply(np.exp(-1j * b * g.xi) * f)) for b in (l, u)
+    ]
+    expected = 0.5 * (halves[0] - halves[1])
+    assert np.array_equal(window_values(f, barrier_phases(kern, l, u)), expected)
+
+
+def test_shared_arrays_are_read_only():
+    g = build_grid(64, 1.0)
+    kern = hilbert_kernel(g)
+    phases = barrier_phases(kern, -0.2, 0.3)
+    shared = [kern.kernel_fft, g.x, g.xi, g.eta]
+    shared += [phases.down_l, phases.up_l, phases.down_u, phases.up_u]
+    before = [array.copy() for array in shared]
+    for array in shared:
+        with pytest.raises(ValueError):
+            array[0] = 7.0
+    assert all(np.array_equal(a, b) for a, b in zip(shared, before))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from levybarrier.grid import SampledSpectrum, build_grid, inverse_dft
-from levybarrier.hilbert import above_values, below_values, hilbert_kernel
+from levybarrier.hilbert import above_values, barrier_phases, below_values, hilbert_kernel
 from levybarrier.wiener_hopf import BranchFailureError, SingularInputError, factorize_values
 from levybarrier.ztransform import ZInversionConfig
 
@@ -75,12 +75,14 @@ def test_additive_split():
     g = build_grid(512, 4.0)
     kern = hilbert_kernel(g)
     zero = np.zeros(512, dtype=complex)
-    plus, minus = above_values(zero, 0.0, kern), below_values(zero, 0.0, kern)
+    plus = above_values(zero, barrier_phases(kern, l=0.0))
+    minus = below_values(zero, barrier_phases(kern, u=0.0))
     assert np.all(plus == 0) and np.all(minus == 0)
 
     rng = np.random.default_rng(5)
     f = rng.standard_normal(512) + 1j * rng.standard_normal(512)
-    plus, minus = above_values(f, 0.0, kern), below_values(f, 0.0, kern)
+    plus = above_values(f, barrier_phases(kern, l=0.0))
+    minus = below_values(f, barrier_phases(kern, u=0.0))
     assert np.max(np.abs(plus + minus - f)) < 1e-15 * np.max(np.abs(f))
 
 
@@ -91,7 +93,7 @@ def test_additive_split_of_right_supported_function():
     kern = hilbert_kernel(g)
     sigma = 0.5
     spec = np.exp(3j * g.xi - sigma**2 * g.xi**2 / 2)
-    minus = below_values(spec, 0.0, kern)
+    minus = below_values(spec, barrier_phases(kern, u=0.0))
     dens = inverse_dft(SampledSpectrum(g, minus)).values.real
     assert np.max(np.abs(dens)) < 1e-6
 
