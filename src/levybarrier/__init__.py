@@ -2,9 +2,9 @@
 options under Levy processes, with spectral filtering."""
 
 from .filters import FilterKind, FilterSpec
-from .grid import GridSpec, SampledDensity, SampledSpectrum, build_grid
+from .grid import GridSpec, build_grid
 from .hilbert import HilbertKernel, hilbert_kernel
-from .levy import DecayClass, DecayKind, LevyModel, ModelKind
+from .levy import LevyModel, ModelKind
 from .oracle import OracleConfig, mc_price, quad_price
 from .payoff import OptionContract, damped_payoff_fourier
 from .pricers import (
@@ -22,8 +22,6 @@ from .ztransform import ZInversionConfig
 __version__ = "0.1.0"
 
 __all__ = [
-    "DecayClass",
-    "DecayKind",
     "FilterKind",
     "FilterSpec",
     "FixedPointSettings",
@@ -35,8 +33,6 @@ __all__ = [
     "OptionContract",
     "OracleConfig",
     "PricingResult",
-    "SampledDensity",
-    "SampledSpectrum",
     "ZInversionConfig",
     "build_grid",
     "damped_payoff_fourier",

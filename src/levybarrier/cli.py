@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .filters import FilterKind, FilterSpec, filter_profile
-from .grid import SampledSpectrum, build_grid, inverse_dft
+from .grid import build_grid, inverse_dft
 from .levy import LevyModel
 from .oracle import OracleConfig, mc_price, quad_price
 from .payoff import OptionContract
@@ -150,9 +150,7 @@ def _as_int(raw: dict[str, str], key: str, default: int | None = None) -> int:
         raise ConfigError(f"{key}: not an integer: {raw[key]!r}") from exc
 
 
-def _as_bool(raw: dict[str, str], key: str, default: bool) -> bool:
-    if key not in raw:
-        return default
+def _as_bool(raw: dict[str, str], key: str) -> bool:
     value = raw[key].lower()
     if value in ("true", "yes", "1", "on"):
         return True
@@ -161,31 +159,32 @@ def _as_bool(raw: dict[str, str], key: str, default: bool) -> bool:
     raise ConfigError(f"{key}: not a boolean: {raw[key]!r}")
 
 
+# config key name -> library argument name, where they differ
+_ARG_NAMES = {"lambda": "lam", "ne": "n_e", "me": "m_e"}
+
+
+def _given(raw: dict[str, str], section: str, **parsers) -> dict:
+    """Parsed values of the section's keys present in raw, by library
+    argument name; keys the file omits keep the library's defaults."""
+    return {
+        _ARG_NAMES.get(name, name): parse(raw, f"{section}.{name}")
+        for name, parse in parsers.items()
+        if f"{section}.{name}" in raw
+    }
+
+
 def _build_model(raw: dict[str, str]) -> LevyModel:
     kind = _need(raw, "model.kind").lower()
     if kind not in _MODEL_PARAM_KEYS:
         raise ConfigError(f"model.kind: unknown model {kind!r}")
     r = _as_float(raw, "contract.r")
     q = _as_float(raw, "contract.q", 0.0)
-    params = {}
-    for name in _MODEL_PARAM_KEYS[kind]:
-        params[name] = _as_float(raw, f"{kind}.{name}")
+    params = {
+        _ARG_NAMES.get(name, name): _as_float(raw, f"{kind}.{name}")
+        for name in _MODEL_PARAM_KEYS[kind]
+    }
     try:
-        if kind == "kou":
-            return LevyModel.kou(
-                sigma=params["sigma"],
-                lam=params["lambda"],
-                p=params["p"],
-                eta1=params["eta1"],
-                eta2=params["eta2"],
-                r=r,
-                q_div=q,
-            )
-        if kind == "nig":
-            return LevyModel.nig(params["alpha"], params["beta"], params["delta"], r, q)
-        if kind == "vg":
-            return LevyModel.vg(params["theta"], params["sigma"], params["nu"], r, q)
-        return LevyModel.gaussian(params["sigma"], r, q)
+        return LevyModel(kind, params, r, q)
     except ValueError as exc:
         raise ConfigError(f"model.kind={kind}: {exc}") from exc
 
@@ -220,12 +219,7 @@ def _build_filter(raw: dict[str, str]) -> FilterSpec:
     except ValueError as exc:
         raise ConfigError(f"filter.kind: unknown filter {kind!r}") from exc
     try:
-        return FilterSpec(
-            fk,
-            p=_as_int(raw, "filter.p", 12),
-            theta=_as_float(raw, "filter.theta", FilterSpec.exponential().theta),
-            eps=_as_float(raw, "filter.eps", 0.25),
-        )
+        return FilterSpec(fk, **_given(raw, "filter", p=_as_int, theta=_as_float, eps=_as_float))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -278,22 +272,20 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
     m_list = _parse_m_list(raw.get("grid.M", "1024"))
     x_raw = raw.get("grid.x_max", "auto").lower()
     x_max = None if x_raw == "auto" else float(x_raw)
+    # the target index is set per contract by the z-domain pricers
     zcfg = ZInversionConfig(
-        n=1,
-        gamma=_as_float(raw, "zt.gamma", 6.0),
-        n_e=_as_int(raw, "zt.ne", 12),
-        m_e=_as_int(raw, "zt.me", 20),
-        accelerated=_as_bool(raw, "zt.accelerated", True),
+        n=1, **_given(raw, "zt", gamma=_as_float, ne=_as_int, me=_as_int, accelerated=_as_bool)
     )
-    fixpoint = FixedPointSettings(
-        tol=_as_float(raw, "fixpoint.tol", 1e-8),
-        max_iter=_as_int(raw, "fixpoint.max_iter", 5),
-    )
+    fixpoint = FixedPointSettings(**_given(raw, "fixpoint", tol=_as_float, max_iter=_as_int))
     oracle = OracleConfig(
-        quad_points=_as_int(raw, "oracle.quad_points", 2**15),
-        mc_paths=_as_int(raw, "oracle.mc_paths", 10**6),
-        mc_seed=_as_int(raw, "oracle.mc_seed", OracleConfig().mc_seed),
-        stderr_mult=_as_float(raw, "oracle.stderr_mult", 3.0),
+        **_given(
+            raw,
+            "oracle",
+            quad_points=_as_int,
+            mc_paths=_as_int,
+            mc_seed=_as_int,
+            stderr_mult=_as_float,
+        )
     )
     return RunConfig(
         model=model,
@@ -489,7 +481,7 @@ def pulse_recovery(M: int, x_max: float = 4.0) -> dict:
     spec = np.ones(M, dtype=complex)
     nz = xi != 0
     spec[nz] = np.sin(xi[nz] / 2.0) / (xi[nz] / 2.0)
-    recovered = inverse_dft(SampledSpectrum(grid, spec)).values.real
+    recovered = inverse_dft(spec, grid).real
     x = grid.x
     exact = np.where(np.abs(x) < 0.5, 1.0, 0.0)
     exact[np.isclose(np.abs(x), 0.5)] = 0.5

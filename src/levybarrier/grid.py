@@ -8,9 +8,10 @@ dxi = pi/x_max, xi_max = pi/dx.  The transform pair implemented here is
     inv:  f(x_j)     = dxi / (2 pi) * sum_k fhat(xi_k) exp(-i x_j xi_k)
 
 computed via the FFT with fftshift bookkeeping so callers only ever see
-centred indices.  All arrays are complex128.  The lattice arrays
-``x``, ``xi`` and ``eta`` are cached on the (shared) GridSpec and are
-read-only.
+centred indices.  Samples are plain length-M arrays passed as
+``(values, grid)``; each transform checks the length and returns
+complex128.  The lattice arrays ``x``, ``xi`` and ``eta`` are cached on
+the (shared) GridSpec and are read-only.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ import numpy as np
 
 __all__ = [
     "GridSpec",
-    "SampledSpectrum",
-    "SampledDensity",
     "build_grid",
     "forward_dft",
     "inverse_dft",
@@ -81,59 +80,24 @@ def build_grid(M: int, x_max: float) -> GridSpec:
     return GridSpec(int(M), float(x_max))
 
 
-def _as_values(values) -> np.ndarray:
-    v = np.asarray(values, dtype=complex)
-    if v.ndim != 1:
-        raise ValueError("sampled values must be one-dimensional")
-    return v
+def _check_length(values: np.ndarray, grid: GridSpec) -> None:
+    if len(values) != grid.M:
+        raise ValueError(f"expected {grid.M} samples, got {len(values)}")
 
 
-@dataclass(frozen=True)
-class SampledSpectrum:
-    """Complex samples on the xi lattice (index k = -M/2 .. M/2-1)."""
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = _as_values(self.values)
-        if len(v) != self.grid.M:
-            raise ValueError(f"expected {self.grid.M} samples, got {len(v)}")
-        object.__setattr__(self, "values", v)
-
-    def with_values(self, values) -> "SampledSpectrum":
-        return SampledSpectrum(self.grid, values)
+def forward_dft(values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """x-lattice samples -> xi-lattice samples."""
+    _check_length(values, grid)
+    return grid.dx * grid.M * np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(values)))
 
 
-@dataclass(frozen=True)
-class SampledDensity:
-    """Complex samples on the x lattice (index j = -M/2 .. M/2-1)."""
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = _as_values(self.values)
-        if len(v) != self.grid.M:
-            raise ValueError(f"expected {self.grid.M} samples, got {len(v)}")
-        object.__setattr__(self, "values", v)
+def inverse_dft(values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """xi-lattice samples -> x-lattice samples."""
+    _check_length(values, grid)
+    return (grid.dxi / (2.0 * np.pi)) * np.fft.fftshift(np.fft.fft(np.fft.ifftshift(values)))
 
 
-def forward_dft(density: SampledDensity) -> SampledSpectrum:
-    g = density.grid
-    vals = g.dx * g.M * np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(density.values)))
-    return SampledSpectrum(g, vals)
-
-
-def inverse_dft(spectrum: SampledSpectrum) -> SampledDensity:
-    g = spectrum.grid
-    vals = (g.dxi / (2.0 * np.pi)) * np.fft.fftshift(
-        np.fft.fft(np.fft.ifftshift(spectrum.values))
-    )
-    return SampledDensity(g, vals)
-
-
-def inverse_at_zero(spectrum: SampledSpectrum) -> complex:
+def inverse_at_zero(values: np.ndarray, grid: GridSpec) -> complex:
     """Inverse transform evaluated at x = 0 only: a single O(M) sum."""
-    g = spectrum.grid
-    return complex(g.dxi / (2.0 * np.pi) * np.sum(spectrum.values))
+    _check_length(values, grid)
+    return complex(grid.dxi / (2.0 * np.pi) * np.sum(values))

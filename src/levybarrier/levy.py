@@ -15,7 +15,9 @@ Supported models and parameters (annualised):
 
 The per-model frequency "strip of regularity" (the band of Im(xi) where
 Psi stays analytic) is tracked so damped evaluations Psi(xi + i*alpha, t)
-can be validated before use.
+can be validated before use.  ``polynomial_decay`` tells the pricers
+whether |Psi| falls only polynomially in |xi| (vg) rather than
+exponentially (gaussian, kou, nig).
 """
 
 from __future__ import annotations
@@ -27,13 +29,7 @@ from typing import Mapping
 
 import numpy as np
 
-__all__ = [
-    "ModelKind",
-    "DecayKind",
-    "DecayClass",
-    "LevyModel",
-    "decay_class",
-]
+__all__ = ["ModelKind", "LevyModel"]
 
 
 class ModelKind(str, enum.Enum):
@@ -41,19 +37,6 @@ class ModelKind(str, enum.Enum):
     NIG = "nig"
     VG = "vg"
     GAUSSIAN = "gaussian"
-
-
-class DecayKind(str, enum.Enum):
-    EXPONENTIAL = "exponential"
-    POLYNOMIAL = "polynomial"
-
-
-@dataclass(frozen=True)
-class DecayClass:
-    """Tail-decay classification of |Psi(xi, dt)| as |xi| -> inf."""
-
-    kind: DecayKind
-    polynomial_exponent: float | None = None
 
 
 _REQUIRED_PARAMS = {
@@ -180,6 +163,15 @@ class LevyModel:
         hi = (p["theta"] + disc) / p["sigma"] ** 2
         return (lo, hi)
 
+    @property
+    def polynomial_decay(self) -> bool:
+        """Whether |Psi(xi, t)| decays only polynomially as |xi| -> inf.
+
+        True for vg, whose characteristic function falls like
+        |xi|^(-2t/nu); every other supported model decays exponentially.
+        """
+        return self.kind is ModelKind.VG
+
     def _psi0(self, xi: np.ndarray) -> np.ndarray:
         """Characteristic exponent without drift (complex, vectorised)."""
         p = self.params
@@ -237,13 +229,3 @@ class LevyModel:
         else:  # vg
             c2 = p["sigma"] ** 2 + p["nu"] * p["theta"] ** 2
         return c2 * t
-
-
-def decay_class(model: LevyModel, dt: float) -> DecayClass:
-    """Tail behaviour of Psi(., dt): vg decays like |xi|^(-2 dt / nu),
-    every other supported model decays exponentially."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if model.kind is ModelKind.VG:
-        return DecayClass(DecayKind.POLYNOMIAL, 2.0 * dt / model.params["nu"])
-    return DecayClass(DecayKind.EXPONENTIAL)

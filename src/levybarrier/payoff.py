@@ -14,6 +14,7 @@ with a = u, b = max(k, l) for a call and a = l, b = min(k, u) for a put.
 An infinite upper barrier is truncated at the grid edge x_max, matching
 the finite computational domain.  The removable singularities at
 i*xi + alpha = 0 and 1 + i*xi + alpha = 0 are evaluated by their limits.
+The transform is returned as a plain length-M array on the xi lattice.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, SampledSpectrum
+from .grid import GridSpec
 
 __all__ = ["OptionContract", "damped_payoff_fourier"]
 
@@ -107,22 +108,15 @@ def _phase_ratio(s: np.ndarray, a: float, b: float) -> np.ndarray:
     return out
 
 
-def damped_payoff_fourier(
-    contract: OptionContract, grid: GridSpec, damping: float | None = None
-) -> SampledSpectrum:
-    """Analytic transform of the damped payoff sampled on the xi lattice.
-
-    damping overrides the contract's alpha (the backward-induction
-    pricer needs the opposite tilt); empty payoff support yields the
-    zero spectrum.
-    """
-    alpha = contract.alpha if damping is None else damping
+def damped_payoff_fourier(contract: OptionContract, grid: GridSpec) -> np.ndarray:
+    """Analytic transform of the damped payoff sampled on the xi lattice,
+    with the contract's alpha as the tilt; empty payoff support yields
+    the zero spectrum."""
     a, b = contract.support(grid.x_max)
     if contract.theta * (a - b) <= 0:
-        return SampledSpectrum(grid, np.zeros(grid.M, dtype=complex))
-    ixa = 1j * grid.xi + alpha
+        return np.zeros(grid.M, dtype=complex)
+    ixa = 1j * grid.xi + contract.alpha
     k = contract.log_strike
-    vals = contract.S0 * (
+    return contract.S0 * (
         _phase_ratio(ixa + 1.0, a, b) - math.exp(k) * _phase_ratio(ixa, a, b)
     )
-    return SampledSpectrum(grid, vals)

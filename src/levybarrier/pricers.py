@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .filters import FilterSpec, filter_profile
-from .grid import GridSpec, SampledSpectrum, build_grid, inverse_at_zero
+from .grid import GridSpec, build_grid, inverse_at_zero
 from .hilbert import (
     BarrierPhases,
     above_values,
@@ -55,7 +55,7 @@ from .hilbert import (
     hilbert_kernel,
     window_values,
 )
-from .levy import DecayKind, LevyModel, ModelKind, decay_class
+from .levy import LevyModel, ModelKind
 from .payoff import OptionContract, damped_payoff_fourier
 from .wiener_hopf import factorize_values
 from .ztransform import ZInversionConfig, contour_points, invert
@@ -93,6 +93,10 @@ class Method(str, enum.Enum):
 
 @dataclass(frozen=True)
 class PricingResult:
+    """One price and how it was obtained.  ``cpu_seconds`` is wall-clock
+    ``time.perf_counter`` time of the pricing work (not process CPU
+    time); the name is kept because CLI CSV headers carry it."""
+
     price: float
     grid_m: int
     cpu_seconds: float
@@ -171,7 +175,7 @@ def _zconfig(contract: OptionContract, zcfg: ZInversionConfig | None) -> ZInvers
 
 
 def _payoff_conj(contract: OptionContract, grid: GridSpec) -> np.ndarray:
-    return np.conj(damped_payoff_fourier(contract, grid).values)
+    return np.conj(damped_payoff_fourier(contract, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +282,7 @@ def price_fgm(
     cfg = _zconfig(contract, zcfg)
     sigma = filter_profile(filt, grid) if filt.active else None
     band = contract.has_upper
-    filter_fact = (
-        band
-        and filt.active
-        and decay_class(model, contract.dt).kind is DecayKind.POLYNOMIAL
-    )
+    filter_fact = band and filt.active and model.polynomial_decay
 
     start = time.perf_counter()
     psi = model.char_function(grid.xi + 1j * contract.alpha, contract.dt)
@@ -298,7 +298,7 @@ def price_fgm(
     iters = np.empty(len(pts))
     for idx, q in enumerate(pts):
         f, iters[idx] = solve(q)
-        vals[idx] = inverse_at_zero(SampledSpectrum(grid, f))
+        vals[idx] = inverse_at_zero(f, grid)
     undiscounted = invert(vals, cfg)
     price_val = math.exp(-contract.r * contract.T) * undiscounted
     elapsed = time.perf_counter() - start
@@ -340,7 +340,7 @@ def price_fl(
     kernel = hilbert_kernel(grid)
 
     start = time.perf_counter()
-    vhat = damped_payoff_fourier(contract, grid).values
+    vhat = damped_payoff_fourier(contract, grid)
     psi = np.conj(model.char_function(grid.xi + 1j * contract.alpha, contract.dt))
     step = psi if not filt.active else filter_profile(filt, grid) * psi
     l, u = _barriers(contract, grid)
@@ -358,7 +358,7 @@ def price_fl(
     for _ in range(contract.N - 1):
         vhat = project(step * vhat)
     final = psi * vhat
-    value = inverse_at_zero(SampledSpectrum(grid, final))
+    value = inverse_at_zero(final, grid)
     price_val = math.exp(-contract.r * contract.T) * value.real
     elapsed = time.perf_counter() - start
     method = Method.FL_F if filt.active else Method.FL
@@ -400,6 +400,5 @@ def price(
 def reference_price(contract: OptionContract, model: LevyModel, grid: GridSpec) -> float:
     """Backward-induction reference on a (large) grid: unfiltered for
     exponentially decaying characteristic functions, filtered otherwise."""
-    poly = decay_class(model, contract.dt).kind is DecayKind.POLYNOMIAL
-    filt = FilterSpec.exponential() if poly else FilterSpec.none()
+    filt = FilterSpec.exponential() if model.polynomial_decay else FilterSpec.none()
     return price_fl(contract, model, grid, filt).price

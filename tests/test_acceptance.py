@@ -128,12 +128,12 @@ def test_criterion_4_vg_single_barrier_improvement(vg, vg_single_reference):
 
 def test_criterion_5_z_inversion_accuracy():
     cfg = ZInversionConfig(n=252)
-    vals = 1.0 / (1.0 - 0.5 * contour_points(cfg, True).points)
+    vals = 1.0 / (1.0 - 0.5 * contour_points(cfg).points)
     err = abs(invert_euler(vals, cfg) - 0.5**252)
     floor = {}
     for gamma in (3.0, 6.0, 9.0):
         cg = ZInversionConfig(n=252, gamma=gamma)
-        v = 1.0 / (1.0 - contour_points(cg, True).points)
+        v = 1.0 / (1.0 - contour_points(cg).points)
         floor[gamma] = abs(invert_euler(v, cg) - 1.0)
     plateau = floor[6.0] < 1e-9 and floor[6.0] < floor[3.0] and floor[6.0] < floor[9.0]
     ok = err < 1e-8 and plateau

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from levybarrier import FilterSpec, FixedPointSettings, OracleConfig, ZInversionConfig
 from levybarrier.cli import load_config, main, model_key, read_cache
 
 BASE_CONFIG = """
@@ -202,3 +203,29 @@ def test_load_config_round_trip(tmp_path):
     assert cfg.model.kind.value == "kou"
     assert cfg.m_list == [512]
     assert cfg.methods[0].value == "fgm-f"
+
+
+def test_minimal_config_takes_library_defaults(tmp_path):
+    # BASE_CONFIG sets no zt, fixpoint, oracle or filter-parameter key
+    cfg = load_config(write_config(tmp_path, BASE_CONFIG))
+    assert cfg.zcfg == ZInversionConfig(n=1)
+    assert cfg.fixpoint == FixedPointSettings()
+    assert cfg.oracle == OracleConfig()
+    assert cfg.filt == FilterSpec.exponential()
+    assert cfg.model.params["lam"] == 3.0
+
+
+def test_settings_keys_reach_the_library(tmp_path, capsys):
+    text = BASE_CONFIG + (
+        "zt.ne = 16\nzt.me = 24\nzt.accelerated = false\n"
+        "fixpoint.max_iter = 7\nfilter.p = 8\noracle.mc_seed = 5\n"
+    )
+    cfg = load_config(write_config(tmp_path, text))
+    assert cfg.zcfg == ZInversionConfig(n=1, n_e=16, m_e=24, accelerated=False)
+    assert cfg.fixpoint == FixedPointSettings(max_iter=7)
+    assert cfg.filt == FilterSpec.exponential(p=8)
+    assert cfg.oracle == OracleConfig(mc_seed=5)
+
+    bad = write_config(tmp_path, BASE_CONFIG + "zt.ne = twelve\n", name="bad.cfg")
+    assert main(["price", "--config", bad]) == 2
+    assert "zt.ne: not an integer" in capsys.readouterr().err

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from levybarrier import DecayKind, LevyModel
-from levybarrier.levy import decay_class
+from levybarrier import LevyModel
 
 XI = np.linspace(-400.0, 400.0, 801)
 
@@ -55,15 +54,10 @@ def test_vg_polynomial_tail_slope(vg):
 
 
 def test_decay_classification(all_models):
-    dt = 1.0 / 252.0
-    assert decay_class(all_models["kou"], dt).kind is DecayKind.EXPONENTIAL
-    assert decay_class(all_models["nig"], dt).kind is DecayKind.EXPONENTIAL
-    assert decay_class(all_models["gaussian"], dt).kind is DecayKind.EXPONENTIAL
-    poly = decay_class(all_models["vg"], dt)
-    assert poly.kind is DecayKind.POLYNOMIAL
-    assert poly.polynomial_exponent == pytest.approx(2.0 * dt / 0.25)
-    with pytest.raises(ValueError):
-        decay_class(all_models["vg"], 0.0)
+    assert not all_models["kou"].polynomial_decay
+    assert not all_models["nig"].polynomial_decay
+    assert not all_models["gaussian"].polynomial_decay
+    assert all_models["vg"].polynomial_decay
 
 
 def test_strip_of_regularity(kou, nig, vg, gaussian):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,16 +54,16 @@ def test_empty_support_gives_zero_spectrum():
     g = build_grid(256, 2.0)
     c = OptionContract(S0=1.0, K=1.3, T=1.0, N=4, L=0.85, U=1.2)  # strike above band
     spec = damped_payoff_fourier(c, g)
-    assert np.all(spec.values == 0)
+    assert np.all(spec == 0)
     p = OptionContract(S0=1.0, K=0.7, T=1.0, N=4, L=0.8, U=1.2, kind="put")
-    assert np.all(damped_payoff_fourier(p, g).values == 0)
+    assert np.all(damped_payoff_fourier(p, g) == 0)
 
 
 def test_zero_frequency_is_payoff_integral():
     g = build_grid(512, 2.0)
     c = OptionContract(S0=1.0, K=1.1, T=1.0, N=4, L=0.85, U=1.15)
     spec = damped_payoff_fourier(c, g)
-    assert complex(spec.values[256]) == pytest.approx(quad_transform(c, g, 0.0), abs=1e-12)
+    assert complex(spec[256]) == pytest.approx(quad_transform(c, g, 0.0), abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["call", "put"])
@@ -71,7 +72,7 @@ def test_transform_matches_quadrature(kind):
     c = OptionContract(S0=1.0, K=1.1, T=1.0, N=4, L=0.85, U=1.15, kind=kind)
     spec = damped_payoff_fourier(c, g)
     for k in (256, 300, 380, 150):
-        assert complex(spec.values[k]) == pytest.approx(
+        assert complex(spec[k]) == pytest.approx(
             quad_transform(c, g, g.xi[k]), abs=1e-10
         )
 
@@ -81,11 +82,11 @@ def test_damped_variant_matches_quadrature():
     c = OptionContract(S0=1.0, K=1.1, T=1.0, N=4, L=0.85, U=1.15, alpha=-2.0)
     spec = damped_payoff_fourier(c, g)
     for k in (256, 330):
-        assert complex(spec.values[k]) == pytest.approx(quad_transform(c, g, g.xi[k]), abs=1e-10)
-    # override used by the backward-induction pricer
-    spec2 = damped_payoff_fourier(c, g, damping=0.0)
+        assert complex(spec[k]) == pytest.approx(quad_transform(c, g, g.xi[k]), abs=1e-10)
+    # the tilt comes from the contract: alpha = 0 gives the undamped transform
+    spec2 = damped_payoff_fourier(replace(c, alpha=0.0), g)
     for k in (256, 330):
-        assert complex(spec2.values[k]) == pytest.approx(
+        assert complex(spec2[k]) == pytest.approx(
             quad_transform(c, g, g.xi[k], alpha=0.0), abs=1e-10
         )
 
@@ -93,17 +94,17 @@ def test_damped_variant_matches_quadrature():
 def test_hermitian_symmetry():
     g = build_grid(512, 2.0)
     c = OptionContract(S0=1.0, K=1.1, T=1.0, N=4, L=0.85, U=1.15)
-    v = damped_payoff_fourier(c, g).values
+    v = damped_payoff_fourier(c, g)
     assert np.max(np.abs(v[1:] - np.conj(v[1:][::-1]))) < 1e-13
 
 
 def test_singular_nodes_take_limits():
     g = build_grid(256, 2.0)  # xi = 0 on-grid
     c0 = OptionContract(S0=1.0, K=1.1, T=1.0, N=4, L=0.85, U=1.15, alpha=0.0)
-    v0 = damped_payoff_fourier(c0, g).values
+    v0 = damped_payoff_fourier(c0, g)
     assert np.all(np.isfinite(v0))
     cm1 = OptionContract(S0=1.0, K=1.1, T=1.0, N=4, L=0.85, U=1.15, alpha=-1.0)
-    vm1 = damped_payoff_fourier(cm1, g).values
+    vm1 = damped_payoff_fourier(cm1, g)
     assert np.all(np.isfinite(vm1))
     assert complex(vm1[128]) == pytest.approx(quad_transform(cm1, g, 0.0), abs=1e-12)
 
@@ -115,7 +116,7 @@ def test_inverse_transform_recovers_payoff_away_from_kinks():
     def recovery_error(M):
         g = build_grid(M, 2.0)
         c = OptionContract(S0=1.0, K=1.1, T=1.0, N=4, L=0.85, U=1.15)
-        dens = inverse_dft(damped_payoff_fourier(c, g)).values.real
+        dens = inverse_dft(damped_payoff_fourier(c, g), g).real
         x = g.x
         payoff = np.where(
             (x >= c.log_lower) & (x <= c.log_upper),
@@ -136,8 +137,8 @@ def test_homogeneous_of_degree_one_in_spot():
     g = build_grid(256, 2.0)
     base = OptionContract(S0=1.0, K=1.1, T=1.0, N=4, L=0.85, U=1.15)
     scaled = OptionContract(S0=100.0, K=110.0, T=1.0, N=4, L=85.0, U=115.0)
-    vb = damped_payoff_fourier(base, g).values
-    vs = damped_payoff_fourier(scaled, g).values
+    vb = damped_payoff_fourier(base, g)
+    vs = damped_payoff_fourier(scaled, g)
     assert np.max(np.abs(vs - 100.0 * vb)) < 1e-12 * np.max(np.abs(vs))
 
 

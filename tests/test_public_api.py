@@ -8,11 +8,13 @@ renames or inlines those would silently untrace ``bench/run.py --trace 1``.
 import importlib
 import importlib.util
 import pkgutil
+import types
 from pathlib import Path
 
 import pytest
 
 import levybarrier
+from conftest import double_barrier, down_and_out
 from levybarrier import pricers
 from levybarrier.hilbert import HilbertKernel
 
@@ -47,3 +49,42 @@ def test_traced_names_are_pricer_globals():
 
 def test_kernel_builder_is_a_classmethod():
     assert isinstance(HilbertKernel.__dict__["for_grid"], classmethod)
+
+
+def test_tracer_keeps_prices_and_fires_spans(all_models):
+    # one call per traced projection path: the z-domain loop, the band
+    # window and the half-line projection of backward induction
+    cases = [
+        ("kou", "fgm-f", double_barrier(52)),
+        ("kou", "fl", double_barrier(52)),
+        ("vg", "fl", down_and_out(52)),
+    ]
+    ops = types.SimpleNamespace(
+        price=levybarrier.price,
+        quad_price=levybarrier.quad_price,
+        default_grid=levybarrier.default_grid,
+    )
+
+    def run():
+        prices = []
+        for name, method, contract in cases:
+            model = all_models[name]
+            grid = ops.default_grid(contract, model, 1024)
+            prices.append(ops.price(contract, model, method, grid).price)
+        return prices
+
+    plain = run()
+    tracer = _tracing_module().Tracer()
+    with tracer.patched(ops):
+        traced = run()
+    assert traced == plain
+    fired = {span[0] for span in tracer.spans}
+    for name in (
+        "grid.inverse_at_zero",
+        "payoff.damped_payoff_fourier",
+        "hilbert.window_values",
+        "hilbert.above_values",
+    ):
+        assert name in fired, f"span {name} did not fire"
+    notes = [span[5] for span in tracer.spans if span[0] == "ztransform.contour_points"]
+    assert notes == [33]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,8 +19,8 @@ def geometric(a):
     return lambda q: 1.0 / (1.0 - a * q)
 
 
-def eval_contour(fn, cfg, accelerated):
-    return fn(contour_points(cfg, accelerated).points)
+def eval_contour(fn, cfg):
+    return fn(contour_points(cfg).points)
 
 
 def test_config_invariants():
@@ -33,13 +35,13 @@ def test_config_invariants():
 
 def test_contour_points():
     cfg = ZInversionConfig(n=1)
-    pts = contour_points(cfg, accelerated=False).points
+    pts = contour_points(cfg).points
     assert len(pts) == 2
     assert pts[0] == pytest.approx(cfg.rho)
     assert pts[1] == pytest.approx(-cfg.rho)
 
     cfg2 = ZInversionConfig(n=252)
-    pts2 = contour_points(cfg2, accelerated=True).points
+    pts2 = contour_points(cfg2).points
     assert len(pts2) == 33
     assert np.max(np.abs(np.abs(pts2) - cfg2.rho)) < 1e-15
 
@@ -53,10 +55,10 @@ def test_euler_fallback_threshold():
 def test_monomial_picks_own_coefficient():
     for n, m in ((6, 6), (8, 8)):
         cfg = ZInversionConfig(n=n)
-        vals = contour_points(cfg, accelerated=False).points ** m
+        vals = contour_points(cfg).points ** m
         assert invert_exact(vals, cfg) == pytest.approx(1.0, abs=1e-10)
     cfg = ZInversionConfig(n=6)
-    vals = contour_points(cfg, accelerated=False).points ** 4
+    vals = contour_points(cfg).points ** 4
     assert abs(invert_exact(vals, cfg)) < 10.0 ** (-2 * cfg.gamma) * 10
 
 
@@ -70,20 +72,20 @@ def test_constant_has_no_high_coefficients():
 def test_geometric_exact_n20():
     # double precision floor: absolute accuracy on the coefficient scale
     cfg = ZInversionConfig(n=20)
-    val = eval_contour(geometric(0.5), cfg, accelerated=False)
+    val = eval_contour(geometric(0.5), cfg)
     assert abs(invert_exact(val, cfg) - 0.5**20) < 1e-10
 
 
 def test_geometric_euler_n252():
     cfg = ZInversionConfig(n=252)
-    val = eval_contour(geometric(0.5), cfg, accelerated=True)
+    val = eval_contour(geometric(0.5), cfg)
     assert abs(invert_euler(val, cfg) - 0.5**252) < 1e-8
 
 
 def test_euler_agrees_with_exact_n52():
     cfg = ZInversionConfig(n=52)
-    exact = invert_exact(eval_contour(geometric(0.5), cfg, False), cfg)
-    accel = invert_euler(eval_contour(geometric(0.5), cfg, True), cfg)
+    exact = invert_exact(eval_contour(geometric(0.5), replace(cfg, accelerated=False)), cfg)
+    accel = invert_euler(eval_contour(geometric(0.5), cfg), cfg)
     assert abs(exact - accel) < 1e-10
 
 
@@ -93,7 +95,7 @@ def test_accuracy_floor_against_gamma():
     errors = {}
     for gamma in (3.0, 6.0, 9.0):
         cfg = ZInversionConfig(n=252, gamma=gamma)
-        val = eval_contour(geometric(1.0), cfg, accelerated=True)
+        val = eval_contour(geometric(1.0), cfg)
         errors[gamma] = abs(invert_euler(val, cfg) - 1.0)
     assert errors[6.0] < 1e-9
     assert errors[6.0] < errors[3.0]
@@ -121,7 +123,7 @@ def test_polynomial_coefficients_below_degree_vanish(n, coeffs):
     # must resolve that to the documented absolute accuracy
     coeffs = coeffs[:n]  # degree <= n - 1
     cfg = ZInversionConfig(n=n)
-    pts = contour_points(cfg, accelerated=False).points
+    pts = contour_points(cfg).points
     vals = sum(c * pts**k for k, c in enumerate(coeffs))
     assert abs(invert_exact(np.asarray(vals, dtype=complex), cfg)) < 1e-10
 
@@ -131,7 +133,7 @@ def test_polynomial_recovers_interior_coefficient():
     coeffs = rng.uniform(-1, 1, 12)
     target = 7
     cfg = ZInversionConfig(n=target)
-    pts = contour_points(cfg, accelerated=False).points
+    pts = contour_points(cfg).points
     vals = sum(c * pts**k for k, c in enumerate(coeffs))
     assert invert_exact(np.asarray(vals, dtype=complex), cfg) == pytest.approx(
         coeffs[target], abs=1e-10
@@ -143,10 +145,10 @@ def test_euler_converged_at_defaults():
     # acceleration has converged (the pricing-transform variant of the
     # +-4 stability check lives in the pricer tests)
     base_cfg = ZInversionConfig(n=252)
-    base = invert_euler(eval_contour(geometric(0.99), base_cfg, True), base_cfg)
+    base = invert_euler(eval_contour(geometric(0.99), base_cfg), base_cfg)
     for dn, dm in ((4, 0), (0, 4), (4, 4)):
         cfg = ZInversionConfig(n=252, n_e=12 + dn, m_e=20 + dm)
-        val = invert_euler(eval_contour(geometric(0.99), cfg, True), cfg)
+        val = invert_euler(eval_contour(geometric(0.99), cfg), cfg)
         assert abs(val - base) < 1e-9
 
 
@@ -162,8 +164,8 @@ def test_length_validation():
 
 def test_dispatch():
     cfg = ZInversionConfig(n=252)
-    v_e = invert(eval_contour(geometric(0.5), cfg, True), cfg)
+    v_e = invert(eval_contour(geometric(0.5), cfg), cfg)
     assert abs(v_e - 0.5**252) < 1e-8
     cfg_small = ZInversionConfig(n=10)
-    v_x = invert(eval_contour(geometric(0.5), cfg_small, False), cfg_small)
+    v_x = invert(eval_contour(geometric(0.5), cfg_small), cfg_small)
     assert v_x == pytest.approx(0.5**10, abs=1e-10)
