@@ -191,9 +191,9 @@ def _build_model(raw: dict[str, str]) -> LevyModel:
 
 def _build_contract(raw: dict[str, str]) -> OptionContract:
     upper_raw = raw.get("contract.U", "inf").lower()
-    upper = math.inf if upper_raw in ("inf", "+inf", "none") else float(upper_raw)
+    upper = math.inf if upper_raw in ("inf", "+inf", "none") else _as_float(raw, "contract.U")
     lower_raw = raw.get("contract.L", "0").lower()
-    lower = 0.0 if lower_raw in ("none", "0") else float(lower_raw)
+    lower = 0.0 if lower_raw in ("none", "0") else _as_float(raw, "contract.L")
     kind = raw.get("contract.type", "call").lower()
     try:
         return OptionContract(
@@ -271,7 +271,7 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
     filt = _build_filter(raw)
     m_list = _parse_m_list(raw.get("grid.M", "1024"))
     x_raw = raw.get("grid.x_max", "auto").lower()
-    x_max = None if x_raw == "auto" else float(x_raw)
+    x_max = None if x_raw == "auto" else _as_float(raw, "grid.x_max")
     # the target index is set per contract by the z-domain pricers
     zcfg = ZInversionConfig(
         n=1, **_given(raw, "zt", gamma=_as_float, ne=_as_int, me=_as_int, accelerated=_as_bool)
@@ -294,7 +294,7 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
         filt=filt,
         m_list=m_list,
         x_max=x_max,
-        width=(float(raw["grid.width"]) if "grid.width" in raw else None),
+        width=(_as_float(raw, "grid.width") if "grid.width" in raw else None),
         zcfg=zcfg,
         fixpoint=fixpoint,
         oracle=oracle,

@@ -8,11 +8,15 @@ convolution with kernel
 over lags m = -(M-1) .. M-1 (the m = 0 limit is 0 and is hard-coded).
 The product is computed as a linear convolution embedded in a length-2M
 circular FFT, which is exact for the centre window: the needed output
-lags never wrap.  Kernels are cached per grid since pricers reuse them
-heavily.
+lags never wrap.  h(m) depends on M only, not on the lattice spacing, so
+its transform is cached per M and shared by every grid of that size;
+``hilbert_kernel`` caches the grid-bound kernels pricers reuse.
 
 ``HilbertKernel.apply`` transforms along the last axis, so a stack of
-k rows costs one batched FFT pair.
+k rows costs one batched FFT pair.  The FFTs run on ``scipy.fft``: it
+executes the same pocketfft arithmetic as ``numpy.fft`` (results are
+bit-identical) with less per-call overhead, and transforms the padding
+buffer in place.
 
 The projections ``above_values``, ``below_values`` and ``window_values``
 split a spectrum into the transforms of the x > l and x < u restrictions
@@ -34,6 +38,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+import scipy.fft
 
 from .grid import GridSpec, read_only
 
@@ -57,16 +62,7 @@ class HilbertKernel:
 
     @classmethod
     def for_grid(cls, grid: GridSpec) -> "HilbertKernel":
-        M = grid.M
-        lags = np.arange(-(M - 1), M)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            h = (1.0 - np.cos(np.pi * lags)) / (np.pi * lags)
-        h[lags % 2 == 0] = 0.0  # includes the m = 0 limit
-        # circular embedding: slot t holds lag t for t < M, lag t-2M beyond
-        c = np.zeros(2 * M)
-        c[:M] = h[M - 1 :]
-        c[M + 1 :] = h[: M - 1]
-        return cls(grid, read_only(np.fft.fft(c)))
+        return cls(grid, _kernel_fft(grid.M))
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Discrete Hilbert transform of centred sample vectors: ``values``
@@ -79,9 +75,23 @@ class HilbertKernel:
         # Both transforms run in the padding buffer: a fresh 2M-point
         # array per stage costs page faults once rows pass ~128 KiB and
         # raises the peak memory of large grids.
-        np.fft.fft(padded, out=padded)
+        padded = scipy.fft.fft(padded, overwrite_x=True)
         padded *= self.kernel_fft
-        return np.fft.ifft(padded, out=padded)[..., :M]
+        return scipy.fft.ifft(padded, overwrite_x=True)[..., :M]
+
+
+@lru_cache(maxsize=16)
+def _kernel_fft(M: int) -> np.ndarray:
+    """Read-only length-2M transform of the circularly embedded h(m)."""
+    lags = np.arange(-(M - 1), M)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = (1.0 - np.cos(np.pi * lags)) / (np.pi * lags)
+    h[lags % 2 == 0] = 0.0  # includes the m = 0 limit
+    # circular embedding: slot t holds lag t for t < M, lag t-2M beyond
+    c = np.zeros(2 * M)
+    c[:M] = h[M - 1 :]
+    c[M + 1 :] = h[: M - 1]
+    return read_only(np.fft.fft(c))
 
 
 @lru_cache(maxsize=16)

@@ -10,6 +10,13 @@ date by date as a plain linear convolution.  No Hilbert transform,
 factorisation or z-inversion appears anywhere on this path, so its
 agreement with the transform pricers is a genuine cross-check.
 
+The convolution runs as a real FFT pair of length 2n.  The n lattice
+values against the 2n density lags give a linear convolution of length
+3n - 1, of which the window [n-1, 2n-1) is kept; in a circular
+convolution of length 2n only outputs beyond index 2n - 1 wrap, onto
+indices 0 .. n - 2, so the window is exact.  The density's transform is
+the same on every date and is computed once per call.
+
 ``mc_price`` simulates the log-price at the monitoring dates with exact
 increment sampling per model (compound Poisson + diffusion for kou,
 inverse-Gaussian subordination for nig, gamma subordination for vg).
@@ -22,7 +29,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+import scipy.fft
 from scipy.stats import norm
 
 from .levy import LevyModel, ModelKind
@@ -92,6 +99,14 @@ def _payoff_on(x: np.ndarray, contract: OptionContract) -> np.ndarray:
     return np.maximum(intrinsic, 0.0)
 
 
+def _convolution_window(values: np.ndarray, p_rev_fft: np.ndarray) -> np.ndarray:
+    """Window [n-1, 2n-1) of the linear convolution of the n ``values``
+    with the 2n reversed density lags whose real transform is
+    ``p_rev_fft``, as one length-2n circular convolution."""
+    n = len(values)
+    return scipy.fft.irfft(scipy.fft.rfft(values, 2 * n) * p_rev_fft, 2 * n)[n - 1 : 2 * n - 1]
+
+
 def quad_price(
     contract: OptionContract, model: LevyModel, cfg: OracleConfig | None = None
 ) -> float:
@@ -101,7 +116,7 @@ def quad_price(
     h = 2.0 * half / n
     x = np.arange(-n // 2, n // 2) * h
     p = _transition_density(model, contract.dt, h, n)
-    p_rev = p[::-1]
+    p_rev_fft = scipy.fft.rfft(p[::-1])
 
     # surviving fraction of each cell; fractional weights at the two
     # barrier-cut cells keep the knockout indicator second-order accurate
@@ -114,7 +129,7 @@ def quad_price(
 
     v = _payoff_on(x, contract)
     for _ in range(contract.N):
-        v = h * fftconvolve(alive * v, p_rev)[n - 1 : 2 * n - 1]
+        v = h * _convolution_window(alive * v, p_rev_fft)
     return math.exp(-contract.r * contract.T) * float(v[n // 2])
 
 

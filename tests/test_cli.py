@@ -87,6 +87,18 @@ def test_pricer_rejection_is_config_error(tmp_path, capsys, key, value):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("key", ["contract.U", "contract.L", "grid.x_max", "grid.width"])
+def test_malformed_number_names_its_key(tmp_path, capsys, key):
+    text = KOU_DOUBLE_CFG.read_text()
+    text, count = re.subn(rf"^{re.escape(key)} = .*$", f"{key} = abc", text, flags=re.M)
+    if count == 0:
+        text += f"{key} = abc\n"
+    cfg = write_config(tmp_path, text)
+    assert main(["price", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {key}: not a number: 'abc'\n"
+
+
 def test_empty_sweep_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE_CONFIG.replace("grid.M = 512", "grid.M = "))
     assert main(["converge", "--config", cfg]) == 2

@@ -1,0 +1,47 @@
+import importlib.util
+import json
+from pathlib import Path
+
+METRICS = ("prices_per_s", "latency_ms_p50", "latency_ms_p90", "setup_s", "peak_rss_mb")
+
+
+def _script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "compare_bench.py"
+    spec = importlib.util.spec_from_file_location("compare_bench", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run(tmp_path, name, values, failed=0, attempted=100):
+    path = tmp_path / name
+    metrics = {m: {"value": v, "unit": "x"} for m, v in zip(METRICS, values)}
+    path.write_text(json.dumps({"metrics": metrics, "failed": failed, "attempted": attempted}))
+    return str(path)
+
+
+def test_ratios_follow_each_metrics_direction(tmp_path, capsys):
+    parent = _run(tmp_path, "parent.json", [10.0, 20.0, 100.0, 1.5, 110.0], failed=21)
+    change = _run(tmp_path, "change.json", [12.0, 25.0, 100.0, 1.2, 121.0], failed=21)
+    assert _script().main([parent, change]) == 0
+    lines = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()}
+    assert lines["prices_per_s"][3:] == ["1.200", "better"]
+    assert lines["latency_ms_p50"][3:] == ["1.250", "worse"]
+    assert lines["latency_ms_p90"][3:] == ["1.000", "equal"]
+    assert lines["setup_s"][3:] == ["0.800", "better"]
+    assert lines["peak_rss_mb"][3:] == ["1.100", "worse"]
+
+
+def test_failed_share_of_both_runs(tmp_path, capsys):
+    parent = _run(tmp_path, "parent.json", [1.0] * 5, failed=132, attempted=618)
+    change = _run(tmp_path, "change.json", [1.0] * 5, failed=154, attempted=721)
+    assert _script().main([parent, change]) == 0
+    out = capsys.readouterr().out
+    assert "failed share parent: 132/618 = 21.36%" in out
+    assert "failed share change: 154/721 = 21.36%" in out
+
+
+def test_missing_metric_rejected(tmp_path):
+    parent = _run(tmp_path, "parent.json", [1.0] * 5)
+    change = _run(tmp_path, "change.json", [1.0] * 4)
+    assert _script().main([parent, change]) == 2

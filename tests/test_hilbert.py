@@ -7,8 +7,17 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import toeplitz
 
+from levybarrier import price
 from levybarrier.grid import build_grid, inverse_dft
-from levybarrier.hilbert import above_values, barrier_phases, below_values, hilbert_kernel, window_values
+from levybarrier.hilbert import (
+    _kernel_fft,
+    above_values,
+    barrier_phases,
+    below_values,
+    hilbert_kernel,
+    window_values,
+)
+from conftest import double_barrier
 
 
 def direct_kernel_matrix(M: int) -> np.ndarray:
@@ -271,6 +280,19 @@ def test_window_equals_two_separate_shifted_transforms(M):
     ]
     expected = 0.5 * (halves[0] - halves[1])
     assert np.array_equal(window_values(f, barrier_phases(kern, l, u)), expected)
+
+
+def test_kernel_transform_is_shared_by_grids_of_one_size(kou):
+    grids = [build_grid(1024, 3.0), build_grid(1024, 4.5)]
+    contract = double_barrier(52)
+    shared = [price(contract, kou, "fl", g).price for g in grids]
+    assert hilbert_kernel(grids[0]).kernel_fft is hilbert_kernel(grids[1]).kernel_fft
+    fresh = []
+    for g in grids:
+        hilbert_kernel.cache_clear()
+        _kernel_fft.cache_clear()
+        fresh.append(price(contract, kou, "fl", g).price)
+    assert shared == fresh
 
 
 def test_shared_arrays_are_read_only():

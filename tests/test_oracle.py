@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.fft
+from scipy.signal import fftconvolve
 
 from levybarrier import FilterSpec, OptionContract, OracleConfig, default_grid, mc_price, price_fl, quad_price
-from levybarrier.oracle import _transition_density, black_scholes_price
+from levybarrier.oracle import _convolution_window, _transition_density, black_scholes_price
 from conftest import double_barrier, down_and_out, european
 
 
@@ -32,6 +34,16 @@ def test_quad_is_deterministic(kou):
     c = double_barrier(4)
     cfg = OracleConfig(quad_points=2**13)
     assert quad_price(c, kou, cfg) == quad_price(c, kou, cfg)
+
+
+@pytest.mark.parametrize("n", [4096, 5000])
+def test_circular_window_equals_linear_convolution(kou, n):
+    p_rev = _transition_density(kou, 0.25, 4.0 / n, n)[::-1]
+    assert len(p_rev) == 2 * n
+    a = np.random.default_rng(n).random(n)
+    expected = fftconvolve(a, p_rev)[n - 1 : 2 * n - 1]
+    window = _convolution_window(a, scipy.fft.rfft(p_rev))
+    assert np.max(np.abs(window - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_zero_width_band_is_worthless(kou):
