@@ -134,9 +134,12 @@ def _as_float(raw: dict[str, str], key: str, default: float | None = None) -> fl
             raise ConfigError(f"missing required key: {key}")
         return default
     try:
-        return float(raw[key])
+        value = float(raw[key])
     except ValueError as exc:
         raise ConfigError(f"{key}: not a number: {raw[key]!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: not a finite number: {raw[key]!r}")
+    return value
 
 
 def _as_int(raw: dict[str, str], key: str, default: int | None = None) -> int:
@@ -272,11 +275,21 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
     m_list = _parse_m_list(raw.get("grid.M", "1024"))
     x_raw = raw.get("grid.x_max", "auto").lower()
     x_max = None if x_raw == "auto" else _as_float(raw, "grid.x_max")
+    # a grid that ends inside the strike prices every payoff as 0
+    if x_max is not None and x_max <= abs(contract.log_strike):
+        raise ConfigError(
+            f"grid.x_max: {x_max} does not cover the log-strike |log(K/S0)| = "
+            f"{abs(contract.log_strike):.6g}"
+        )
     # the target index is set per contract by the z-domain pricers
     zcfg = ZInversionConfig(
         n=1, **_given(raw, "zt", gamma=_as_float, ne=_as_int, me=_as_int, accelerated=_as_bool)
     )
-    fixpoint = FixedPointSettings(**_given(raw, "fixpoint", tol=_as_float, max_iter=_as_int))
+    fixpoint_args = _given(raw, "fixpoint", tol=_as_float, max_iter=_as_int)
+    try:
+        fixpoint = FixedPointSettings(**fixpoint_args)
+    except ValueError as exc:  # the message starts with the field name
+        raise ConfigError(f"fixpoint.{exc}") from exc
     oracle = OracleConfig(
         **_given(
             raw,

@@ -5,12 +5,13 @@ convolution with kernel
 
     h(m) = (1 - cos(pi m)) / (pi m)  =  2/(pi m)  for odd m,  0 for even m
 
-over lags m = -(M-1) .. M-1 (the m = 0 limit is 0 and is hard-coded).
-The product is computed as a linear convolution embedded in a length-2M
-circular FFT, which is exact for the centre window: the needed output
-lags never wrap.  h(m) depends on M only, not on the lattice spacing, so
-its transform is cached per M and shared by every grid of that size;
-``hilbert_kernel`` caches the grid-bound kernels pricers reuse.
+over lags m = -(M-1) .. M-1 (the m = 0 limit is 0).  The product is
+computed as a linear convolution embedded in a length-2M circular FFT,
+which is exact for the centre window: the needed output lags never wrap.
+h(m) depends on M only, not on the lattice spacing, so its odd-lag
+values and its transform are cached per M and shared by every grid of
+that size; ``hilbert_kernel`` caches the grid-bound kernels pricers
+reuse.
 
 ``HilbertKernel.apply`` transforms along the last axis, so a stack of
 k rows costs one batched FFT pair.  The FFTs run on ``scipy.fft``: it
@@ -21,21 +22,33 @@ buffer in place.
 The projections ``above_values``, ``below_values`` and ``window_values``
 split a spectrum into the transforms of the x > l and x < u restrictions
 of the underlying function (or of the band l < x < u) without leaving
-the frequency domain; barrier shifts enter as pointwise phase factors,
-so barriers need not lie on the x lattice.  The phase vectors
-e^{-i b xi} and e^{+i b xi} are built once per pricing call by
-``barrier_phases`` and passed to every projection; the window's two
-shifted transforms share one 2-row apply.  The projections take and
-return raw length-M sample arrays on the kernel's grid.  Kernel and
-phase arrays are read-only, since one cached kernel serves every
-pricing call on its grid.
+the frequency domain.  A barrier b enters as the phase-shifted transform
+e^{+i b xi} iH[e^{-i b xi} v]; barriers need not lie on the x lattice.
+On the lattice e^{i b xi_k} e^{-i b xi_j} = e^{i b dxi (k-j)}, so the
+shifted transform is itself Toeplitz, with kernel i h(m) e^{i b dxi m},
+and each projection folds into one Toeplitz kernel g applied to the
+unshifted input:
+
+    above:   g(m) = delta(m)/2 + (i/2) h(m) e^{i l dxi m}
+    below:   g(m) = delta(m)/2 - (i/2) h(m) e^{i u dxi m}
+    window:  g(m) = (i/2) h(m) (e^{i l dxi m} - e^{i u dxi m})
+
+g(-m) = conj(g(m)), so the transform of g is real and comes from one
+Hermitian FFT of the lags 0 .. M.  ``barrier_phases`` holds the barriers
+of one pricing call and builds each folded kernel once, on first use, so
+a backward-induction date costs one single-row FFT pair.  The z-domain
+pricer, which shifts its own inputs, uses the phase vectors e^{-i b xi}
+and e^{+i b xi} instead; they too are built on first use.  The
+projections take and return raw length-M sample arrays on the kernel's
+grid.  Kernel and phase arrays are read-only, since one cached kernel
+serves every pricing call on its grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.fft
@@ -55,7 +68,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HilbertKernel:
-    """Precomputed frequency representation of the Toeplitz kernel."""
+    """Precomputed frequency representation of a Toeplitz kernel on a
+    grid: the Hilbert kernel h (``for_grid``) or a folded projection
+    kernel (``BarrierPhases``)."""
 
     grid: GridSpec
     kernel_fft: np.ndarray = field(repr=False)
@@ -65,10 +80,10 @@ class HilbertKernel:
         return cls(grid, _kernel_fft(grid.M))
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """Discrete Hilbert transform of centred sample vectors: ``values``
-        has shape (..., M), e.g. one vector (M,) or a stack of rows (k, M),
-        and each row along the last axis is transformed independently,
-        bit for bit as if applied alone."""
+        """Toeplitz product of centred sample vectors: ``values`` has shape
+        (..., M), e.g. one vector (M,) or a stack of rows (k, M), and each
+        row along the last axis is transformed independently, bit for bit
+        as if applied alone."""
         M = self.grid.M
         padded = np.zeros(np.shape(values)[:-1] + (2 * M,), dtype=complex)
         padded[..., :M] = values
@@ -81,16 +96,21 @@ class HilbertKernel:
 
 
 @lru_cache(maxsize=16)
+def _odd_lags(M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only positive odd lags m = 1, 3, .., M-1 and h(m) = 2/(pi m)
+    on them; h vanishes on the even lags and is odd in m."""
+    lags = np.arange(1, M, 2)
+    return read_only(lags), read_only(2.0 / (np.pi * lags))
+
+
+@lru_cache(maxsize=16)
 def _kernel_fft(M: int) -> np.ndarray:
     """Read-only length-2M transform of the circularly embedded h(m)."""
-    lags = np.arange(-(M - 1), M)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = (1.0 - np.cos(np.pi * lags)) / (np.pi * lags)
-    h[lags % 2 == 0] = 0.0  # includes the m = 0 limit
+    _, h = _odd_lags(M)
     # circular embedding: slot t holds lag t for t < M, lag t-2M beyond
     c = np.zeros(2 * M)
-    c[:M] = h[M - 1 :]
-    c[M + 1 :] = h[: M - 1]
+    c[1:M:2] = h
+    c[M + 1 :: 2] = -h[::-1]
     return read_only(np.fft.fft(c))
 
 
@@ -99,75 +119,96 @@ def hilbert_kernel(grid: GridSpec) -> HilbertKernel:
     return HilbertKernel.for_grid(grid)
 
 
+def _projection_kernel(grid: GridSpec, l: float | None, u: float | None) -> HilbertKernel:
+    """Folded kernel of the projection onto l < x < u, None marking an
+    open side: g = (s_l - s_u) / 2, where s_b(m) = i h(m) e^{i b dxi m}
+    is the shifted sign transform, s_{-inf} = delta and s_{+inf} = -delta."""
+    lags, h = _odd_lags(grid.M)
+    signs = np.zeros(len(lags), dtype=complex)
+    if l is not None:
+        signs += np.exp(1j * (l * grid.dxi) * lags)
+    if u is not None:
+        signs -= np.exp(1j * (u * grid.dxi) * lags)
+    half = np.zeros(grid.M + 1, dtype=complex)  # g on the lags 0 .. M
+    half[0] = 0.5 * ((l is None) + (u is None))
+    half[1::2] = 0.5j * h * signs
+    return HilbertKernel(grid, read_only(scipy.fft.hfft(half, 2 * grid.M)))
+
+
 @dataclass(frozen=True, eq=False)
 class BarrierPhases:
-    """Read-only phase vectors of the barriers l and u on one kernel's
-    grid: ``down_b`` = e^{-i b xi} and ``up_b`` = e^{+i b xi}; None for
-    an absent barrier."""
+    """The barriers l and u (None when absent) of one pricing call on one
+    kernel's grid, with read-only data built on first use: the phase
+    vectors ``down_b`` = e^{-i b xi} and ``up_b`` = e^{+i b xi}, and the
+    folded projection kernels ``above``, ``below`` and ``window``.
+    Asking for data of an absent barrier raises ValueError."""
 
     kernel: HilbertKernel
     l: float | None
     u: float | None
-    down_l: np.ndarray | None = field(repr=False)
-    up_l: np.ndarray | None = field(repr=False)
-    down_u: np.ndarray | None = field(repr=False)
-    up_u: np.ndarray | None = field(repr=False)
 
+    def _given(self, b: float | None) -> float:
+        if b is None:
+            raise ValueError("projection needs the phases of a barrier that was not given")
+        return b
 
-def _phase_pair(b: float | None, xi: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
-    if b is None:
-        return None, None
-    if not math.isfinite(b):
-        raise ValueError(f"barrier must be finite, got {b}")
-    return read_only(np.exp(-1j * b * xi)), read_only(np.exp(1j * b * xi))
+    def _phase(self, sign: complex, b: float | None) -> np.ndarray:
+        return read_only(np.exp(sign * self._given(b) * self.kernel.grid.xi))
+
+    @cached_property
+    def down_l(self) -> np.ndarray:
+        return self._phase(-1j, self.l)
+
+    @cached_property
+    def up_l(self) -> np.ndarray:
+        return self._phase(1j, self.l)
+
+    @cached_property
+    def down_u(self) -> np.ndarray:
+        return self._phase(-1j, self.u)
+
+    @cached_property
+    def up_u(self) -> np.ndarray:
+        return self._phase(1j, self.u)
+
+    @cached_property
+    def above(self) -> HilbertKernel:
+        return _projection_kernel(self.kernel.grid, self._given(self.l), None)
+
+    @cached_property
+    def below(self) -> HilbertKernel:
+        return _projection_kernel(self.kernel.grid, None, self._given(self.u))
+
+    @cached_property
+    def window(self) -> HilbertKernel:
+        return _projection_kernel(self.kernel.grid, self._given(self.l), self._given(self.u))
 
 
 def barrier_phases(
     kernel: HilbertKernel, l: float | None = None, u: float | None = None
 ) -> BarrierPhases:
-    """Phases of a lower barrier l and/or an upper barrier u (finite,
-    l < u when both are given), computed once per pricing call."""
+    """Barrier data of a lower barrier l and/or an upper barrier u
+    (finite, l < u when both are given), one per pricing call."""
+    for b in (l, u):
+        if b is not None and not math.isfinite(b):
+            raise ValueError(f"barrier must be finite, got {b}")
     if l is not None and u is not None and not l < u:
         raise ValueError(f"need l < u, got l={l}, u={u}")
-    xi = kernel.grid.xi
-    return BarrierPhases(kernel, l, u, *_phase_pair(l, xi), *_phase_pair(u, xi))
-
-
-def _require(phases: BarrierPhases, lower: bool, upper: bool) -> None:
-    if (lower and phases.l is None) or (upper and phases.u is None):
-        raise ValueError("projection needs the phases of a barrier that was not given")
-
-
-def _unshift(up: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """up * (i h), with the phase kept as the left operand.  Once a
-    temporary exceeds 256 KiB NumPy evaluates ``up * temporary`` in place
-    as ``temporary * up``, and its SIMD complex multiply is not bitwise
-    commutative; the fixed order makes the result independent of M."""
-    ih = 1j * h
-    return np.multiply(up, ih, out=ih)
+    return BarrierPhases(kernel, l, u)
 
 
 def window_values(values: np.ndarray, phases: BarrierPhases) -> np.ndarray:
     """Transform of the restriction of the function to l < x < u."""
-    _require(phases, lower=True, upper=True)
-    rows = np.empty((2, len(values)), dtype=complex)
-    np.multiply(phases.down_l, values, out=rows[0])
-    np.multiply(phases.down_u, values, out=rows[1])
-    h = phases.kernel.apply(rows)
-    return 0.5 * (_unshift(phases.up_l, h[0]) - _unshift(phases.up_u, h[1]))
+    return phases.window.apply(values)
 
 
 def above_values(values: np.ndarray, phases: BarrierPhases) -> np.ndarray:
     """Transform of the restriction of the function to x > l; l = 0 is the
     plain Plemelj half (values + i H[values]) / 2."""
-    _require(phases, lower=True, upper=False)
-    shifted = phases.kernel.apply(phases.down_l * values)
-    return 0.5 * (values + _unshift(phases.up_l, shifted))
+    return phases.above.apply(values)
 
 
 def below_values(values: np.ndarray, phases: BarrierPhases) -> np.ndarray:
     """Transform of the restriction of the function to x < u; at u = l the
     complement of above_values, so the two halves sum to the input."""
-    _require(phases, lower=False, upper=True)
-    shifted = phases.kernel.apply(phases.down_u * values)
-    return 0.5 * (values - _unshift(phases.up_u, shifted))
+    return phases.below.apply(values)

@@ -20,11 +20,13 @@ monitored knock-out option with N dates:
 
 Everything that does not change within a pricing call is computed once
 per call: the grid's Hilbert kernel (cached per grid), Psi, the
-conjugated payoff, the taper and the barrier phase vectors
-(``barrier_phases``), and for ``price_fgm`` the q-invariant products
-(phase-shifted Psi, payoff * Psi, sigma * Psi, e^{i(u-l) xi}) shared by
-all contour points.  Only q-dependent work runs per contour point or
-per monitoring date.
+conjugated payoff, the taper and the barrier data of ``barrier_phases``.
+``price_fl`` folds the barrier phases into one projection kernel (above,
+below or window), so each monitoring date costs one single-row FFT
+pair; ``price_fgm`` uses the phase vectors e^{-+i b xi} themselves and
+forms its q-invariant products (phase-shifted Psi, payoff * Psi,
+sigma * Psi, e^{i(u-l) xi}) once, shared by all contour points.  Only
+q-dependent work runs per contour point or per monitoring date.
 
 The filtered variants multiply the inputs of the Hilbert-transform
 stages by a spectral taper sigma(xi/xi_max), which restores exponential
@@ -115,6 +117,12 @@ class FixedPointSettings:
 
     tol: float = 1e-8
     max_iter: int = 5
+
+    def __post_init__(self) -> None:
+        if not self.tol >= 0:
+            raise ValueError(f"tol must be >= 0, got {self.tol}")
+        if not self.max_iter >= 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 JUMP_WIDTH_STEP_STDS = 38.0

@@ -1,3 +1,4 @@
+import math
 import re
 from pathlib import Path
 
@@ -97,6 +98,50 @@ def test_malformed_number_names_its_key(tmp_path, capsys, key):
     assert main(["price", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err == f"config error: {key}: not a number: 'abc'\n"
+
+
+def _kou_double_with(tmp_path, key, value):
+    text = KOU_DOUBLE_CFG.read_text()
+    text, count = re.subn(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text, flags=re.M)
+    assert count == 1
+    return write_config(tmp_path, text)
+
+
+@pytest.mark.parametrize("key", ["contract.r", "contract.alpha", "kou.sigma", "grid.x_max"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_number_names_its_key(tmp_path, capsys, key, value):
+    assert main(["price", "--config", _kou_double_with(tmp_path, key, value)]) == 2
+    assert capsys.readouterr().err == f"config error: {key}: not a finite number: {value!r}\n"
+
+
+@pytest.mark.parametrize("token", ["inf", "+inf", "none", "INF"])
+def test_open_upper_barrier_tokens(tmp_path, token):
+    cfg = load_config(_kou_double_with(tmp_path, "contract.U", token))
+    assert cfg.contract.U == math.inf
+
+
+@pytest.mark.parametrize(
+    "key, value", [("fixpoint.max_iter", "0"), ("fixpoint.tol", "-1"), ("fixpoint.tol", "nan")]
+)
+def test_invalid_fixed_point_settings_name_their_key(tmp_path, capsys, key, value):
+    assert main(["price", "--config", _kou_double_with(tmp_path, key, value)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}")
+    assert len(err.splitlines()) == 1
+
+
+def test_zero_fixed_point_tolerance_is_valid(tmp_path):
+    cfg = load_config(_kou_double_with(tmp_path, "fixpoint.tol", "0"))
+    assert cfg.fixpoint == FixedPointSettings(tol=0.0)
+
+
+@pytest.mark.parametrize("method", ["fgm-f", "fl"])
+@pytest.mark.parametrize("x_max", ["0.01", "0.0953"])
+def test_grid_inside_the_strike_rejected(tmp_path, capsys, method, x_max):
+    # K = 1.1: |log(K/S0)| = 0.09531
+    cfg = _kou_double_with(tmp_path, "grid.x_max", x_max)
+    assert main(["price", "--config", cfg, "--method", method]) == 2
+    assert capsys.readouterr().err.startswith("config error: grid.x_max: ")
 
 
 def test_empty_sweep_rejected(tmp_path, capsys):

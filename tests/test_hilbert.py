@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import toeplitz
 
-from levybarrier import price
+from levybarrier import price, pricers
 from levybarrier.grid import build_grid, inverse_dft
 from levybarrier.hilbert import (
+    HilbertKernel,
     _kernel_fft,
     above_values,
     barrier_phases,
@@ -17,7 +18,7 @@ from levybarrier.hilbert import (
     hilbert_kernel,
     window_values,
 )
-from conftest import double_barrier
+from conftest import double_barrier, down_and_out, up_and_out
 
 
 def direct_kernel_matrix(M: int) -> np.ndarray:
@@ -279,7 +280,7 @@ def test_window_equals_two_separate_shifted_transforms(M):
         np.exp(1j * b * g.xi) * (1j * kern.apply(np.exp(-1j * b * g.xi) * f)) for b in (l, u)
     ]
     expected = 0.5 * (halves[0] - halves[1])
-    assert np.array_equal(window_values(f, barrier_phases(kern, l, u)), expected)
+    assert np.max(np.abs(window_values(f, barrier_phases(kern, l, u)) - expected)) <= 1e-15
 
 
 def test_kernel_transform_is_shared_by_grids_of_one_size(kou):
@@ -301,8 +302,97 @@ def test_shared_arrays_are_read_only():
     phases = barrier_phases(kern, -0.2, 0.3)
     shared = [kern.kernel_fft, g.x, g.xi, g.eta]
     shared += [phases.down_l, phases.up_l, phases.down_u, phases.up_u]
+    shared += [phases.above.kernel_fft, phases.below.kernel_fft, phases.window.kernel_fft]
     before = [array.copy() for array in shared]
     for array in shared:
         with pytest.raises(ValueError):
             array[0] = 7.0
     assert all(np.array_equal(a, b) for a, b in zip(shared, before))
+
+
+@pytest.mark.parametrize("M", [1024, 8192, 65536])
+def test_projections_match_explicit_phase_shift(M):
+    # each folded kernel against 0.5 * (v +- e^{ib xi} iH[e^{-ib xi} v]),
+    # with barriers off the x lattice
+    g, f = gaussian_spectrum(M=M, x_max=8.0)
+    kern = hilbert_kernel(g)
+    l, u = math.log(0.83), math.log(1.17)
+    phases = barrier_phases(kern, l, u)
+
+    def shifted(b):
+        return np.exp(1j * b * g.xi) * (1j * kern.apply(np.exp(-1j * b * g.xi) * f))
+
+    tol = 1e-15 * np.max(np.abs(f))
+    assert np.max(np.abs(above_values(f, phases) - 0.5 * (f + shifted(l)))) <= tol
+    assert np.max(np.abs(below_values(f, phases) - 0.5 * (f - shifted(u)))) <= tol
+    assert np.max(np.abs(window_values(f, phases) - 0.5 * (shifted(l) - shifted(u)))) <= tol
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="needs extended precision"
+)
+def test_folded_window_keeps_phase_accuracy_at_high_frequency():
+    # on a flat input the double-precision phases e^{-+ib xi} carry
+    # argument errors ~ eps |b xi| at the band edge; the folded kernel's
+    # e^{i b dxi m} errors are damped by h(m) ~ 1/m.  Reference: the
+    # shifted formula with the phases taken in extended precision.
+    M = 65536
+    g = build_grid(M, 3.0)
+    kern = hilbert_kernel(g)
+    rng = np.random.default_rng(5)
+    f = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+    l, u = math.log(0.83), math.log(1.17)
+    xi = np.arange(-M // 2, M // 2).astype(np.longdouble) * np.longdouble(g.dxi)
+
+    def shifted(b):
+        arg = np.longdouble(b) * xi
+        up = (np.cos(arg) + 1j * np.sin(arg)).astype(complex)
+        return up * (1j * kern.apply(np.conj(up) * f))
+
+    reference = 0.5 * (shifted(l) - shifted(u))
+    err = np.max(np.abs(window_values(f, barrier_phases(kern, l, u)) - reference))
+    assert err <= 5e-14 * np.max(np.abs(f))
+
+
+def test_projection_is_one_single_row_apply_of_one_kernel(monkeypatch):
+    g, f = gaussian_spectrum(M=1024, x_max=8.0)
+    phases = barrier_phases(hilbert_kernel(g), -0.2, 0.3)
+    calls = []
+    apply = HilbertKernel.apply
+
+    def spy(self, values):
+        calls.append((self, np.shape(values)))
+        return apply(self, values)
+
+    monkeypatch.setattr(HilbertKernel, "apply", spy)
+    for project in (window_values, window_values, above_values, above_values, below_values):
+        project(f, phases)
+    assert [shape for _, shape in calls] == [(1024,)] * 5
+    kernels = [kernel for kernel, _ in calls]
+    assert kernels[0] is kernels[1] is phases.window
+    assert kernels[2] is kernels[3] is phases.above
+    assert kernels[4] is phases.below
+
+
+@pytest.mark.parametrize(
+    "method, shape, built",
+    [
+        ("fgm", double_barrier, {"down_l", "up_l", "down_u", "up_u"}),
+        ("fgm-f", down_and_out, {"down_l", "up_l"}),
+        ("fl", double_barrier, {"window"}),
+        ("fl-f", down_and_out, {"above"}),
+        ("fl", up_and_out, {"below"}),
+    ],
+)
+def test_pricers_build_only_the_barrier_data_they_use(monkeypatch, kou, method, shape, built):
+    made = []
+
+    def spy(*args):
+        made.append(barrier_phases(*args))
+        return made[-1]
+
+    monkeypatch.setattr(pricers, "barrier_phases", spy)
+    contract = shape(52)
+    price(contract, kou, method, pricers.default_grid(contract, kou, 1024))
+    assert len(made) == 1
+    assert set(vars(made[0])) - {"kernel", "l", "u"} == built

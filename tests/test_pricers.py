@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -165,3 +167,19 @@ def test_method_filter_dispatch(kou):
     # filtered method without an explicit filter falls back to defaults
     res_def = price(c, kou, Method.FGM_F, g)
     assert res_def.filter.active
+
+
+@pytest.mark.parametrize(
+    "settings", [dict(tol=-1.0), dict(tol=math.nan), dict(max_iter=0), dict(max_iter=-3)]
+)
+def test_invalid_fixed_point_settings_rejected(settings):
+    with pytest.raises(ValueError):
+        FixedPointSettings(**settings)
+
+
+def test_zero_tolerance_runs_every_sweep(kou):
+    c = double_barrier(52)
+    g = default_grid(c, kou, 512)
+    res = price_fgm(c, kou, g, EXP, fp=FixedPointSettings(tol=0.0, max_iter=3))
+    assert res.avg_iterations == 3.0
+    assert res.max_iter_hit
