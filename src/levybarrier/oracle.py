@@ -10,12 +10,18 @@ date by date as a plain linear convolution.  No Hilbert transform,
 factorisation or z-inversion appears anywhere on this path, so its
 agreement with the transform pricers is a genuine cross-check.
 
-The convolution runs as a real FFT pair of length 2n.  The n lattice
-values against the 2n density lags give a linear convolution of length
-3n - 1, of which the window [n-1, 2n-1) is kept; in a circular
-convolution of length 2n only outputs beyond index 2n - 1 wrap, onto
-indices 0 .. n - 2, so the window is exact.  The density's transform is
-the same on every date and is computed once per call.
+The sum runs over the live cells only: the contiguous range [s, e) on
+which the knockout indicator is nonzero (the quadrature method of
+Andricopoulos, Widdicks, Duck & Newton 2003 likewise integrates only
+where the option is alive).  Only the outputs that a later date or the
+price reads are kept, [o0, o1): the live range plus the x = 0 cell;
+every other cell is worthless and stays zero.  Each date is then a
+linear convolution of the a = e - s live values with the a + b - 1
+density lags they reach (b = o1 - o0), run as one real FFT pair of a
+length of at least a + b - 1, where wrap-around lands only on outputs
+below the kept window.  Its cost is set by the live cells, not by the
+lattice; a double barrier keeps about a tenth of it.  The transform of
+the needed lags is the same on every date and is computed once per call.
 
 ``mc_price`` simulates the log-price at the monitoring dates with exact
 increment sampling per model (compound Poisson + diffusion for kou,
@@ -70,15 +76,18 @@ def _transition_density(model: LevyModel, dt: float, h: float, n: int) -> np.nda
     Multiplying Psi by the transform of the width-h box before inverting
     yields cell averages rather than point values; this keeps the
     inversion integrable even where the density has an integrable cusp
-    (vg with dt < nu) and makes the discrete convolution conserve mass."""
+    (vg with dt < nu) and makes the discrete convolution conserve mass.
+    The density is real and Psi(-xi) = conj(Psi(xi)), so Psi is sampled
+    on xi >= 0 only and inverted by one Hermitian transform."""
     half_width = n * h
     dxi = math.pi / half_width
-    k = np.arange(-n, n)
-    xi = k * dxi
+    xi = np.arange(n + 1) * dxi
     psi = model.char_function(xi, dt) * np.sinc(h * xi / (2.0 * math.pi))
     # centred inverse DFT: p(y_m) = dxi/(2 pi) sum_k Psi(xi_k) e^{-i y_m xi_k}
-    dens = (dxi / (2.0 * math.pi)) * np.fft.fftshift(np.fft.fft(np.fft.ifftshift(psi)))
-    p = dens.real
+    # over k = -n .. n-1; hfft extends psi to k < 0 by conjugate symmetry
+    # and keeps the real part of the lone k = n sample, which is what the
+    # real part of the two-sided sum takes from the k = -n one
+    p = (dxi / (2.0 * math.pi)) * np.fft.fftshift(scipy.fft.hfft(psi, 2 * n))
     # periodisation makes the lattice mass exactly 1, so resolution loss
     # shows up as density leaking to the lattice boundary instead; signed
     # sums largely cancel inversion ringing, which carries no mass (a
@@ -99,38 +108,61 @@ def _payoff_on(x: np.ndarray, contract: OptionContract) -> np.ndarray:
     return np.maximum(intrinsic, 0.0)
 
 
-def _convolution_window(values: np.ndarray, p_rev_fft: np.ndarray) -> np.ndarray:
-    """Window [n-1, 2n-1) of the linear convolution of the n ``values``
-    with the 2n reversed density lags whose real transform is
-    ``p_rev_fft``, as one length-2n circular convolution."""
-    n = len(values)
-    return scipy.fft.irfft(scipy.fft.rfft(values, 2 * n) * p_rev_fft, 2 * n)[n - 1 : 2 * n - 1]
+def _convolution_window(
+    values: np.ndarray, lags_fft: np.ndarray, width: int | None = None, size: int | None = None
+) -> np.ndarray:
+    """Window [a-1, a-1+width) of the linear convolution of the a
+    ``values`` with the a + width - 1 reversed density lags whose
+    length-``size`` real transform is ``lags_fft``, as one circular
+    convolution of that length (size >= a + width - 1).  The defaults,
+    width = a and size = 2a, take 2a lags and a window of a."""
+    a = len(values)
+    width = a if width is None else width
+    size = 2 * a if size is None else size
+    return scipy.fft.irfft(scipy.fft.rfft(values, size) * lags_fft, size)[a - 1 : a - 1 + width]
 
 
 def quad_price(
     contract: OptionContract, model: LevyModel, cfg: OracleConfig | None = None
 ) -> float:
+    """Discounted price by backward induction on a ``cfg.quad_points``
+    lattice.  Each date costs one real FFT pair over the live cells and
+    the outputs kept, so its cost follows the width of the barrier band,
+    not the lattice; a contract with no live cell is worth 0."""
     cfg = cfg or OracleConfig()
     n = int(cfg.quad_points)
     half = _lattice_half_width(contract, model)
     h = 2.0 * half / n
-    x = np.arange(-n // 2, n // 2) * h
-    p = _transition_density(model, contract.dt, h, n)
-    p_rev_fft = scipy.fft.rfft(p[::-1])
+
+    c = n // 2  # the x = 0 cell: cell i is centred on (i - c) h
 
     # surviving fraction of each cell; fractional weights at the two
     # barrier-cut cells keep the knockout indicator second-order accurate
-    edges = (np.arange(-n // 2, n // 2 + 1) - 0.5) * h
+    edges = (np.arange(n + 1) - c - 0.5) * h
     lo = contract.log_lower if contract.has_lower else -np.inf
     hi = contract.log_upper if contract.has_upper else np.inf
     alive = np.clip(
         (np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo)) / h, 0.0, 1.0
     )
+    live = np.flatnonzero(alive)
+    if live.size == 0:
+        return 0.0
+    s, e = int(live[0]), int(live[-1]) + 1
+    o0, o1 = min(s, c), max(e, c + 1)
+    a, b = e - s, o1 - o0
+    size = scipy.fft.next_fast_len(a + b - 1, real=True)
 
-    v = _payoff_on(x, contract)
+    # lag j - i of live cell j seen from kept cell i spans
+    # [s - o1 + 1, e - o0 - 1]; p holds lag m at index n + m
+    p = _transition_density(model, contract.dt, h, n)
+    lags_fft = scipy.fft.rfft(p[n + s - o1 + 1 : n + e - o0][::-1], size)
+
+    weights = alive[s:e]
+    live_v = _payoff_on(np.arange(s - c, e - c) * h, contract)
     for _ in range(contract.N):
-        v = h * _convolution_window(alive * v, p_rev_fft)
-    return math.exp(-contract.r * contract.T) * float(v[n // 2])
+        v = h * _convolution_window(weights * live_v, lags_fft, b, size)
+        live_v = v[s - o0 : e - o0]
+    return math.exp(-contract.r * contract.T) * float(v[c - o0])
 
 
 # ---------------------------------------------------------------------------

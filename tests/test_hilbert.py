@@ -286,13 +286,15 @@ def test_window_equals_two_separate_shifted_transforms(M):
 def test_kernel_transform_is_shared_by_grids_of_one_size(kou):
     grids = [build_grid(1024, 3.0), build_grid(1024, 4.5)]
     contract = double_barrier(52)
-    shared = [price(contract, kou, "fl", g).price for g in grids]
+    # fgm-f reads HilbertKernel.kernel_fft; fl folds the barriers into
+    # kernels of its own and would not notice a wrong shared transform
+    shared = [price(contract, kou, "fgm-f", g).price for g in grids]
     assert hilbert_kernel(grids[0]).kernel_fft is hilbert_kernel(grids[1]).kernel_fft
     fresh = []
     for g in grids:
         hilbert_kernel.cache_clear()
         _kernel_fft.cache_clear()
-        fresh.append(price(contract, kou, "fl", g).price)
+        fresh.append(price(contract, kou, "fgm-f", g).price)
     assert shared == fresh
 
 

@@ -1,11 +1,51 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.fft
 from scipy.signal import fftconvolve
 
 from levybarrier import FilterSpec, OptionContract, OracleConfig, default_grid, mc_price, price_fl, quad_price
-from levybarrier.oracle import _convolution_window, _transition_density, black_scholes_price
-from conftest import double_barrier, down_and_out, european
+from levybarrier.oracle import (
+    _convolution_window,
+    _lattice_half_width,
+    _payoff_on,
+    _transition_density,
+    black_scholes_price,
+)
+from conftest import double_barrier, down_and_out, european, up_and_out
+
+
+def full_lattice_density(model, dt, h, n):
+    """Lags -n .. n-1 from the two-sided complex transform of Psi."""
+    dxi = math.pi / (n * h)
+    xi = np.arange(-n, n) * dxi
+    psi = model.char_function(xi, dt) * np.sinc(h * xi / (2.0 * math.pi))
+    return ((dxi / (2.0 * math.pi)) * np.fft.fftshift(np.fft.fft(np.fft.ifftshift(psi)))).real
+
+
+def full_lattice_price(contract, model, n):
+    """Backward induction over every lattice cell, one length-2n window per date."""
+    h = 2.0 * _lattice_half_width(contract, model) / n
+    x = np.arange(-n // 2, n // 2) * h
+    p_rev_fft = scipy.fft.rfft(full_lattice_density(model, contract.dt, h, n)[::-1])
+    edges = (np.arange(-n // 2, n // 2 + 1) - 0.5) * h
+    lo = contract.log_lower if contract.has_lower else -np.inf
+    hi = contract.log_upper if contract.has_upper else np.inf
+    alive = np.clip((np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo)) / h, 0.0, 1.0)
+    v = _payoff_on(x, contract)
+    for _ in range(contract.N):
+        v = h * scipy.fft.irfft(scipy.fft.rfft(alive * v, 2 * n) * p_rev_fft, 2 * n)[n - 1 : 2 * n - 1]
+    return math.exp(-contract.r * contract.T) * float(v[n // 2])
+
+
+GEOMETRIES = {
+    "double": double_barrier,
+    "down": down_and_out,
+    "up": up_and_out,
+    "vanilla": european,
+    "spot_below_band": lambda N: double_barrier(N, L=1.05, U=1.3),
+}
 
 
 def test_config_validation():
@@ -51,6 +91,60 @@ def test_zero_width_band_is_worthless(kou):
         S0=1.0, K=1.0, T=1.0, N=4, r=0.05, q_div=0.02, L=1.0 - 1e-9, U=1.0 + 1e-9
     )
     assert quad_price(c, kou, OracleConfig(quad_points=2**13)) < 1e-10
+
+
+@pytest.mark.filterwarnings("ignore:transition density mass")
+@pytest.mark.parametrize("n", [2**13, 5000])
+@pytest.mark.parametrize("N", [1, 4, 52])
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+@pytest.mark.parametrize("model_name", ["kou", "nig", "vg"])
+def test_live_cells_match_full_lattice(all_models, model_name, geometry, N, n):
+    model, c = all_models[model_name], GEOMETRIES[geometry](N)
+    expected = full_lattice_price(c, model, n)
+    assert abs(quad_price(c, model, OracleConfig(quad_points=n)) - expected) <= 1e-13
+
+
+@pytest.mark.filterwarnings("ignore:transition density mass")
+@pytest.mark.parametrize("n", [2**13, 5000])
+@pytest.mark.parametrize("model_name", ["kou", "nig", "vg"])
+def test_hermitian_density_matches_complex_transform(all_models, model_name, n):
+    model = all_models[model_name]
+    h = 2.0 * _lattice_half_width(double_barrier(4), model) / n
+    for dt in (1.0, 0.25, 1.0 / 52):
+        expected = full_lattice_density(model, dt, h, n)
+        p = _transition_density(model, dt, h, n)
+        assert np.max(np.abs(p - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+
+def test_band_window_equals_linear_convolution(kou):
+    n, s, e, o0, o1 = 4096, 1500, 2300, 1200, 2300  # x = 0 cell below the band
+    p = _transition_density(kou, 0.25, 4.0 / n, n)
+    lags = p[n + s - o1 + 1 : n + e - o0][::-1]
+    a, b = e - s, o1 - o0
+    size = scipy.fft.next_fast_len(a + b - 1, real=True)
+    values = np.random.default_rng(1).random(a)
+    expected = fftconvolve(values, lags)[a - 1 : a - 1 + b]
+    window = _convolution_window(values, scipy.fft.rfft(lags, size), b, size)
+    assert np.max(np.abs(window - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_no_live_cell_is_worthless_without_transforms(kou, monkeypatch):
+    # both barriers round to the same log-price, so no cell survives
+    c = OptionContract(S0=1.0, K=1.0, T=1.0, N=4, L=1e-9, U=math.nextafter(1e-9, 1.0))
+    assert c.log_lower == c.log_upper
+
+    def boom(*args, **kwargs):
+        raise AssertionError("transform called")
+
+    for name in ("fft", "rfft", "irfft", "hfft"):
+        monkeypatch.setattr(scipy.fft, name, boom)
+    assert quad_price(c, kou, OracleConfig(quad_points=2**13)) == 0.0
+
+
+def test_odd_lattice_reads_the_spot_cell(kou):
+    c = down_and_out(4)
+    even = quad_price(c, kou, OracleConfig(quad_points=2**13))
+    assert quad_price(c, kou, OracleConfig(quad_points=2**13 + 1)) == pytest.approx(even, abs=1e-6)
 
 
 def test_density_mass_warning(gaussian):
