@@ -32,10 +32,11 @@ import numpy as np
 
 from .filters import FilterKind, FilterSpec, filter_profile
 from .grid import build_grid, inverse_dft
-from .levy import LevyModel
+from .levy import _REQUIRED_PARAMS, LevyModel
 from .oracle import OracleConfig, mc_price, quad_price
 from .payoff import OptionContract
 from .pricers import (
+    REFERENCE_M,
     FixedPointSettings,
     Method,
     PricingResult,
@@ -49,7 +50,6 @@ from .ztransform import ZInversionConfig
 __all__ = ["main", "ConfigError", "RunConfig", "load_config", "fit_slope"]
 
 NUM_FMT = "%.12e"
-REFERENCE_M = 2**16
 
 
 class ConfigError(ValueError):
@@ -64,11 +64,14 @@ class NumericalFailure(RuntimeError):
 # config parsing
 # ---------------------------------------------------------------------------
 
+# config key name -> library argument name, where they differ
+_ARG_NAMES = {"lambda": "lam", "ne": "n_e", "me": "m_e"}
+_KEY_NAMES = {arg: key for key, arg in _ARG_NAMES.items()}
+
+# model kind -> its parameter keys, spelled as in the config
 _MODEL_PARAM_KEYS = {
-    "kou": ("sigma", "lambda", "p", "eta1", "eta2"),
-    "nig": ("alpha", "beta", "delta"),
-    "vg": ("theta", "sigma", "nu"),
-    "gaussian": ("sigma",),
+    kind.value: tuple(_KEY_NAMES.get(name, name) for name in names)
+    for kind, names in _REQUIRED_PARAMS.items()
 }
 
 # section -> key names; "method" is the one key without a section
@@ -79,7 +82,7 @@ _SECTION_KEYS = {
     "grid": ("M", "x_max", "width"),
     "zt": ("gamma", "ne", "me", "accelerated"),
     "fixpoint": ("tol", "max_iter"),
-    "oracle": ("quad_points", "mc_paths", "mc_seed", "stderr_mult"),
+    "oracle": ("quad_points", "mc_paths", "mc_seed"),
     "output": ("csv", "cache"),
     **_MODEL_PARAM_KEYS,
 }
@@ -108,16 +111,18 @@ def _parse_lines(text: str) -> dict[str, str]:
 
 @dataclass
 class RunConfig:
+    """One run; the defaults are those of a config that sets no optional key."""
+
     model: LevyModel
     contract: OptionContract
     methods: list[Method]
-    filt: FilterSpec
     m_list: list[int]
-    x_max: float | None
-    width: float | None
-    zcfg: ZInversionConfig
-    fixpoint: FixedPointSettings
-    oracle: OracleConfig
+    filt: FilterSpec = FilterSpec.none()
+    x_max: float | None = None
+    width: float | None = None
+    zcfg: ZInversionConfig = ZInversionConfig(n=1)
+    fixpoint: FixedPointSettings = FixedPointSettings()
+    oracle: OracleConfig = OracleConfig()
     csv_path: str | None = None
     cache_path: str | None = None
 
@@ -160,10 +165,6 @@ def _as_bool(raw: dict[str, str], key: str) -> bool:
     if value in ("false", "no", "0", "off"):
         return False
     raise ConfigError(f"{key}: not a boolean: {raw[key]!r}")
-
-
-# config key name -> library argument name, where they differ
-_ARG_NAMES = {"lambda": "lam", "ne": "n_e", "me": "m_e"}
 
 
 def _given(raw: dict[str, str], section: str, **parsers) -> dict:
@@ -290,16 +291,7 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
         fixpoint = FixedPointSettings(**fixpoint_args)
     except ValueError as exc:  # the message starts with the field name
         raise ConfigError(f"fixpoint.{exc}") from exc
-    oracle = OracleConfig(
-        **_given(
-            raw,
-            "oracle",
-            quad_points=_as_int,
-            mc_paths=_as_int,
-            mc_seed=_as_int,
-            stderr_mult=_as_float,
-        )
-    )
+    oracle_args = _given(raw, "oracle", quad_points=_as_int, mc_paths=_as_int, mc_seed=_as_int)
     return RunConfig(
         model=model,
         contract=contract,
@@ -310,7 +302,7 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
         width=(_as_float(raw, "grid.width") if "grid.width" in raw else None),
         zcfg=zcfg,
         fixpoint=fixpoint,
-        oracle=oracle,
+        oracle=OracleConfig(**oracle_args),
         csv_path=raw.get("output.csv"),
         cache_path=raw.get("output.cache"),
     )
@@ -364,14 +356,17 @@ def write_cache_entry(
     # write a sibling file and rename it over the cache, so a reader never
     # sees a partial file
     target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, target)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+            os.replace(tmp, target)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def lookup_reference(cfg: RunConfig) -> float | None:
@@ -588,7 +583,10 @@ def _fmt_cell(value) -> str:
 def _write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt_cell(c) for c in row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+    try:
+        Path(path).write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

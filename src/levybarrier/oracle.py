@@ -51,7 +51,6 @@ class OracleConfig:
     quad_points: int = 2**15
     mc_paths: int = 10**6
     mc_seed: int = 20170213
-    stderr_mult: float = 3.0
 
     def __post_init__(self) -> None:
         if self.quad_points < 2**12:
@@ -61,13 +60,7 @@ class OracleConfig:
 
 
 def _lattice_half_width(contract: OptionContract, model: LevyModel) -> float:
-    std = math.sqrt(model.variance(contract.T))
-    anchors = [abs(contract.log_strike)]
-    if contract.has_lower:
-        anchors.append(abs(contract.log_lower))
-    if contract.has_upper:
-        anchors.append(abs(contract.log_upper))
-    return max(anchors) + WIDTH_STDS * std
+    return contract.log_anchor + WIDTH_STDS * math.sqrt(model.variance(contract.T))
 
 
 def _transition_density(model: LevyModel, dt: float, h: float, n: int) -> np.ndarray:

@@ -86,13 +86,26 @@ class OptionContract:
     def has_upper(self) -> bool:
         return math.isfinite(self.U)
 
+    @property
+    def log_anchor(self) -> float:
+        """Largest of |k|, |l| and |u| over the levels the contract has."""
+        anchors = [abs(self.log_strike)]
+        if self.has_lower:
+            anchors.append(abs(self.log_lower))
+        if self.has_upper:
+            anchors.append(abs(self.log_upper))
+        return max(anchors)
+
+    def clipped_barriers(self, x_max: float) -> tuple[float, float]:
+        """Log barriers (l, u) clipped to [-x_max, x_max]; absent ones sit on the edge."""
+        return max(self.log_lower, -x_max), min(self.log_upper, x_max)
+
     def support(self, x_max: float) -> tuple[float, float]:
         """Transform integration limits (a, b) on a grid of half-width
         x_max: a = u, b = max(k, l) for a call, a = l, b = min(k, u) for
         a put.  The payoff support is empty when theta * (a - b) <= 0."""
         k = self.log_strike
-        l_eff = max(self.log_lower, -x_max)
-        u_eff = min(self.log_upper, x_max)
+        l_eff, u_eff = self.clipped_barriers(x_max)
         if self.kind == "call":
             return u_eff, max(k, l_eff)
         return l_eff, min(k, u_eff)

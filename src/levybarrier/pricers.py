@@ -72,6 +72,7 @@ __all__ = [
     "price_fl",
     "price",
     "reference_price",
+    "REFERENCE_M",
 ]
 
 GRID_WIDTH_STDS = 12.0
@@ -141,12 +142,6 @@ def default_x_max(contract: OptionContract, model: LevyModel, width: float | Non
     Models with a diffusion component decay like exp(-s^2 dt xi^2 / 2),
     so a generous log-price range costs them nothing."""
     std_T = math.sqrt(model.variance(contract.T))
-    anchors = [abs(contract.log_strike)]
-    if contract.has_lower:
-        anchors.append(abs(contract.log_lower))
-    if contract.has_upper:
-        anchors.append(abs(contract.log_upper))
-    anchor = max(anchors)
     band_confined = contract.has_lower and contract.has_upper
     if width is None:
         width = BAND_WIDTH_STDS if band_confined else GRID_WIDTH_STDS
@@ -154,7 +149,7 @@ def default_x_max(contract: OptionContract, model: LevyModel, width: float | Non
     if band_confined and model.kind in (ModelKind.NIG, ModelKind.VG):
         std_step = math.sqrt(model.variance(contract.dt))
         margin = min(margin, JUMP_WIDTH_STEP_STDS * std_step)
-    return anchor + margin
+    return contract.log_anchor + margin
 
 
 def default_grid(
@@ -167,12 +162,6 @@ def default_grid(
     if x_max is None:
         x_max = default_x_max(contract, model, width)
     return build_grid(M, x_max)
-
-
-def _barriers(contract: OptionContract, grid: GridSpec) -> tuple[float, float]:
-    l = max(contract.log_lower, -grid.x_max)
-    u = min(contract.log_upper, grid.x_max)
-    return l, u
 
 
 def _zconfig(contract: OptionContract, zcfg: ZInversionConfig | None) -> ZInversionConfig:
@@ -295,7 +284,7 @@ def price_fgm(
     start = time.perf_counter()
     psi = model.char_function(grid.xi + 1j * contract.alpha, contract.dt)
     pay_psi = _payoff_conj(contract, grid) * psi
-    l, u = _barriers(contract, grid)
+    l, u = contract.clipped_barriers(grid.x_max)
     phases = barrier_phases(kernel, l, u if band else None)
     if band:
         solve = _band_solver(psi, pay_psi, phases, sigma, filter_fact, fp)
@@ -351,7 +340,7 @@ def price_fl(
     vhat = damped_payoff_fourier(contract, grid)
     psi = np.conj(model.char_function(grid.xi + 1j * contract.alpha, contract.dt))
     step = psi if not filt.active else filter_profile(filt, grid) * psi
-    l, u = _barriers(contract, grid)
+    l, u = contract.clipped_barriers(grid.x_max)
     phases = barrier_phases(
         kernel, l if contract.has_lower else None, u if contract.has_upper else None
     )
@@ -403,6 +392,11 @@ def price(
     if method.recursive:
         return price_fl(contract, model, grid, filt)
     return price_fgm(contract, model, grid, filt, zcfg, fp)
+
+
+# grid size of the backward-induction reference the convergence studies
+# and the tests measure errors against
+REFERENCE_M = 2**16
 
 
 def reference_price(contract: OptionContract, model: LevyModel, grid: GridSpec) -> float:

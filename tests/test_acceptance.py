@@ -26,22 +26,18 @@ from levybarrier import (
     price_fl,
     quad_price,
 )
-from levybarrier.cli import pulse_recovery
+from levybarrier.cases import TABLE_PRICES, double_barrier, down_and_out
+from levybarrier.cli import fit_slope, pulse_recovery
 from levybarrier.grid import build_grid as _build
 from levybarrier.hilbert import above_values, barrier_phases, below_values, hilbert_kernel
+from levybarrier.pricers import REFERENCE_M, reference_price
 from levybarrier.wiener_hopf import factorize_values
 from levybarrier.ztransform import ZInversionConfig, contour_points, invert_euler
-from conftest import double_barrier, down_and_out
 
 EXP = FilterSpec.exponential()
 
-KOU_TABLE = {
-    4: 0.00721968941,
-    52: 0.00518403635,
-    104: 0.00490517113,
-    252: 0.00465711572,
-}
-NIG_TABLE = {4: 0.00545479385, 52: 0.00359559460, 252: 0.00328484367}
+KOU_TABLE = {N: TABLE_PRICES["kou"][N] for N in (4, 52, 104, 252)}
+NIG_TABLE = {N: TABLE_PRICES["nig"][N] for N in (4, 52, 252)}
 
 
 def report(num, ok, detail):
@@ -52,13 +48,13 @@ def report(num, ok, detail):
 @pytest.fixture(scope="module")
 def kou_n52_reference(kou):
     c = double_barrier(52)
-    return price_fl(c, kou, default_grid(c, kou, 2**16)).price
+    return reference_price(c, kou, default_grid(c, kou, REFERENCE_M))
 
 
 @pytest.fixture(scope="module")
 def vg_single_reference(vg):
     c = down_and_out(52)
-    return price_fl(c, vg, default_grid(c, vg, 2**16), EXP).price
+    return reference_price(c, vg, default_grid(c, vg, REFERENCE_M))
 
 
 def test_criterion_1_kou_table(kou):
@@ -93,7 +89,7 @@ def test_criterion_3_convergence_orders(kou, kou_n52_reference):
     for M in ms:
         g = default_grid(c, kou, M)
         unfiltered.append(abs(price_fgm(c, kou, g).price - kou_n52_reference))
-    slope = float(np.polyfit(np.log2(ms), np.log2(unfiltered), 1)[0])
+    slope = fit_slope(ms, unfiltered)
     filt_err = abs(
         price_fgm(c, kou, default_grid(c, kou, 2**12), EXP).price - kou_n52_reference
     )
@@ -198,15 +194,14 @@ def test_criterion_8_oracle_cross_checks(all_models, kou):
     ok = True
     for name in ("kou", "nig", "vg"):
         model = all_models[name]
-        filt = EXP if name == "vg" else None
         for N in (4, 52):
             c = double_barrier(N)
-            fl = price_fl(c, model, default_grid(c, model, 2**16), filt).price
+            fl = reference_price(c, model, default_grid(c, model, REFERENCE_M))
             qv = quad_price(c, model, OracleConfig(quad_points=2**15))
             ok &= abs(qv - fl) < 5e-7
             rows.append(f"{name}-dbl-N{N}:{abs(qv - fl):.1e}")
             cs = down_and_out(N)
-            fls = price_fl(cs, model, default_grid(cs, model, 2**16), filt).price
+            fls = reference_price(cs, model, default_grid(cs, model, REFERENCE_M))
             qn = 2**17 if (name == "vg" and N == 52) else 2**15
             qvs = quad_price(cs, model, OracleConfig(quad_points=qn))
             ok &= abs(qvs - fls) < 5e-7

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from levybarrier import FilterSpec, FixedPointSettings, OracleConfig, ZInversionConfig
+from levybarrier.cases import MODELS, TABLE_PRICES
 from levybarrier.cli import load_config, main, model_key, read_cache
 
 BASE_CONFIG = """
@@ -41,7 +42,7 @@ def test_price_run(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "price = " in out
     price = float(next(l for l in out.splitlines() if l.startswith("price")).split("=")[1])
-    assert price == pytest.approx(0.00721968941, abs=1e-9)
+    assert price == pytest.approx(TABLE_PRICES["kou"][4], abs=1e-9)
 
 
 def test_unknown_key_rejected(tmp_path, capsys):
@@ -237,6 +238,21 @@ def test_gibbs_demo(tmp_path, capsys):
     assert header == "M,x,recovered,error"
 
 
+def test_unwritable_csv_is_config_error(tmp_path, capsys):
+    out_csv = tmp_path / "missing" / "gibbs.csv"
+    assert main(["gibbs-demo", "--M", "256,512", "--out", str(out_csv)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot write {out_csv}: ")
+
+
+def test_unwritable_cache_is_config_error(tmp_path, capsys):
+    cache = tmp_path / "missing" / "refs.txt"
+    cfg = write_config(
+        tmp_path, BASE_CONFIG + f"\noracle.quad_points = 8192\noutput.cache = {cache}\n"
+    )
+    assert main(["oracle", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot write {cache}: ")
+
+
 def test_filters_dump(tmp_path):
     out_csv = tmp_path / "filt.csv"
     cfg = write_config(tmp_path, BASE_CONFIG)
@@ -249,8 +265,8 @@ def test_filters_dump(tmp_path):
 def test_model_key_distinguishes_parameters():
     from levybarrier import LevyModel
 
-    a = LevyModel.kou(sigma=0.1, lam=3.0, p=0.3, eta1=40.0, eta2=12.0, r=0.05, q_div=0.02)
-    b = LevyModel.kou(sigma=0.1, lam=3.0, p=0.3, eta1=40.0, eta2=12.5, r=0.05, q_div=0.02)
+    a = MODELS["kou"]
+    b = LevyModel("kou", {**a.params, "eta2": 12.5}, a.r, a.q_div)
     assert model_key(a) != model_key(b)
 
 

@@ -9,7 +9,7 @@ failure the filters exist to fix); those values are pinned as they are.
 import pytest
 
 from levybarrier import default_grid, price
-from conftest import double_barrier, down_and_out, up_and_out
+from levybarrier.cases import double_barrier, down_and_out, up_and_out
 
 TOL = 1e-12
 SHAPES = {"double": double_barrier, "down": down_and_out, "up": up_and_out}

@@ -18,7 +18,7 @@ from levybarrier.hilbert import (
     hilbert_kernel,
     window_values,
 )
-from conftest import double_barrier, down_and_out, up_and_out
+from levybarrier.cases import double_barrier, down_and_out, up_and_out
 
 
 def direct_kernel_matrix(M: int) -> np.ndarray:

@@ -13,7 +13,8 @@ from levybarrier.oracle import (
     _transition_density,
     black_scholes_price,
 )
-from conftest import double_barrier, down_and_out, european, up_and_out
+from levybarrier.cases import TABLE_PRICES, double_barrier, down_and_out, european, up_and_out
+from levybarrier.pricers import REFERENCE_M, reference_price
 
 
 def full_lattice_density(model, dt, h, n):
@@ -67,7 +68,7 @@ def test_gaussian_european_black_scholes(gaussian):
 def test_quad_reproduces_double_barrier_reference(kou):
     c = double_barrier(4)
     val = quad_price(c, kou, OracleConfig(quad_points=2**15))
-    assert val == pytest.approx(0.00721968941, abs=5e-7)
+    assert val == pytest.approx(TABLE_PRICES["kou"][4], abs=5e-7)
 
 
 def test_quad_is_deterministic(kou):
@@ -186,6 +187,6 @@ def test_mc_gaussian_black_scholes(gaussian):
 
 def test_quad_matches_transform_single_barrier(kou):
     c = down_and_out(52)
-    ref = price_fl(c, kou, default_grid(c, kou, 2**16)).price
+    ref = reference_price(c, kou, default_grid(c, kou, REFERENCE_M))
     val = quad_price(c, kou, OracleConfig(quad_points=2**15))
     assert val == pytest.approx(ref, abs=5e-7)

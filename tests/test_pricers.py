@@ -17,15 +17,18 @@ from levybarrier import (
     price_fl,
     quad_price,
 )
+from levybarrier.cases import (
+    NIG_252_CONVERGED, TABLE_PRICES, double_barrier, down_and_out, european, up_and_out,
+)
 from levybarrier.oracle import black_scholes_price
-from conftest import double_barrier, down_and_out, european, up_and_out
+from levybarrier.pricers import REFERENCE_M, reference_price
 
 EXP = FilterSpec.exponential()
 
 # reference prices for the benchmark double-barrier call, reproduced by
 # every pricer here and cross-checked against the quadrature oracle
-KOU_DOUBLE = {4: 0.00721968941, 52: 0.00518403635, 104: 0.00490517113, 252: 0.00465711572}
-NIG_DOUBLE = {4: 0.00545479385, 52: 0.00359559460}
+KOU_DOUBLE = {N: TABLE_PRICES["kou"][N] for N in (4, 52, 104, 252)}
+NIG_DOUBLE = {N: TABLE_PRICES["nig"][N] for N in (4, 52)}
 
 
 def test_fl_european_limit_matches_quadrature(kou):
@@ -65,6 +68,14 @@ def test_fgm_double_matches_references_at_m1024(kou, nig):
     assert abs(res52.price - NIG_DOUBLE[52]) < 1e-9
 
 
+def test_fgm_nig_252_matches_converged_value(nig):
+    # the N=252 table price is 3.1e-7 high; the converged value pins fgm-f
+    # far tighter than the criterion-2 tolerance on the table price
+    c = double_barrier(252)
+    res = price_fgm(c, nig, default_grid(c, nig, 1024), EXP)
+    assert abs(res.price - NIG_252_CONVERGED) < 5e-8
+
+
 def test_fgm_single_filtered_matches_unfiltered_for_fast_decay(kou):
     # exponentially decaying characteristic functions never needed the
     # taper; both variants agree within the method's own error envelope
@@ -97,7 +108,7 @@ def test_fgm_double_degenerate_band_limit(kou):
 
 def test_fgm_single_vg_agrees_with_backward_induction(vg):
     c = down_and_out(252, L=0.85)
-    ref = price_fl(c, vg, default_grid(c, vg, 2**16), EXP).price
+    ref = reference_price(c, vg, default_grid(c, vg, REFERENCE_M))
     res = price_fgm(c, vg, default_grid(c, vg, 2**13), EXP)
     assert res.price == pytest.approx(ref, abs=1e-5)
 

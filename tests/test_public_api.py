@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import levybarrier
-from conftest import double_barrier, down_and_out
+from levybarrier.cases import double_barrier, down_and_out
 from levybarrier import pricers
 from levybarrier.hilbert import HilbertKernel
 
