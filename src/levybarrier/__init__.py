@@ -13,8 +13,6 @@ from .pricers import (
     PricingResult,
     default_grid,
     price,
-    price_fgm,
-    price_fl,
     reference_price,
 )
 from .ztransform import ZInversionConfig
@@ -40,8 +38,6 @@ __all__ = [
     "hilbert_kernel",
     "mc_price",
     "price",
-    "price_fgm",
-    "price_fl",
     "quad_price",
     "reference_price",
 ]

@@ -36,7 +36,6 @@ from .levy import _REQUIRED_PARAMS, LevyModel
 from .oracle import OracleConfig, mc_price, quad_price
 from .payoff import OptionContract
 from .pricers import (
-    REFERENCE_M,
     FixedPointSettings,
     Method,
     PricingResult,
@@ -79,7 +78,7 @@ _SECTION_KEYS = {
     "model": ("kind",),
     "contract": ("S0", "K", "U", "L", "r", "q", "T", "N", "type", "alpha"),
     "filter": ("kind", "p", "theta", "eps"),
-    "grid": ("M", "x_max", "width"),
+    "grid": ("M", "x_max"),
     "zt": ("gamma", "ne", "me", "accelerated"),
     "fixpoint": ("tol", "max_iter"),
     "oracle": ("quad_points", "mc_paths", "mc_seed"),
@@ -119,7 +118,6 @@ class RunConfig:
     m_list: list[int]
     filt: FilterSpec = FilterSpec.none()
     x_max: float | None = None
-    width: float | None = None
     zcfg: ZInversionConfig = ZInversionConfig(n=1)
     fixpoint: FixedPointSettings = FixedPointSettings()
     oracle: OracleConfig = OracleConfig()
@@ -299,7 +297,6 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
         filt=filt,
         m_list=m_list,
         x_max=x_max,
-        width=(_as_float(raw, "grid.width") if "grid.width" in raw else None),
         zcfg=zcfg,
         fixpoint=fixpoint,
         oracle=OracleConfig(**oracle_args),
@@ -389,7 +386,7 @@ def _run_one(cfg: RunConfig, method: Method, M: int) -> PricingResult:
     # the configured filter serves the filtered methods; price() supplies
     # the defaults otherwise
     filt = cfg.filt if method.filtered and cfg.filt.active else None
-    grid = default_grid(cfg.contract, cfg.model, M, cfg.x_max, cfg.width)
+    grid = default_grid(cfg.contract, cfg.model, M, cfg.x_max)
     return run_pricer(cfg.contract, cfg.model, method, grid, filt, cfg.zcfg, cfg.fixpoint)
 
 
@@ -445,8 +442,7 @@ def cmd_converge(cfg: RunConfig) -> int:
         raise ConfigError("grid.M: converge needs an increasing sweep list")
     reference = lookup_reference(cfg)
     if reference is None:
-        grid = default_grid(cfg.contract, cfg.model, REFERENCE_M, cfg.x_max, cfg.width)
-        reference = reference_price(cfg.contract, cfg.model, grid)
+        reference = reference_price(cfg.contract, cfg.model, cfg.x_max)
         if cfg.cache_path:
             write_cache_entry(cfg.cache_path, cfg.model, cfg.contract, "fl-ref", reference)
     rows = []
@@ -507,6 +503,9 @@ def pulse_recovery(M: int, x_max: float = 4.0) -> dict:
 
 
 def cmd_gibbs(cfg_m_list: list[int], csv_path: str | None) -> int:
+    """Print the ringing statistics per grid size and write the CSV;
+    raises NumericalFailure when the jump value or the O(1/M) decay of
+    the interior error is off."""
     stats = {}
     rows = []
     for M in cfg_m_list:
@@ -530,9 +529,7 @@ def cmd_gibbs(cfg_m_list: list[int], csv_path: str | None) -> int:
     if csv_path:
         _write_csv(csv_path, ["M", "x", "recovered", "error"], rows)
     if failures:
-        for msg in failures:
-            print(f"numerical failure: {msg}", file=sys.stderr)
-        return 3
+        raise NumericalFailure("; ".join(failures))
     return 0
 
 
@@ -549,8 +546,8 @@ def cmd_oracle(cfg: RunConfig, with_mc: bool) -> int:
     return 0
 
 
-def cmd_filters_dump(cfg: RunConfig, csv_path: str | None) -> int:
-    grid = default_grid(cfg.contract, cfg.model, cfg.m_list[-1], cfg.x_max, cfg.width)
+def cmd_filters_dump(cfg: RunConfig) -> int:
+    grid = default_grid(cfg.contract, cfg.model, cfg.m_list[-1], cfg.x_max)
     spec = cfg.filt if cfg.filt.active else FilterSpec.exponential()
     sigma = filter_profile(spec, grid)
     psi = cfg.model.char_function(grid.xi, cfg.contract.dt)
@@ -561,8 +558,8 @@ def cmd_filters_dump(cfg: RunConfig, csv_path: str | None) -> int:
         )
     ]
     header = ["k", "xi", "eta", "sigma", "re", "im"]
-    if csv_path:
-        _write_csv(csv_path, header, rows)
+    if cfg.csv_path:
+        _write_csv(cfg.csv_path, header, rows)
     else:
         print(",".join(header))
         for row in rows:
@@ -615,19 +612,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the RunConfig output paths each subcommand writes; price only reads the cache
+_OUTPUTS = {
+    "price": ("csv_path",),
+    "converge": ("csv_path", "cache_path"),
+    "oracle": ("cache_path",),
+    "filters-dump": ("csv_path",),
+}
+
+
+def _check_output_dirs(*paths: str | None) -> None:
+    """Fail before any pricing when an output's directory is missing."""
+    for path in paths:
+        if path and not Path(path).parent.is_dir():
+            raise ConfigError(f"cannot write {path}: no directory {Path(path).parent}")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "gibbs-demo":
+            _check_output_dirs(args.out)
             return cmd_gibbs(_parse_m_list(args.M), args.out)
         cfg = load_config(args.config, overrides=args)
+        _check_output_dirs(*(getattr(cfg, name) for name in _OUTPUTS[args.command]))
         if args.command == "price":
             return cmd_price(cfg)
         if args.command == "converge":
             return cmd_converge(cfg)
         if args.command == "oracle":
             return cmd_oracle(cfg, with_mc=args.mc)
-        return cmd_filters_dump(cfg, args.out or cfg.csv_path)
+        return cmd_filters_dump(cfg)
     except (BranchFailureError, SingularInputError, NumericalFailure) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-from scipy.stats import norm
 
 from .levy import LevyModel, ModelKind
 from .payoff import OptionContract
@@ -236,13 +235,17 @@ def mc_price(
     return mean, stderr
 
 
+def _norm_cdf(x: float) -> float:
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
 def black_scholes_price(contract: OptionContract, sigma: float) -> float:
     """Closed-form vanilla price used as the gaussian-model baseline."""
     s0, k, t = contract.S0, contract.K, contract.T
     r, q = contract.r, contract.q_div
     d1 = (math.log(s0 / k) + (r - q + 0.5 * sigma**2) * t) / (sigma * math.sqrt(t))
     d2 = d1 - sigma * math.sqrt(t)
-    call = s0 * math.exp(-q * t) * norm.cdf(d1) - k * math.exp(-r * t) * norm.cdf(d2)
+    call = s0 * math.exp(-q * t) * _norm_cdf(d1) - k * math.exp(-r * t) * _norm_cdf(d2)
     if contract.kind == "call":
         return call
     return call - s0 * math.exp(-q * t) + k * math.exp(-r * t)

@@ -1,9 +1,12 @@
 """Barrier-option pricers on the shared frequency lattice.
 
-Four methods are provided, all returning the t = 0 value of a discretely
-monitored knock-out option with N dates:
+``price`` is the one entry point.  It prices the t = 0 value of a
+discretely monitored knock-out option with N dates by one of four
+methods (``Method``), two algorithms each with and without a spectral
+filter; it resolves the filter, times the call and returns the
+``PricingResult``.  The algorithms are private:
 
-* ``price_fgm`` solves the fluctuation identities for the
+* ``_price_fgm`` solves the fluctuation identities for the
   barrier-constrained transition law in the combined Fourier/z-transform
   domain.  Per contour point q the kernel Phi = 1 - q Psi is factorised
   (Wiener-Hopf) and the barrier terms are isolated with half-line
@@ -14,16 +17,16 @@ monitored knock-out option with N dates:
   smooths both ends of the scheme, so the inversion targets index N - 2.
   Cost is independent of N once the Euler-accelerated contour is in use.
 
-* ``price_fl`` walks the value-function transform backwards date by
+* ``_price_fl`` walks the value-function transform backwards date by
   date, applying the barrier window between propagation steps; cost is
   linear in N.
 
 Everything that does not change within a pricing call is computed once
 per call: the grid's Hilbert kernel (cached per grid), Psi, the
 conjugated payoff, the taper and the barrier data of ``barrier_phases``.
-``price_fl`` folds the barrier phases into one projection kernel (above,
+``_price_fl`` folds the barrier phases into one projection kernel (above,
 below or window), so each monitoring date costs one single-row FFT
-pair; ``price_fgm`` uses the phase vectors e^{-+i b xi} themselves and
+pair; ``_price_fgm`` uses the phase vectors e^{-+i b xi} themselves and
 forms its q-invariant products (phase-shifted Psi, payoff * Psi,
 sigma * Psi, e^{i(u-l) xi}) once, shared by all contour points.  Only
 q-dependent work runs per contour point or per monitoring date.
@@ -68,8 +71,6 @@ __all__ = [
     "FixedPointSettings",
     "default_x_max",
     "default_grid",
-    "price_fgm",
-    "price_fl",
     "price",
     "reference_price",
     "REFERENCE_M",
@@ -97,8 +98,9 @@ class Method(str, enum.Enum):
 @dataclass(frozen=True)
 class PricingResult:
     """One price and how it was obtained.  ``cpu_seconds`` is wall-clock
-    ``time.perf_counter`` time of the pricing work (not process CPU
-    time); the name is kept because CLI CSV headers carry it."""
+    ``time.perf_counter`` time of the whole ``price`` call after its
+    argument checks (not process CPU time); the name is kept because CLI
+    CSV headers carry it."""
 
     price: float
     grid_m: int
@@ -129,23 +131,22 @@ class FixedPointSettings:
 JUMP_WIDTH_STEP_STDS = 38.0
 
 
-def default_x_max(contract: OptionContract, model: LevyModel, width: float | None = None) -> float:
+def default_x_max(contract: OptionContract, model: LevyModel) -> float:
     """Grid half-range: the payoff geometry plus a truncation margin.
 
     Open geometries (no barrier on one side) carry payoff mass toward
-    the grid edge, so they get the full `width` standard deviations of
-    X(T).  Band-confined (double-barrier) value functions tolerate a
-    slightly tighter range, and for pure-jump models the margin scales
-    with the one-step standard deviation instead: their characteristic
-    function decays only like exp(-c dt |xi|) (or polynomially), which
-    makes the frequency range pi*M/(2 x_max) the scarce resource.
-    Models with a diffusion component decay like exp(-s^2 dt xi^2 / 2),
-    so a generous log-price range costs them nothing."""
+    the grid edge, so they get the full GRID_WIDTH_STDS standard
+    deviations of X(T).  Band-confined (double-barrier) value functions
+    tolerate a slightly tighter range, and for pure-jump models the
+    margin scales with the one-step standard deviation instead: their
+    characteristic function decays only like exp(-c dt |xi|) (or
+    polynomially), which makes the frequency range pi*M/(2 x_max) the
+    scarce resource.  Models with a diffusion component decay like
+    exp(-s^2 dt xi^2 / 2), so a generous log-price range costs them
+    nothing."""
     std_T = math.sqrt(model.variance(contract.T))
     band_confined = contract.has_lower and contract.has_upper
-    if width is None:
-        width = BAND_WIDTH_STDS if band_confined else GRID_WIDTH_STDS
-    margin = width * std_T
+    margin = (BAND_WIDTH_STDS if band_confined else GRID_WIDTH_STDS) * std_T
     if band_confined and model.kind in (ModelKind.NIG, ModelKind.VG):
         std_step = math.sqrt(model.variance(contract.dt))
         margin = min(margin, JUMP_WIDTH_STEP_STDS * std_step)
@@ -153,26 +154,11 @@ def default_x_max(contract: OptionContract, model: LevyModel, width: float | Non
 
 
 def default_grid(
-    contract: OptionContract,
-    model: LevyModel,
-    M: int,
-    x_max: float | None = None,
-    width: float | None = None,
+    contract: OptionContract, model: LevyModel, M: int, x_max: float | None = None
 ) -> GridSpec:
     if x_max is None:
-        x_max = default_x_max(contract, model, width)
+        x_max = default_x_max(contract, model)
     return build_grid(M, x_max)
-
-
-def _zconfig(contract: OptionContract, zcfg: ZInversionConfig | None) -> ZInversionConfig:
-    n = contract.N - 2
-    if zcfg is None:
-        return ZInversionConfig(n=n)
-    return replace(zcfg, n=n)
-
-
-def _payoff_conj(contract: OptionContract, grid: GridSpec) -> np.ndarray:
-    return np.conj(damped_payoff_fourier(contract, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -252,14 +238,14 @@ def _band_solver(
     return solve
 
 
-def price_fgm(
+def _price_fgm(
     contract: OptionContract,
     model: LevyModel,
     grid: GridSpec,
-    filt: FilterSpec | None = None,
-    zcfg: ZInversionConfig | None = None,
-    fp: FixedPointSettings | None = None,
-) -> PricingResult:
+    filt: FilterSpec,
+    zcfg: ZInversionConfig | None,
+    fp: FixedPointSettings | None,
+) -> tuple[float, dict]:
     """Down-and-out or double-barrier price in the z-domain.
 
     A lower barrier alone is solved by the direct identity; with an
@@ -269,21 +255,20 @@ def price_fgm(
     factorisation input is tapered for a single barrier, and for a band
     only when the characteristic function decays polynomially.
     Requires a lower barrier and N >= 3."""
-    filt = filt or FilterSpec.none()
     fp = fp or FixedPointSettings()
     if not contract.has_lower:
         raise ValueError("z-domain pricer requires a lower barrier; use fl for up-and-out")
     if contract.N < 3:
         raise ValueError("z-domain pricers require N >= 3")
     kernel = hilbert_kernel(grid)
-    cfg = _zconfig(contract, zcfg)
+    n = contract.N - 2
+    cfg = ZInversionConfig(n=n) if zcfg is None else replace(zcfg, n=n)
     sigma = filter_profile(filt, grid) if filt.active else None
     band = contract.has_upper
     filter_fact = band and filt.active and model.polynomial_decay
 
-    start = time.perf_counter()
     psi = model.char_function(grid.xi + 1j * contract.alpha, contract.dt)
-    pay_psi = _payoff_conj(contract, grid) * psi
+    pay_psi = np.conj(damped_payoff_fourier(contract, grid)) * psi
     l, u = contract.clipped_barriers(grid.x_max)
     phases = barrier_phases(kernel, l, u if band else None)
     if band:
@@ -296,20 +281,12 @@ def price_fgm(
     for idx, q in enumerate(pts):
         f, iters[idx] = solve(q)
         vals[idx] = inverse_at_zero(f, grid)
-    undiscounted = invert(vals, cfg)
-    price_val = math.exp(-contract.r * contract.T) * undiscounted
-    elapsed = time.perf_counter() - start
-    method = Method.FGM_F if filt.active else Method.FGM
-    return PricingResult(
-        price_val,
-        grid.M,
-        elapsed,
-        method,
-        filt,
-        avg_iterations=float(np.mean(iters)) if band else None,
-        max_iter_hit=band and bool(np.max(iters) >= fp.max_iter),
-        imag_residual=float(abs(vals[0].imag)),  # q on the real axis must price real
-    )
+    price_val = math.exp(-contract.r * contract.T) * invert(vals, cfg)
+    return price_val, {
+        "avg_iterations": float(np.mean(iters)) if band else None,
+        "max_iter_hit": band and bool(np.max(iters) >= fp.max_iter),
+        "imag_residual": float(abs(vals[0].imag)),  # q on the real axis must price real
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +294,9 @@ def price_fgm(
 # ---------------------------------------------------------------------------
 
 
-def price_fl(
-    contract: OptionContract,
-    model: LevyModel,
-    grid: GridSpec,
-    filt: FilterSpec | None = None,
-) -> PricingResult:
+def _price_fl(
+    contract: OptionContract, model: LevyModel, grid: GridSpec, filt: FilterSpec
+) -> tuple[float, dict]:
     """Backward induction over the N monitoring dates in the frequency
     domain: N - 1 propagate-and-window steps, one final bare propagation,
     then evaluation at x = 0.
@@ -333,10 +307,7 @@ def price_fl(
     The asymmetric-model European limit fixes this orientation uniquely,
     and a negative alpha keeps the carrier integrable when the upper
     barrier is infinite."""
-    filt = filt or FilterSpec.none()
     kernel = hilbert_kernel(grid)
-
-    start = time.perf_counter()
     vhat = damped_payoff_fourier(contract, grid)
     psi = np.conj(model.char_function(grid.xi + 1j * contract.alpha, contract.dt))
     step = psi if not filt.active else filter_profile(filt, grid) * psi
@@ -357,16 +328,7 @@ def price_fl(
     final = psi * vhat
     value = inverse_at_zero(final, grid)
     price_val = math.exp(-contract.r * contract.T) * value.real
-    elapsed = time.perf_counter() - start
-    method = Method.FL_F if filt.active else Method.FL
-    return PricingResult(
-        price_val,
-        grid.M,
-        elapsed,
-        method,
-        filt,
-        imag_residual=float(abs(value.imag)),
-    )
+    return price_val, {"imag_residual": float(abs(value.imag))}
 
 
 def price(
@@ -378,10 +340,14 @@ def price(
     zcfg: ZInversionConfig | None = None,
     fp: FixedPointSettings | None = None,
 ) -> PricingResult:
-    """Dispatch on method.
+    """Price the contract by one method on the given grid.
 
     Filtered methods fall back to the default exponential taper when no
-    filter is supplied; an explicitly inactive filter is rejected."""
+    filter is supplied; an explicitly inactive filter is rejected, and
+    so is an active one for an unfiltered method.  ``zcfg`` (whose
+    target index is set from the contract) and ``fp`` configure the
+    z-domain methods only.  ``cpu_seconds`` includes the method's
+    per-call set-up (Hilbert kernel lookup, taper)."""
     method = Method(method)
     if filt is None:
         filt = FilterSpec.exponential() if method.filtered else FilterSpec.none()
@@ -389,9 +355,12 @@ def price(
         raise ValueError(f"method {method.value} requires an active filter")
     if not method.filtered and filt.active:
         raise ValueError(f"method {method.value} does not take a filter")
+    start = time.perf_counter()
     if method.recursive:
-        return price_fl(contract, model, grid, filt)
-    return price_fgm(contract, model, grid, filt, zcfg, fp)
+        value, extras = _price_fl(contract, model, grid, filt)
+    else:
+        value, extras = _price_fgm(contract, model, grid, filt, zcfg, fp)
+    return PricingResult(value, grid.M, time.perf_counter() - start, method, filt, **extras)
 
 
 # grid size of the backward-induction reference the convergence studies
@@ -399,8 +368,11 @@ def price(
 REFERENCE_M = 2**16
 
 
-def reference_price(contract: OptionContract, model: LevyModel, grid: GridSpec) -> float:
-    """Backward-induction reference on a (large) grid: unfiltered for
+def reference_price(
+    contract: OptionContract, model: LevyModel, x_max: float | None = None
+) -> float:
+    """Backward-induction reference on the default grid of REFERENCE_M
+    points (half-range ``x_max`` when given): unfiltered for
     exponentially decaying characteristic functions, filtered otherwise."""
-    filt = FilterSpec.exponential() if model.polynomial_decay else FilterSpec.none()
-    return price_fl(contract, model, grid, filt).price
+    method = Method.FL_F if model.polynomial_decay else Method.FL
+    return price(contract, model, method, default_grid(contract, model, REFERENCE_M, x_max)).price

@@ -22,15 +22,14 @@ from levybarrier import (
     build_grid,
     default_grid,
     mc_price,
-    price_fgm,
-    price_fl,
+    price,
     quad_price,
 )
 from levybarrier.cases import TABLE_PRICES, double_barrier, down_and_out
 from levybarrier.cli import fit_slope, pulse_recovery
 from levybarrier.grid import build_grid as _build
 from levybarrier.hilbert import above_values, barrier_phases, below_values, hilbert_kernel
-from levybarrier.pricers import REFERENCE_M, reference_price
+from levybarrier.pricers import reference_price
 from levybarrier.wiener_hopf import factorize_values
 from levybarrier.ztransform import ZInversionConfig, contour_points, invert_euler
 
@@ -48,13 +47,13 @@ def report(num, ok, detail):
 @pytest.fixture(scope="module")
 def kou_n52_reference(kou):
     c = double_barrier(52)
-    return reference_price(c, kou, default_grid(c, kou, REFERENCE_M))
+    return reference_price(c, kou)
 
 
 @pytest.fixture(scope="module")
 def vg_single_reference(vg):
     c = down_and_out(52)
-    return reference_price(c, vg, default_grid(c, vg, REFERENCE_M))
+    return reference_price(c, vg)
 
 
 def test_criterion_1_kou_table(kou):
@@ -62,7 +61,7 @@ def test_criterion_1_kou_table(kou):
     ok = True
     for N, target in KOU_TABLE.items():
         c = double_barrier(N)
-        res = price_fgm(c, kou, default_grid(c, kou, 1024), EXP)
+        res = price(c, kou, "fgm-f", default_grid(c, kou, 1024), EXP)
         err = abs(res.price - target)
         ok &= err <= 1e-9 and res.avg_iterations <= 2.2 and res.cpu_seconds < 1.0
         rows.append(f"N={N}: err={err:.2e} iters={res.avg_iterations:.3f} t={res.cpu_seconds:.3f}s")
@@ -75,7 +74,7 @@ def test_criterion_2_nig_table(nig):
     ok = True
     for N, target in NIG_TABLE.items():
         c = double_barrier(N)
-        res = price_fgm(c, nig, default_grid(c, nig, 1024), EXP)
+        res = price(c, nig, "fgm-f", default_grid(c, nig, 1024), EXP)
         err = abs(res.price - target)
         ok &= err <= tol[N]
         rows.append(f"N={N}: err={err:.2e} (tol {tol[N]:.0e})")
@@ -88,10 +87,10 @@ def test_criterion_3_convergence_orders(kou, kou_n52_reference):
     unfiltered = []
     for M in ms:
         g = default_grid(c, kou, M)
-        unfiltered.append(abs(price_fgm(c, kou, g).price - kou_n52_reference))
+        unfiltered.append(abs(price(c, kou, "fgm", g).price - kou_n52_reference))
     slope = fit_slope(ms, unfiltered)
     filt_err = abs(
-        price_fgm(c, kou, default_grid(c, kou, 2**12), EXP).price - kou_n52_reference
+        price(c, kou, "fgm-f", default_grid(c, kou, 2**12), EXP).price - kou_n52_reference
     )
     ok = -2.6 <= slope <= -1.6 and filt_err <= 1e-11
     assert report(3, ok, f"unfiltered slope={slope:.3f}; filtered err@2^12={filt_err:.2e}")
@@ -110,13 +109,13 @@ def test_criterion_4_vg_single_barrier_improvement(vg, vg_single_reference):
     strict = True
     for M in (2**9, 2**10, 2**11, 2**12, 2**13):
         g = default_grid(c, vg, M)
-        e_filt = abs(price_fl(c, vg, g, EXP).price - vg_single_reference)
-        e_unf = abs(price_fl(c, vg, g).price - vg_single_reference)
+        e_filt = abs(price(c, vg, "fl-f", g, EXP).price - vg_single_reference)
+        e_unf = abs(price(c, vg, "fl", g).price - vg_single_reference)
         strict &= e_filt < e_unf
         rows.append(f"2^{int(math.log2(M))}: {e_filt:.1e}/{e_unf:.1e}")
     g12 = default_grid(c, vg, 2**12)
-    fgm_err = abs(price_fgm(c, vg, g12, EXP).price - vg_single_reference)
-    fl_err = abs(price_fl(c, vg, g12, EXP).price - vg_single_reference)
+    fgm_err = abs(price(c, vg, "fgm-f", g12, EXP).price - vg_single_reference)
+    fl_err = abs(price(c, vg, "fl-f", g12, EXP).price - vg_single_reference)
     ratio = fgm_err / fl_err
     ok = strict and ratio <= 10.0
     assert report(4, ok, f"filt/unfilt errors {'; '.join(rows)}; fgm/fl ratio@2^12={ratio:.1f}")
@@ -196,18 +195,18 @@ def test_criterion_8_oracle_cross_checks(all_models, kou):
         model = all_models[name]
         for N in (4, 52):
             c = double_barrier(N)
-            fl = reference_price(c, model, default_grid(c, model, REFERENCE_M))
+            fl = reference_price(c, model)
             qv = quad_price(c, model, OracleConfig(quad_points=2**15))
             ok &= abs(qv - fl) < 5e-7
             rows.append(f"{name}-dbl-N{N}:{abs(qv - fl):.1e}")
             cs = down_and_out(N)
-            fls = reference_price(cs, model, default_grid(cs, model, REFERENCE_M))
+            fls = reference_price(cs, model)
             qn = 2**17 if (name == "vg" and N == 52) else 2**15
             qvs = quad_price(cs, model, OracleConfig(quad_points=qn))
             ok &= abs(qvs - fls) < 5e-7
             rows.append(f"{name}-dao-N{N}:{abs(qvs - fls):.1e}")
     c = double_barrier(52)
-    fl52 = price_fl(c, kou, default_grid(c, kou, 2**14)).price
+    fl52 = price(c, kou, "fl", default_grid(c, kou, 2**14)).price
     mc_val, se = mc_price(c, kou, OracleConfig(mc_paths=10**6, mc_seed=417))
     dev = abs(mc_val - fl52) / se
     ok &= dev < 3.0
@@ -236,10 +235,10 @@ def test_criterion_10_timing_profiles(kou):
     c52, c504 = double_barrier(52), double_barrier(504)
     g52 = default_grid(c52, kou, 1024)
     g504 = default_grid(c504, kou, 1024)
-    t52 = median_time(lambda: price_fgm(c52, kou, g52, EXP))
-    t504 = median_time(lambda: price_fgm(c504, kou, g504, EXP))
-    f52 = median_time(lambda: price_fl(c52, kou, g52))
-    f504 = median_time(lambda: price_fl(c504, kou, g504))
+    t52 = median_time(lambda: price(c52, kou, "fgm-f", g52, EXP))
+    t504 = median_time(lambda: price(c504, kou, "fgm-f", g504, EXP))
+    f52 = median_time(lambda: price(c52, kou, "fl", g52))
+    f504 = median_time(lambda: price(c504, kou, "fl", g504))
     fgm_ratio = t504 / t52
     fl_ratio = f504 / f52
     ok = fgm_ratio <= 1.5 and fl_ratio >= 5.0

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from levybarrier import FilterSpec, FixedPointSettings, OracleConfig, ZInversionConfig
+from levybarrier import FilterSpec, FixedPointSettings, OracleConfig, ZInversionConfig, cli
 from levybarrier.cases import MODELS, TABLE_PRICES
 from levybarrier.cli import load_config, main, model_key, read_cache
 
@@ -89,16 +89,26 @@ def test_pricer_rejection_is_config_error(tmp_path, capsys, key, value):
     assert len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("key", ["contract.U", "contract.L", "grid.x_max", "grid.width"])
-def test_malformed_number_names_its_key(tmp_path, capsys, key):
+# grid.width is no longer a key (grid.x_max is the one knob for the grid
+# range), so it is rejected as unknown, by name, before its value is read
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        pytest.param(key, f"{key}: not a number: 'abc'", id=key)
+        for key in ("contract.U", "contract.L", "grid.x_max")
+    ]
+    + [pytest.param("grid.width", "line {line}: unknown key 'grid.width'", id="grid.width")],
+)
+def test_malformed_number_names_its_key(tmp_path, capsys, key, message):
     text = KOU_DOUBLE_CFG.read_text()
     text, count = re.subn(rf"^{re.escape(key)} = .*$", f"{key} = abc", text, flags=re.M)
     if count == 0:
         text += f"{key} = abc\n"
+    line = 1 + text.splitlines().index(f"{key} = abc")
     cfg = write_config(tmp_path, text)
     assert main(["price", "--config", cfg]) == 2
     err = capsys.readouterr().err
-    assert err == f"config error: {key}: not a number: 'abc'\n"
+    assert err == f"config error: {message.format(line=line)}\n"
 
 
 def _kou_double_with(tmp_path, key, value):
@@ -236,6 +246,39 @@ def test_gibbs_demo(tmp_path, capsys):
     assert "jump_value" in out
     header = out_csv.read_text().splitlines()[0]
     assert header == "M,x,recovered,error"
+
+
+def test_gibbs_failure_is_numerical_failure(tmp_path, capsys):
+    # too coarse to resolve the jump: the CSV is still written, then the
+    # failure ends the run with exit code 3
+    out_csv = tmp_path / "g.csv"
+    assert main(["gibbs-demo", "--M", "16,32", "--out", str(out_csv)]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: jump value")
+    assert out_csv.exists()
+
+
+def test_missing_output_directory_fails_before_pricing(tmp_path, capsys, monkeypatch):
+    missing = tmp_path / "missing"
+    cache_cfg = write_config(
+        tmp_path, BASE_CONFIG + f"\noutput.cache = {missing / 'refs.txt'}\n", name="cache.cfg"
+    )
+    # price only reads the cache, so a missing cache directory is harmless
+    assert main(["price", "--config", cache_cfg]) == 0
+    capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("priced before the output paths were checked")
+
+    for name in ("run_pricer", "reference_price", "quad_price"):
+        monkeypatch.setattr(cli, name, refuse)
+    out_csv = missing / "c.csv"
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    assert main(["converge", "--config", cfg, "--M", "256,512", "--out", str(out_csv)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot write {out_csv}: ")
+    for command in (["converge", "--M", "256,512"], ["oracle"]):
+        assert main([*command, "--config", cache_cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {missing / 'refs.txt'}: ")
 
 
 def test_unwritable_csv_is_config_error(tmp_path, capsys):

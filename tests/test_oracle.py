@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.fft
 from scipy.signal import fftconvolve
 
-from levybarrier import FilterSpec, OptionContract, OracleConfig, default_grid, mc_price, price_fl, quad_price
+import levybarrier
+from levybarrier import OptionContract, OracleConfig, default_grid, mc_price, price, quad_price
 from levybarrier.oracle import (
     _convolution_window,
     _lattice_half_width,
@@ -14,7 +19,7 @@ from levybarrier.oracle import (
     black_scholes_price,
 )
 from levybarrier.cases import TABLE_PRICES, double_barrier, down_and_out, european, up_and_out
-from levybarrier.pricers import REFERENCE_M, reference_price
+from levybarrier.pricers import reference_price
 
 
 def full_lattice_density(model, dt, h, n):
@@ -173,8 +178,8 @@ def test_mc_stderr_scaling(kou):
 def test_mc_agrees_with_transform_pricer(all_models, model_name, N):
     model = all_models[model_name]
     c = double_barrier(N)
-    filt = FilterSpec.exponential() if model_name == "vg" else None
-    ref = price_fl(c, model, default_grid(c, model, 2**14), filt).price
+    method = "fl-f" if model_name == "vg" else "fl"
+    ref = price(c, model, method, default_grid(c, model, 2**14)).price
     val, se = mc_price(c, model, OracleConfig(mc_paths=200_000, mc_seed=902))
     assert abs(val - ref) < 3.5 * se
 
@@ -187,6 +192,17 @@ def test_mc_gaussian_black_scholes(gaussian):
 
 def test_quad_matches_transform_single_barrier(kou):
     c = down_and_out(52)
-    ref = reference_price(c, kou, default_grid(c, kou, REFERENCE_M))
+    ref = reference_price(c, kou)
     val = quad_price(c, kou, OracleConfig(quad_points=2**15))
     assert val == pytest.approx(ref, abs=5e-7)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # the gaussian baseline's normal CDF comes from math.erfc; scipy.stats
+    # alone costs most of the package's import time
+    code = "import sys, levybarrier; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(levybarrier.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
