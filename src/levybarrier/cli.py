@@ -79,7 +79,7 @@ _SECTION_KEYS = {
     "contract": ("S0", "K", "U", "L", "r", "q", "T", "N", "type", "alpha"),
     "filter": ("kind", "p", "theta", "eps"),
     "grid": ("M", "x_max"),
-    "zt": ("gamma", "ne", "me", "accelerated"),
+    "zt": ("gamma", "ne", "me"),
     "fixpoint": ("tol", "max_iter"),
     "oracle": ("quad_points", "mc_paths", "mc_seed"),
     "output": ("csv", "cache"),
@@ -118,7 +118,7 @@ class RunConfig:
     m_list: list[int]
     filt: FilterSpec = FilterSpec.none()
     x_max: float | None = None
-    zcfg: ZInversionConfig = ZInversionConfig(n=1)
+    zcfg: ZInversionConfig = ZInversionConfig()
     fixpoint: FixedPointSettings = FixedPointSettings()
     oracle: OracleConfig = OracleConfig()
     csv_path: str | None = None
@@ -154,15 +154,6 @@ def _as_int(raw: dict[str, str], key: str, default: int | None = None) -> int:
         return int(raw[key])
     except ValueError as exc:
         raise ConfigError(f"{key}: not an integer: {raw[key]!r}") from exc
-
-
-def _as_bool(raw: dict[str, str], key: str) -> bool:
-    value = raw[key].lower()
-    if value in ("true", "yes", "1", "on"):
-        return True
-    if value in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"{key}: not a boolean: {raw[key]!r}")
 
 
 def _given(raw: dict[str, str], section: str, **parsers) -> dict:
@@ -238,24 +229,15 @@ def _parse_m_list(value: str) -> list[int]:
     return ms
 
 
-def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -> RunConfig:
+def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> RunConfig:
+    """Parse the config file; ``overrides`` maps config keys to values
+    that replace the file's."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     raw = _parse_lines(text)
-
-    if overrides is not None:
-        if getattr(overrides, "method", None):
-            raw["method"] = overrides.method
-        if getattr(overrides, "filter", None):
-            raw["filter.kind"] = overrides.filter
-        if getattr(overrides, "M", None):
-            raw["grid.M"] = overrides.M
-        if getattr(overrides, "out", None):
-            raw["output.csv"] = overrides.out
-        if getattr(overrides, "seed", None) is not None:
-            raw["oracle.mc_seed"] = str(overrides.seed)
+    raw.update(overrides or {})
 
     model = _build_model(raw)
     contract = _build_contract(raw)
@@ -280,10 +262,7 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
             f"grid.x_max: {x_max} does not cover the log-strike |log(K/S0)| = "
             f"{abs(contract.log_strike):.6g}"
         )
-    # the target index is set per contract by the z-domain pricers
-    zcfg = ZInversionConfig(
-        n=1, **_given(raw, "zt", gamma=_as_float, ne=_as_int, me=_as_int, accelerated=_as_bool)
-    )
+    zcfg = ZInversionConfig(**_given(raw, "zt", gamma=_as_float, ne=_as_int, me=_as_int))
     fixpoint_args = _given(raw, "fixpoint", tol=_as_float, max_iter=_as_int)
     try:
         fixpoint = FixedPointSettings(**fixpoint_args)
@@ -390,9 +369,16 @@ def _run_one(cfg: RunConfig, method: Method, M: int) -> PricingResult:
     return run_pricer(cfg.contract, cfg.model, method, grid, filt, cfg.zcfg, cfg.fixpoint)
 
 
+def _single(key: str, values: list, command: str):
+    """The one value of a list the command cannot sweep."""
+    if len(values) != 1:
+        raise ConfigError(f"{key}: {command} takes one value, got {len(values)}")
+    return values[0]
+
+
 def cmd_price(cfg: RunConfig) -> int:
-    method = cfg.methods[0]
-    result = _run_one(cfg, method, cfg.m_list[-1])
+    method = _single("method", cfg.methods, "price")
+    result = _run_one(cfg, method, _single("grid.M", cfg.m_list, "price"))
     print(f"method = {result.method.value}")
     print(f"filter = {result.filter.label()}")
     print(f"M = {result.grid_m}")
@@ -547,7 +533,8 @@ def cmd_oracle(cfg: RunConfig, with_mc: bool) -> int:
 
 
 def cmd_filters_dump(cfg: RunConfig) -> int:
-    grid = default_grid(cfg.contract, cfg.model, cfg.m_list[-1], cfg.x_max)
+    M = _single("grid.M", cfg.m_list, "filters-dump")
+    grid = default_grid(cfg.contract, cfg.model, M, cfg.x_max)
     spec = cfg.filt if cfg.filt.active else FilterSpec.exponential()
     sigma = filter_profile(spec, grid)
     psi = cfg.model.char_function(grid.xi, cfg.contract.dt)
@@ -591,19 +578,32 @@ def _write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
 # ---------------------------------------------------------------------------
 
 
+# flag -> the config key it overrides, and the flags each config subcommand reads
+_FLAG_KEYS = {
+    "--method": "method",
+    "--filter": "filter.kind",
+    "--M": "grid.M",
+    "--out": "output.csv",
+    "--seed": "oracle.mc_seed",
+}
+_COMMAND_FLAGS = {
+    "price": ("--method", "--filter", "--M", "--out"),
+    "converge": ("--method", "--filter", "--M", "--out"),
+    "oracle": ("--seed",),
+    "filters-dump": ("--filter", "--M", "--out"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="levybarrier", description="barrier-option pricing benchmarks"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("price", "converge", "oracle", "filters-dump"):
+    for name, flags in _COMMAND_FLAGS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        p.add_argument("--method")
-        p.add_argument("--filter")
-        p.add_argument("--M", dest="M")
-        p.add_argument("--out")
-        p.add_argument("--seed", type=int)
+        for flag in flags:
+            p.add_argument(flag, dest=_FLAG_KEYS[flag])
         if name == "oracle":
             p.add_argument("--mc", action="store_true")
     g = sub.add_parser("gibbs-demo")
@@ -634,7 +634,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "gibbs-demo":
             _check_output_dirs(args.out)
             return cmd_gibbs(_parse_m_list(args.M), args.out)
-        cfg = load_config(args.config, overrides=args)
+        flags = {k: v for k, v in vars(args).items() if k in _KNOWN_KEYS and v is not None}
+        cfg = load_config(args.config, flags)
         _check_output_dirs(*(getattr(cfg, name) for name in _OUTPUTS[args.command]))
         if args.command == "price":
             return cmd_price(cfg)

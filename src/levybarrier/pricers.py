@@ -15,7 +15,8 @@ filter; it resolves the filter, times the call and returns the
   Up-and-out contracts are not supported.  Two monitoring dates are
   withheld from the z-index and restored as explicit Psi factors, which
   smooths both ends of the scheme, so the inversion targets index N - 2.
-  Cost is independent of N once the Euler-accelerated contour is in use.
+  Cost is independent of N once the contour inversion uses Euler
+  acceleration.
 
 * ``_price_fl`` walks the value-function transform backwards date by
   date, applying the barrier window between propagation steps; cost is
@@ -46,7 +47,7 @@ import enum
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -243,8 +244,8 @@ def _price_fgm(
     model: LevyModel,
     grid: GridSpec,
     filt: FilterSpec,
-    zcfg: ZInversionConfig | None,
-    fp: FixedPointSettings | None,
+    zcfg: ZInversionConfig,
+    fp: FixedPointSettings,
 ) -> tuple[float, dict]:
     """Down-and-out or double-barrier price in the z-domain.
 
@@ -255,14 +256,12 @@ def _price_fgm(
     factorisation input is tapered for a single barrier, and for a band
     only when the characteristic function decays polynomially.
     Requires a lower barrier and N >= 3."""
-    fp = fp or FixedPointSettings()
     if not contract.has_lower:
         raise ValueError("z-domain pricer requires a lower barrier; use fl for up-and-out")
     if contract.N < 3:
         raise ValueError("z-domain pricers require N >= 3")
     kernel = hilbert_kernel(grid)
     n = contract.N - 2
-    cfg = ZInversionConfig(n=n) if zcfg is None else replace(zcfg, n=n)
     sigma = filter_profile(filt, grid) if filt.active else None
     band = contract.has_upper
     filter_fact = band and filt.active and model.polynomial_decay
@@ -275,13 +274,13 @@ def _price_fgm(
         solve = _band_solver(psi, pay_psi, phases, sigma, filter_fact, fp)
     else:
         solve = _down_out_solver(psi, pay_psi, phases, sigma)
-    pts = contour_points(cfg).points
+    pts = contour_points(n, zcfg).points
     vals = np.empty(len(pts), dtype=complex)
     iters = np.empty(len(pts))
     for idx, q in enumerate(pts):
         f, iters[idx] = solve(q)
         vals[idx] = inverse_at_zero(f, grid)
-    price_val = math.exp(-contract.r * contract.T) * invert(vals, cfg)
+    price_val = math.exp(-contract.r * contract.T) * invert(vals, n, zcfg)
     return price_val, {
         "avg_iterations": float(np.mean(iters)) if band else None,
         "max_iter_hit": band and bool(np.max(iters) >= fp.max_iter),
@@ -337,17 +336,16 @@ def price(
     method: Method,
     grid: GridSpec,
     filt: FilterSpec | None = None,
-    zcfg: ZInversionConfig | None = None,
-    fp: FixedPointSettings | None = None,
+    zcfg: ZInversionConfig = ZInversionConfig(),
+    fp: FixedPointSettings = FixedPointSettings(),
 ) -> PricingResult:
     """Price the contract by one method on the given grid.
 
     Filtered methods fall back to the default exponential taper when no
     filter is supplied; an explicitly inactive filter is rejected, and
-    so is an active one for an unfiltered method.  ``zcfg`` (whose
-    target index is set from the contract) and ``fp`` configure the
-    z-domain methods only.  ``cpu_seconds`` includes the method's
-    per-call set-up (Hilbert kernel lookup, taper)."""
+    so is an active one for an unfiltered method.  ``zcfg`` and ``fp``
+    configure the z-domain methods only.  ``cpu_seconds`` includes the
+    method's per-call set-up (Hilbert kernel lookup, taper)."""
     method = Method(method)
     if filt is None:
         filt = FilterSpec.exponential() if method.filtered else FilterSpec.none()

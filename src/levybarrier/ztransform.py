@@ -8,11 +8,12 @@ coefficient is recovered by the alternating trapezoid sum
                + (-1)^n f~(-rho)] / (2 n rho^n),
 
 whose aliasing error is of order 10^(-2 gamma) on the coefficient scale.
-The Euler-accelerated variant replaces the full sum by the binomial
-average of the partial sums b_{nE} .. b_{nE+mE}, requiring only
-nE + mE + 1 contour evaluations regardless of n.  ``ZInversionConfig``
-selects the method: Euler when ``accelerated`` is set and it needs
-fewer evaluations than the exact sum (``use_euler``).
+Euler acceleration replaces the full sum by the binomial average of the
+partial sums b_{nE} .. b_{nE+mE}, requiring only nE + mE + 1 contour
+evaluations regardless of n.  ``ZInversionConfig`` holds gamma and the
+Euler window; the target index n is an argument of every function, and
+``invert`` uses Euler whenever it needs fewer evaluations than the exact
+sum (``use_euler``).
 
 In double precision the rho^-n = 10^gamma amplification of rounding
 noise caps the absolute accuracy at about eps * 10^gamma * max|f~(q)|
@@ -43,25 +44,23 @@ DEFAULT_ME = 20
 
 @dataclass(frozen=True)
 class ZInversionConfig:
-    """Contour/accuracy settings for one target coefficient index n."""
+    """Contour radius exponent gamma and Euler window (n_e, m_e)."""
 
-    n: int
     gamma: float = DEFAULT_GAMMA
     n_e: int = DEFAULT_NE
     m_e: int = DEFAULT_ME
-    accelerated: bool = True
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"target index must be >= 1, got {self.n}")
         if not (0 < self.gamma <= 12):
             raise ValueError(f"gamma must lie in (0, 12], got {self.gamma}")
         if self.n_e < 1 or self.m_e < 1:
             raise ValueError("Euler parameters n_e and m_e must be >= 1")
 
-    @property
-    def rho(self) -> float:
-        return 10.0 ** (-self.gamma / self.n)
+    def rho(self, n: int) -> float:
+        """Contour radius for target index n."""
+        if n < 1:
+            raise ValueError(f"target index must be >= 1, got {n}")
+        return 10.0 ** (-self.gamma / n)
 
 
 @dataclass(frozen=True)
@@ -69,30 +68,29 @@ class ContourPoints:
     points: np.ndarray  # q_j = rho e^{i pi j / n}, j = 0 .. J
 
 
-def use_euler(cfg: ZInversionConfig) -> bool:
+def use_euler(n: int, cfg: ZInversionConfig) -> bool:
     """Acceleration pays only when it needs fewer evaluations than the
     exact sum; with few monitoring dates fall back to the exact formula."""
-    return cfg.accelerated and cfg.n >= 2 and cfg.n > cfg.n_e + cfg.m_e
+    return n > cfg.n_e + cfg.m_e
 
 
-def contour_points(cfg: ZInversionConfig) -> ContourPoints:
-    J = cfg.n_e + cfg.m_e if use_euler(cfg) else cfg.n
+def contour_points(n: int, cfg: ZInversionConfig) -> ContourPoints:
+    J = cfg.n_e + cfg.m_e if use_euler(n, cfg) else n
     j = np.arange(J + 1)
-    return ContourPoints(cfg.rho * np.exp(1j * np.pi * j / cfg.n))
+    return ContourPoints(cfg.rho(n) * np.exp(1j * np.pi * j / n))
 
 
-def invert_exact(values, cfg: ZInversionConfig) -> float:
+def invert_exact(values, n: int, cfg: ZInversionConfig) -> float:
     """Full alternating sum over j = 0 .. n (endpoints rho and -rho)."""
     v = np.asarray(values, dtype=complex)
-    if len(v) != cfg.n + 1:
-        raise ValueError(f"expected {cfg.n + 1} contour values, got {len(v)}")
-    n = cfg.n
+    if len(v) != n + 1:
+        raise ValueError(f"expected {n + 1} contour values, got {len(v)}")
     re = v.real
     s = re[0] + (-1.0) ** n * re[n]
     if n > 1:
         signs = (-1.0) ** np.arange(1, n)
         s += 2.0 * np.sum(signs * re[1:n])
-    return float(s / (2.0 * n * cfg.rho**n))
+    return float(s / (2.0 * n * cfg.rho(n) ** n))
 
 
 def _binomials(m: int) -> np.ndarray:
@@ -104,9 +102,9 @@ def _binomials(m: int) -> np.ndarray:
     return c
 
 
-def invert_euler(values, cfg: ZInversionConfig) -> float:
+def invert_euler(values, n: int, cfg: ZInversionConfig) -> float:
     """Binomial average of the partial sums b_{nE} .. b_{nE+mE}."""
-    if cfg.n < 2:
+    if n < 2:
         raise ValueError("Euler acceleration requires n >= 2")
     v = np.asarray(values, dtype=complex)
     J = cfg.n_e + cfg.m_e
@@ -119,8 +117,8 @@ def invert_euler(values, cfg: ZInversionConfig) -> float:
     b = np.cumsum(terms)  # b_k = f~(rho)/2 + sum_{j<=k} (-1)^j Re f~(q_j)
     w = _binomials(cfg.m_e)
     avg = float(np.dot(w, b[cfg.n_e : cfg.n_e + cfg.m_e + 1]))
-    return avg / (2.0**cfg.m_e * cfg.n * cfg.rho**cfg.n)
+    return avg / (2.0**cfg.m_e * n * cfg.rho(n) ** n)
 
 
-def invert(values, cfg: ZInversionConfig) -> float:
-    return invert_euler(values, cfg) if use_euler(cfg) else invert_exact(values, cfg)
+def invert(values, n: int, cfg: ZInversionConfig) -> float:
+    return invert_euler(values, n, cfg) if use_euler(n, cfg) else invert_exact(values, n, cfg)

@@ -122,14 +122,14 @@ def test_criterion_4_vg_single_barrier_improvement(vg, vg_single_reference):
 
 
 def test_criterion_5_z_inversion_accuracy():
-    cfg = ZInversionConfig(n=252)
-    vals = 1.0 / (1.0 - 0.5 * contour_points(cfg).points)
-    err = abs(invert_euler(vals, cfg) - 0.5**252)
+    cfg = ZInversionConfig()
+    vals = 1.0 / (1.0 - 0.5 * contour_points(252, cfg).points)
+    err = abs(invert_euler(vals, 252, cfg) - 0.5**252)
     floor = {}
     for gamma in (3.0, 6.0, 9.0):
-        cg = ZInversionConfig(n=252, gamma=gamma)
-        v = 1.0 / (1.0 - contour_points(cg).points)
-        floor[gamma] = abs(invert_euler(v, cg) - 1.0)
+        cg = ZInversionConfig(gamma=gamma)
+        v = 1.0 / (1.0 - contour_points(252, cg).points)
+        floor[gamma] = abs(invert_euler(v, 252, cg) - 1.0)
     plateau = floor[6.0] < 1e-9 and floor[6.0] < floor[3.0] and floor[6.0] < floor[9.0]
     ok = err < 1e-8 and plateau
     assert report(
@@ -165,8 +165,7 @@ def test_criterion_6_hilbert_oracle_equivalence():
 def test_criterion_7_projection_and_factorisation_identities(all_models):
     g = _build(2**12, 1.5)
     kern = hilbert_kernel(g)
-    cfg = ZInversionConfig(n=50)
-    qs = cfg.rho * np.exp(1j * np.pi * np.array([0, 12, 25, 38, 50]) / 50)
+    qs = ZInversionConfig().rho(50) * np.exp(1j * np.pi * np.array([0, 12, 25, 38, 50]) / 50)
     worst_sum = 0.0
     worst_prod = 0.0
 

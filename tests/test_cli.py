@@ -89,15 +89,19 @@ def test_pricer_rejection_is_config_error(tmp_path, capsys, key, value):
     assert len(err.splitlines()) == 1
 
 
-# grid.width is no longer a key (grid.x_max is the one knob for the grid
-# range), so it is rejected as unknown, by name, before its value is read
+# grid.width and zt.accelerated are no longer keys (grid.x_max is the one
+# knob for the grid range; the inversion picks Euler from the target index),
+# so they are rejected as unknown, by name, before their value is read
 @pytest.mark.parametrize(
     "key, message",
     [
         pytest.param(key, f"{key}: not a number: 'abc'", id=key)
         for key in ("contract.U", "contract.L", "grid.x_max")
     ]
-    + [pytest.param("grid.width", "line {line}: unknown key 'grid.width'", id="grid.width")],
+    + [
+        pytest.param(key, f"line {{line}}: unknown key '{key}'", id=key)
+        for key in ("grid.width", "zt.accelerated")
+    ],
 )
 def test_malformed_number_names_its_key(tmp_path, capsys, key, message):
     text = KOU_DOUBLE_CFG.read_text()
@@ -171,6 +175,76 @@ def test_flag_overrides(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "method = fl" in out
     assert "M = 256" in out
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("oracle", "--out", "x.csv"),
+        ("oracle", "--M", "64"),
+        ("oracle", "--filter", "planck"),
+        ("oracle", "--method", "fl"),
+        ("price", "--seed", "3"),
+        ("converge", "--seed", "3"),
+        ("filters-dump", "--method", "fl"),
+        ("filters-dump", "--seed", "3"),
+    ],
+)
+def test_flag_a_subcommand_does_not_read_is_rejected(tmp_path, command, flag, value):
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, flag, value])
+    assert exc.value.code == 2
+
+
+def test_seed_flag_reaches_the_oracle(tmp_path, monkeypatch):
+    seen = []
+
+    def record(cfg, with_mc):
+        seen.append(cfg.oracle)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_oracle", record)
+    assert main(["oracle", "--config", write_config(tmp_path, BASE_CONFIG), "--seed", "7"]) == 0
+    assert seen == [OracleConfig(mc_seed=7)]
+
+
+def _refuse_pricing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("priced before the run was checked")
+
+    for name in ("run_pricer", "reference_price", "quad_price", "default_grid"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("price", "method", "fgm-f, fl"),
+        ("price", "grid.M", "256, 1024"),
+        ("filters-dump", "grid.M", "256, 1024"),
+    ],
+)
+def test_single_valued_command_rejects_a_list(tmp_path, capsys, monkeypatch, command, key, value):
+    text, count = re.subn(rf"^{re.escape(key)} = .*$", f"{key} = {value}", BASE_CONFIG, flags=re.M)
+    assert count == 1
+    _refuse_pricing(monkeypatch)
+    assert main([command, "--config", write_config(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {key}: {command} takes one value, got 2\n"
+
+
+SHIPPED_CONFIGS = sorted(KOU_DOUBLE_CFG.parent.glob("*.cfg"))
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=[p.name for p in SHIPPED_CONFIGS])
+def test_shipped_config_prices(tmp_path, monkeypatch, capsys, path):
+    # the configs name a relative cache file; run where it cannot touch the repo
+    monkeypatch.chdir(tmp_path)
+    load_config(path)
+    assert main(["price", "--config", str(path)]) == 0
+    assert "price = " in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_oracle_writes_cache_and_price_reports_error(tmp_path, capsys):
@@ -266,11 +340,7 @@ def test_missing_output_directory_fails_before_pricing(tmp_path, capsys, monkeyp
     assert main(["price", "--config", cache_cfg]) == 0
     capsys.readouterr()
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("priced before the output paths were checked")
-
-    for name in ("run_pricer", "reference_price", "quad_price"):
-        monkeypatch.setattr(cli, name, refuse)
+    _refuse_pricing(monkeypatch)
     out_csv = missing / "c.csv"
     cfg = write_config(tmp_path, BASE_CONFIG)
     assert main(["converge", "--config", cfg, "--M", "256,512", "--out", str(out_csv)]) == 2
@@ -324,7 +394,7 @@ def test_load_config_round_trip(tmp_path):
 def test_minimal_config_takes_library_defaults(tmp_path):
     # BASE_CONFIG sets no zt, fixpoint, oracle or filter-parameter key
     cfg = load_config(write_config(tmp_path, BASE_CONFIG))
-    assert cfg.zcfg == ZInversionConfig(n=1)
+    assert cfg.zcfg == ZInversionConfig()
     assert cfg.fixpoint == FixedPointSettings()
     assert cfg.oracle == OracleConfig()
     assert cfg.filt == FilterSpec.exponential()
@@ -333,11 +403,11 @@ def test_minimal_config_takes_library_defaults(tmp_path):
 
 def test_settings_keys_reach_the_library(tmp_path, capsys):
     text = BASE_CONFIG + (
-        "zt.ne = 16\nzt.me = 24\nzt.accelerated = false\n"
+        "zt.gamma = 7.5\nzt.ne = 16\nzt.me = 24\n"
         "fixpoint.max_iter = 7\nfilter.p = 8\noracle.mc_seed = 5\n"
     )
     cfg = load_config(write_config(tmp_path, text))
-    assert cfg.zcfg == ZInversionConfig(n=1, n_e=16, m_e=24, accelerated=False)
+    assert cfg.zcfg == ZInversionConfig(gamma=7.5, n_e=16, m_e=24)
     assert cfg.fixpoint == FixedPointSettings(max_iter=7)
     assert cfg.filt == FilterSpec.exponential(p=8)
     assert cfg.oracle == OracleConfig(mc_seed=5)

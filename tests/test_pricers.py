@@ -147,7 +147,7 @@ def test_euler_parameters_sit_on_stability_plateau(kou):
     g = default_grid(c, kou, 1024)
     prices = {}
     for dn, dm in ((0, 0), (-4, 0), (4, 0), (0, -4), (0, 4), (-4, -4), (4, 4)):
-        zcfg = ZInversionConfig(n=1, n_e=12 + dn, m_e=20 + dm)
+        zcfg = ZInversionConfig(n_e=12 + dn, m_e=20 + dm)
         prices[(dn, dm)] = price(c, kou, "fgm-f", g, EXP, zcfg=zcfg).price
     base = prices[(0, 0)]
     assert max(abs(v - base) for v in prices.values()) < 1e-9
