@@ -7,7 +7,10 @@ Both files are ``bench/out/<workload>-seed<n>.prices.tsv`` tables (columns
 id, label, status, price_hex, price) written by ``bench/run.py`` from the
 same workload and seed, e.g. one on each of two commits.  Prints the
 number of calls whose price or status differ, the largest absolute price
-difference and every status change.  Exit status: 0 when every price
+difference and every status change, then the same count and difference
+per method, the first component of the call label (``fgm``, ``fgm-f``,
+``fl``, ``fl-f``, ``quad``), so one run checks a bit-identical gate on one
+method and a tolerance on another.  Exit status: 0 when every price
 agrees within 1e-12 (absolute), 1 when one does not (a call that priced
 on one side only counts as a difference), 2 when the two files do not
 list the same calls.
@@ -55,6 +58,14 @@ def compare(old, new):
     return differing, max_delta, one_sided, status_changes
 
 
+def by_method(calls):
+    """method (first label component) -> the calls of that method"""
+    groups = {}
+    for key, row in calls.items():
+        groups.setdefault(row[0].split("/")[0], {})[key] = row
+    return groups
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old")
@@ -70,6 +81,9 @@ def main(argv=None):
         print(f"{one_sided} calls priced on one side only")
     for label, status_old, status_new in status_changes:
         print(f"status {label}: {status_old} -> {status_new}")
+    for method, calls in sorted(by_method(old).items()):
+        n_diff, delta = compare(calls, new)[:2]
+        print(f"  {method}: {len(calls)} calls, {n_diff} differ, max |delta| {delta:.3e}")
     return 1 if max_delta > TOL or one_sided else 0
 
 

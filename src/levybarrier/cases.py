@@ -13,7 +13,7 @@ from .levy import LevyModel
 from .payoff import OptionContract
 
 __all__ = [
-    "MODELS", "european", "double_barrier", "down_and_out", "up_and_out",
+    "MODELS", "european", "double_barrier", "down_and_out", "up_and_out", "SHAPES",
     "TABLE_PRICES", "NIG_252_CONVERGED", "CONVERGENCE_CASES",
 ]
 
@@ -44,6 +44,10 @@ def down_and_out(N: int, **kw) -> OptionContract:
 
 def up_and_out(N: int, **kw) -> OptionContract:
     return european(N, **{"U": 1.2, **kw})
+
+
+# barrier geometry name -> contract builder
+SHAPES = {"double": double_barrier, "down": down_and_out, "up": up_and_out}
 
 
 # published double-barrier prices: model -> monitoring dates N -> price

@@ -25,10 +25,13 @@ filter; it resolves the filter, times the call and returns the
 Everything that does not change within a pricing call is computed once
 per call: the grid's Hilbert kernel (cached per grid), Psi, the
 conjugated payoff, the taper and the barrier data of ``barrier_phases``.
-``_price_fl`` folds the barrier phases into one projection kernel (above,
-below or window), so each monitoring date costs one single-row FFT
-pair; ``_price_fgm`` uses the phase vectors e^{-+i b xi} themselves and
-forms its q-invariant products (phase-shifted Psi, payoff * Psi,
+``_price_fl`` first cuts Psi, its step and the payoff to the live band,
+the central frequencies where |Psi| is not negligible, and builds the
+kernel and the barrier data on that narrower grid; it folds the barrier
+phases into one projection kernel (above, below or window), so each
+monitoring date costs one single-row FFT pair on the live band;
+``_price_fgm`` uses the phase vectors e^{-+i b xi} themselves and forms
+its q-invariant products (phase-shifted Psi, payoff * Psi,
 sigma * Psi, e^{i(u-l) xi}) once, shared by all contour points.  Only
 q-dependent work runs per contour point or per monitoring date.
 
@@ -293,6 +296,28 @@ def _price_fgm(
 # ---------------------------------------------------------------------------
 
 
+# share of the peak of |Psi|, times 1 / (N M), below which a frequency
+# carries nothing the backward induction can resolve
+LIVE_BAND_TOL = 1e-14
+MIN_LIVE_BAND = 16
+
+
+def _live_band(psi_abs: np.ndarray, N: int) -> int:
+    """Smallest power-of-two central width m >= MIN_LIVE_BAND of the
+    M samples of |Psi| outside which every sample is at most
+    tau max|Psi|, tau = LIVE_BAND_TOL / (N M); M itself when no such
+    width is narrower or the peak is infinite.  A NaN sample counts as
+    live, so a non-finite Psi prices on the whole grid as before."""
+    M = len(psi_abs)
+    tau = LIVE_BAND_TOL / (N * M)
+    live = np.flatnonzero(~(psi_abs <= tau * psi_abs.max()))
+    if live.size == 0:
+        return M
+    half = max(M // 2 - live[0], live[-1] - M // 2 + 1)
+    m = max(MIN_LIVE_BAND, 1 << (2 * int(half) - 1).bit_length())
+    return min(m, M)
+
+
 def _price_fl(
     contract: OptionContract, model: LevyModel, grid: GridSpec, filt: FilterSpec
 ) -> tuple[float, dict]:
@@ -305,11 +330,36 @@ def _price_fl(
     transform itself; the matching propagator is conj(Psi(xi + i alpha)).
     The asymmetric-model European limit fixes this orientation uniquely,
     and a negative alpha keeps the carrier integrable when the upper
-    barrier is infinite."""
-    kernel = hilbert_kernel(grid)
+    barrier is infinite.
+
+    The induction runs on the live band only: Psi, the (filtered) step
+    and the payoff transform are sampled on the requested grid, then cut
+    to the central ``_live_band`` width m, and the dates run on the grid
+    of m points with the same x_max.  dxi = pi / x_max does not depend
+    on M, so that grid's xi is the central slice of the full lattice and
+    its projection kernels are the central Toeplitz blocks of the full
+    ones; only the dropped samples and the FFT rounding at length m
+    differ.  The dropped mass is estimated, not bounded: at the first
+    date every dropped sample of step * vhat is at most
+    tau max|Psi| |vhat|_inf with tau = 1e-14 / (N M), so over N dates and
+    fewer than M samples the estimate is 1e-14 max|Psi| |vhat|_inf, about
+    1e-14 to 1e-13 absolute (max|Psi| about 1, |vhat|_inf at most about
+    10 for an open down-and-out call).  At later dates the dropped
+    samples come from the projected value-function transform, whose sup
+    norm the payoff's does not bound, and the truncated projection
+    spreads mass across the band edge; ``test_live_band_changes_no_price``
+    checks the estimate at 1e-13 against the full band.  A slowly
+    decaying Psi (vg) keeps every sample and prices exactly as on the
+    full grid."""
     vhat = damped_payoff_fourier(contract, grid)
     psi = np.conj(model.char_function(grid.xi + 1j * contract.alpha, contract.dt))
     step = psi if not filt.active else filter_profile(filt, grid) * psi
+    m = _live_band(np.abs(psi), contract.N)
+    if m < grid.M:
+        live = slice((grid.M - m) // 2, (grid.M + m) // 2)
+        vhat, psi, step = vhat[live], psi[live], step[live]
+        grid = build_grid(m, grid.x_max)
+    kernel = hilbert_kernel(grid)
     l, u = contract.clipped_barriers(grid.x_max)
     phases = barrier_phases(
         kernel, l if contract.has_lower else None, u if contract.has_upper else None
@@ -371,6 +421,9 @@ def reference_price(
 ) -> float:
     """Backward-induction reference on the default grid of REFERENCE_M
     points (half-range ``x_max`` when given): unfiltered for
-    exponentially decaying characteristic functions, filtered otherwise."""
+    exponentially decaying characteristic functions, filtered otherwise.
+    The induction runs on the live band of Psi only (``_price_fl``), so
+    exponentially decaying models pay for the band they need, not for
+    REFERENCE_M; polynomially decaying ones keep the whole grid."""
     method = Method.FL_F if model.polynomial_decay else Method.FL
     return price(contract, model, method, default_grid(contract, model, REFERENCE_M, x_max)).price

@@ -43,6 +43,26 @@ def test_tolerance_and_status_change(tmp_path, capsys, delta, code):
     assert "status fgm/b: ok -> fixed point hit max_iter" in out
 
 
+def test_counts_per_method(tmp_path, capsys):
+    rows = [("fgm/a", "ok", 0.5), ("fl/a", "ok", 0.25), ("fl/b", "ok", 0.75)]
+    old = _table(tmp_path, "old", rows)
+    rows[1] = ("fl/a", "ok", 0.25 + 2**-50)
+    new = _table(tmp_path, "new", rows)
+    assert _script().main([old, new]) == 0
+    out = capsys.readouterr().out
+    assert "  fgm: 1 calls, 0 differ, max |delta| 0.000e+00" in out
+    assert "  fl: 2 calls, 1 differ, max |delta| 8.882e-16" in out
+
+
+def test_method_sorting_first_over_tolerance_fails(tmp_path, capsys):
+    old = _table(tmp_path, "old", [("fgm/b", "ok", 0.5), ("fl/a", "ok", 0.25)])
+    new = _table(tmp_path, "new", [("fgm/b", "ok", 0.5 + 5e-12), ("fl/a", "ok", 0.25)])
+    assert _script().main([old, new]) == 1
+    out = capsys.readouterr().out
+    assert "2 calls, 1 differ" in out
+    assert "  fl: 1 calls, 0 differ, max |delta| 0.000e+00" in out
+
+
 def test_call_failing_on_one_side_fails(tmp_path):
     old = _table(tmp_path, "old", [("fl/a", "ok", 0.25)])
     new = _table(tmp_path, "new", [("fl/a", "ValueError: x", "ValueError: x")])

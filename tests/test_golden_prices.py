@@ -2,7 +2,10 @@
 hoisting and the stacked window FFT; a change to the numerics of the
 pricers shows up here, not only in a benchmark diff.  The fl-f entries
 were recorded before ``price()`` took over the filter defaulting and
-the result assembly of the two method functions.
+the result assembly of the two method functions.  The reference
+entries were recorded before backward induction ran on the live band
+of Psi only, the first pins on a grid where that band is narrower than
+the requested one.
 
 Unfiltered fgm on vg prices outside [0, S0] (the known truncation
 failure the filters exist to fix); those values are pinned as they are.
@@ -11,10 +14,10 @@ failure the filters exist to fix); those values are pinned as they are.
 import pytest
 
 from levybarrier import default_grid, price
-from levybarrier.cases import double_barrier, down_and_out, up_and_out
+from levybarrier.cases import SHAPES
+from levybarrier.pricers import reference_price
 
 TOL = 1e-12
-SHAPES = {"double": double_barrier, "down": down_and_out, "up": up_and_out}
 
 # (model, method, contract shape) -> price at N = 52, M = 1024
 GOLDEN = {
@@ -48,3 +51,19 @@ def test_golden_price(case, all_models):
     contract = SHAPES[shape](52)
     grid = default_grid(contract, model, 1024)
     assert price(contract, model, method, grid).price == pytest.approx(GOLDEN[case], abs=TOL)
+
+
+# (model, contract shape) -> reference_price at N = 52 (fl, M = 2^16)
+REFERENCE_GOLDEN = {
+    ("kou", "double"): 0.005184036348995574,
+    ("kou", "down"): 0.04321098452842206,
+    ("nig", "double"): 0.0035955945959685815,
+    ("nig", "down"): 0.047759015237297885,
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_GOLDEN), ids="/".join)
+def test_golden_reference_price(case, all_models):
+    model_name, shape = case
+    ref = reference_price(SHAPES[shape](52), all_models[model_name])
+    assert ref == pytest.approx(REFERENCE_GOLDEN[case], abs=TOL)

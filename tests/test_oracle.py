@@ -18,7 +18,7 @@ from levybarrier.oracle import (
     _transition_density,
     black_scholes_price,
 )
-from levybarrier.cases import TABLE_PRICES, double_barrier, down_and_out, european, up_and_out
+from levybarrier.cases import SHAPES, TABLE_PRICES, double_barrier, down_and_out, european
 from levybarrier.pricers import reference_price
 
 
@@ -46,9 +46,7 @@ def full_lattice_price(contract, model, n):
 
 
 GEOMETRIES = {
-    "double": double_barrier,
-    "down": down_and_out,
-    "up": up_and_out,
+    **SHAPES,
     "vanilla": european,
     "spot_below_band": lambda N: double_barrier(N, L=1.05, U=1.3),
 }

@@ -15,8 +15,9 @@ from levybarrier import (
     price,
     quad_price,
 )
+from levybarrier import pricers
 from levybarrier.cases import (
-    NIG_252_CONVERGED, TABLE_PRICES, double_barrier, down_and_out, european, up_and_out,
+    NIG_252_CONVERGED, SHAPES, TABLE_PRICES, double_barrier, down_and_out, european, up_and_out,
 )
 from levybarrier.oracle import black_scholes_price
 from levybarrier.pricers import reference_price
@@ -192,3 +193,52 @@ def test_zero_tolerance_runs_every_sweep(kou):
     res = price(c, kou, "fgm-f", g, EXP, fp=FixedPointSettings(tol=0.0, max_iter=3))
     assert res.avg_iterations == 3.0
     assert res.max_iter_hit
+
+
+FL_VARIANTS = [("fl", None), ("fl-f", EXP), ("fl-f", FilterSpec.planck())]
+
+
+def _abs_psi(contract, model, grid):
+    return np.abs(model.char_function(grid.xi + 1j * contract.alpha, contract.dt))
+
+
+def _outside(samples, width):
+    """The samples outside the central ``width`` ones."""
+    M = len(samples)
+    return np.r_[samples[: (M - width) // 2], samples[(M + width) // 2 :]]
+
+
+@pytest.mark.parametrize("M", [2**12, 2**14])
+@pytest.mark.parametrize("N", [4, 52, 504])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("model_name", ["kou", "nig", "vg"])
+def test_live_band_changes_no_price(model_name, shape, N, M, all_models, monkeypatch):
+    model, contract = all_models[model_name], SHAPES[shape](N)
+    grid = default_grid(contract, model, M)
+    psi_abs = _abs_psi(contract, model, grid)
+    m = pricers._live_band(psi_abs, N)
+    # the width covers every sample above the threshold, and the next
+    # narrower one would not
+    threshold = 1e-14 / (N * M) * psi_abs.max()
+    assert np.all(_outside(psi_abs, m) <= threshold)
+    assert m & (m - 1) == 0 and m >= pricers.MIN_LIVE_BAND
+    if m > pricers.MIN_LIVE_BAND:
+        assert np.any(_outside(psi_abs, m // 2) > threshold)
+    if model_name == "vg":
+        assert m == M  # polynomial decay keeps the whole band
+    if m == M:
+        return  # the full-width path itself
+    if N * M > 52 * 2**14:
+        return  # N=504 at M=2^12 checks the same slicing in a tenth of the time
+    live = [price(contract, model, method, grid, filt) for method, filt in FL_VARIANTS]
+    monkeypatch.setattr(pricers, "_live_band", lambda psi_abs, N: len(psi_abs))
+    for res, (method, filt) in zip(live, FL_VARIANTS):
+        assert res.grid_m == M
+        full = price(contract, model, method, grid, filt).price
+        assert res.price == pytest.approx(full, abs=1e-13)
+
+
+def test_live_band_of_the_kou_reference(kou):
+    c = double_barrier(52)
+    grid = default_grid(c, kou, 2**16)
+    assert pricers._live_band(_abs_psi(c, kou, grid), 52) <= 2**11
