@@ -16,7 +16,9 @@ filter; it resolves the filter, times the call and returns the
   withheld from the z-index and restored as explicit Psi factors, which
   smooths both ends of the scheme, so the inversion targets index N - 2.
   Cost is independent of N once the contour inversion uses Euler
-  acceleration.
+  acceleration.  The contour points are independent; on grids of
+  M >= 2^12 they run on two threads (``_map_contour``) and are put back
+  in contour order, so prices are the same as from the serial loop.
 
 * ``_price_fl`` walks the value-function transform backwards date by
   date, applying the barrier window between propagation steps; cost is
@@ -48,8 +50,11 @@ from __future__ import annotations
 
 import enum
 import math
+import os
+import threading
 import time
 from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,8 +108,9 @@ class Method(str, enum.Enum):
 class PricingResult:
     """One price and how it was obtained.  ``cpu_seconds`` is wall-clock
     ``time.perf_counter`` time of the whole ``price`` call after its
-    argument checks (not process CPU time); the name is kept because CLI
-    CSV headers carry it."""
+    argument checks (not process CPU time, and a z-domain call on a
+    large grid may use two threads); the name is kept because CLI CSV
+    headers carry it."""
 
     price: float
     grid_m: int
@@ -177,7 +183,9 @@ def _down_out_solver(
     sigma: np.ndarray | None,
 ) -> Callable[[complex], tuple[np.ndarray, int]]:
     """Direct solve per contour point, lower barrier only; the q-invariant
-    products are formed once here."""
+    products are formed once here.  ``solve`` may run on several threads
+    at once, so it must only read what is built here (every phase vector
+    included) and write no shared state."""
     kernel = phases.kernel
     psi_f = psi if sigma is None else sigma * psi
     shifted = phases.down_l * psi_f  # lower barrier shifted to the origin
@@ -202,7 +210,9 @@ def _band_solver(
 ) -> Callable[[complex], tuple[np.ndarray, int]]:
     """Fixed-point solve of the coupled barrier terms per contour point,
     returning the spectrum and the number of sweeps; the q-invariant
-    products are formed once here."""
+    products are formed once here.  ``solve`` may run on several threads
+    at once, so it must only read what is built here (every phase vector
+    included) and write no shared state."""
     kernel = phases.kernel
     psi_fact = psi if not filter_factorization else sigma * psi
     xi = kernel.grid.xi
@@ -216,6 +226,7 @@ def _band_solver(
     def solve(q: complex) -> tuple[np.ndarray, int]:
         phi = 1.0 - q * psi_fact
         phi_plus, phi_minus = factorize_values(phi, kernel)
+        pay_phi = pay_psi / phi
         j_plus = zeros
         f_old: np.ndarray | None = None
         iterations = 0
@@ -230,7 +241,7 @@ def _band_solver(
                 qq = sigma * qq
             q_plus = 0.5 * (qq + 1j * kernel.apply(qq))
             j_plus = q_plus * phi_plus
-            f = pay_psi / phi * (psi - up_l * j_minus - up_u * j_plus)
+            f = pay_phi * (psi - up_l * j_minus - up_u * j_plus)
             iterations += 1
             if f_old is not None and np.max(np.abs(f - f_old)) <= fp.tol:
                 break
@@ -240,6 +251,58 @@ def _band_solver(
         return f, iterations
 
     return solve
+
+
+# Smallest grid whose contour points run on the thread pool.  pocketfft
+# (scipy.fft) and numpy's ufunc loops release the GIL, so two points
+# overlap once their 2M-point FFTs and M-element loops outweigh the GIL
+# handoffs between the ~60 numpy calls of one point.  Serial -> pooled
+# speed of fgm-f on the kou/nig/vg double barrier at N=52 and N=504,
+# median of 6 alternated calls on a noisy 2-core VM: M=2^10 0.57-0.67x,
+# 2^11 0.77-1.14x, 2^12 0.96-1.17x, 2^13 1.65-2.18x.
+PARALLEL_MIN_M = 2**12
+# Only two workers have been measured (on a 2-core machine); past that
+# the Python between the transforms holds the GIL most of the time.
+MAX_CONTOUR_WORKERS = 2
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on (its affinity mask where known)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _drop_pool() -> None:
+    """Forget the pool and its lock: a forked child inherits the pool
+    without its worker threads, so it must build its own, and a lock
+    some other thread held at the fork stays held in the child."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _map_contour(at: Callable, pts: np.ndarray, M: int) -> list:
+    """[at(q) for q in pts], on a pool of up to MAX_CONTOUR_WORKERS
+    threads (created on first use) when M >= PARALLEL_MIN_M and the
+    process may use two CPUs.  Results come back in contour order, and
+    the first failing point in that order raises, as in the serial loop."""
+    global _pool
+    cpus = _cpu_count() if M >= PARALLEL_MIN_M else 1
+    if cpus < 2:
+        return [at(q) for q in pts]
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(min(MAX_CONTOUR_WORKERS, cpus))
+        pool = _pool
+    return list(pool.map(at, pts))
 
 
 def _price_fgm(
@@ -278,11 +341,14 @@ def _price_fgm(
     else:
         solve = _down_out_solver(psi, pay_psi, phases, sigma)
     pts = contour_points(n, zcfg).points
-    vals = np.empty(len(pts), dtype=complex)
-    iters = np.empty(len(pts))
-    for idx, q in enumerate(pts):
-        f, iters[idx] = solve(q)
-        vals[idx] = inverse_at_zero(f, grid)
+
+    def at(q: complex) -> tuple[complex, int]:
+        f, sweeps = solve(q)
+        return inverse_at_zero(f, grid), sweeps
+
+    results = _map_contour(at, pts, grid.M)
+    vals = np.array([v for v, _ in results])
+    iters = np.array([k for _, k in results])
     price_val = math.exp(-contract.r * contract.T) * invert(vals, n, zcfg)
     return price_val, {
         "avg_iterations": float(np.mean(iters)) if band else None,

@@ -1,7 +1,15 @@
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import levybarrier
 
 from levybarrier import (
     FilterSpec,
@@ -21,6 +29,7 @@ from levybarrier.cases import (
 )
 from levybarrier.oracle import black_scholes_price
 from levybarrier.pricers import reference_price
+from levybarrier.wiener_hopf import BranchFailureError
 
 EXP = FilterSpec.exponential()
 
@@ -242,3 +251,132 @@ def test_live_band_of_the_kou_reference(kou):
     c = double_barrier(52)
     grid = default_grid(c, kou, 2**16)
     assert pricers._live_band(_abs_psi(c, kou, grid), 52) <= 2**11
+
+
+# -- contour points on the thread pool --------------------------------------
+
+
+def _serial_and_pooled(monkeypatch, contract, model, method, M):
+    """The same call priced with one CPU and with two, each with the names
+    of the threads its contour points ran on."""
+    factorize, names = pricers.factorize_values, set()
+
+    def spy(values, kernel):
+        names.add(threading.current_thread().name)
+        return factorize(values, kernel)
+
+    monkeypatch.setattr(pricers, "factorize_values", spy)
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(pricers, "_cpu_count", lambda: cpus)
+        names.clear()
+        res = price(contract, model, method, default_grid(contract, model, M))
+        runs.append((res, set(names)))
+    return runs
+
+
+def _assert_same_result(serial, pooled):
+    for field in ("price", "avg_iterations", "max_iter_hit", "imag_residual"):
+        assert getattr(pooled, field) == getattr(serial, field), field
+
+
+@pytest.mark.parametrize("method", ["fgm", "fgm-f"])
+@pytest.mark.parametrize("N", [4, 52, 504])
+@pytest.mark.parametrize("shape", ["double", "down"])
+@pytest.mark.parametrize("model_name", ["kou", "nig", "vg"])
+def test_pooled_contour_prices_bit_identical(model_name, shape, N, method, all_models, monkeypatch):
+    monkeypatch.setattr(pricers, "PARALLEL_MIN_M", 1024)
+    model, contract = all_models[model_name], SHAPES[shape](N)
+    (serial, on_serial), (pooled, on_pool) = _serial_and_pooled(
+        monkeypatch, contract, model, method, 1024
+    )
+    assert on_serial == {threading.main_thread().name}
+    assert threading.main_thread().name not in on_pool
+    _assert_same_result(serial, pooled)
+
+
+@pytest.mark.parametrize("model_name, shape, N, method",
+                         [("kou", "double", 52, "fgm-f"), ("nig", "down", 504, "fgm")])
+def test_pooled_contour_at_the_threshold(model_name, shape, N, method, all_models, monkeypatch):
+    model, contract = all_models[model_name], SHAPES[shape](N)
+    (serial, _), (pooled, on_pool) = _serial_and_pooled(
+        monkeypatch, contract, model, method, pricers.PARALLEL_MIN_M
+    )
+    assert threading.main_thread().name not in on_pool
+    _assert_same_result(serial, pooled)
+
+
+def test_pooled_contour_raises_the_first_failing_point(kou, monkeypatch):
+    c = double_barrier(52)
+    n, factorize = c.N - 2, pricers.factorize_values
+
+    def failing(values, kernel):
+        # values = 1 - q Psi, and Psi is real and positive at xi = 0, so the
+        # phase there is that of q_j = rho e^{i pi j / n}
+        j = round(np.angle(1.0 - values[len(values) // 2]) * n / np.pi)
+        if j in (5, 20):
+            raise BranchFailureError(f"contour point {j}")
+        return factorize(values, kernel)
+
+    monkeypatch.setattr(pricers, "factorize_values", failing)
+    monkeypatch.setattr(pricers, "PARALLEL_MIN_M", 1024)
+    for cpus in (1, 2):
+        monkeypatch.setattr(pricers, "_cpu_count", lambda: cpus)
+        with pytest.raises(BranchFailureError, match=r"^contour point 5$"):
+            price(c, kou, "fgm-f", default_grid(c, kou, 1024))
+
+
+def _price_in_child(conn, contract, model, method, grid):
+    conn.send(price(contract, model, method, grid).price)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
+)
+def test_forked_child_prices_on_its_own_pool(kou, monkeypatch):
+    monkeypatch.setattr(pricers, "_cpu_count", lambda: 2)
+    c = double_barrier(52)
+    g = default_grid(c, kou, 2**12)
+    expected = price(c, kou, "fgm-f", g).price
+    assert pricers._pool is not None  # the child inherits a pool without workers
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_price_in_child, args=(send, c, kou, "fgm-f", g))
+    child.start()
+    arrived = recv.poll(60)
+    child.join(10)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert arrived, "forked child hung on the inherited pool"
+    assert recv.recv() == expected
+    assert child.exitcode == 0
+
+
+def test_contour_pool_threads():
+    # a fresh process: no earlier test has started the pool
+    code = """
+import threading
+from levybarrier import default_grid, pricers, price
+from levybarrier.cases import MODELS, double_barrier
+c, kou = double_barrier(52), MODELS["kou"]
+counts = [threading.active_count()]
+price(c, kou, "fgm", default_grid(c, kou, 1024))
+counts.append(threading.active_count())
+cpu_count, pricers._cpu_count, pricers._pool = pricers._cpu_count, lambda: 1, None
+price(c, kou, "fgm", default_grid(c, kou, 2**12))
+counts.append(threading.active_count())
+pricers._cpu_count = cpu_count
+price(c, kou, "fgm", default_grid(c, kou, 2**12))
+counts.append(threading.active_count())
+print(*counts, cpu_count())
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(levybarrier.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    after_import, small, one_cpu, pooled, cpus = map(int, out.stdout.split())
+    assert (after_import, small, one_cpu) == (1, 1, 1)
+    assert pooled <= 1 + pricers.MAX_CONTOUR_WORKERS
+    if cpus >= 2:
+        assert pooled > 1
