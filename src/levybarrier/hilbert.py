@@ -34,14 +34,14 @@ unshifted input:
     window:  g(m) = (i/2) h(m) (e^{i l dxi m} - e^{i u dxi m})
 
 g(-m) = conj(g(m)), so the transform of g is real and comes from one
-Hermitian FFT of the lags 0 .. M.  ``barrier_phases`` holds the barriers
-of one pricing call and builds each folded kernel once, on first use, so
-a backward-induction date costs one single-row FFT pair.  The z-domain
-pricer, which shifts its own inputs, uses the phase vectors e^{-i b xi}
-and e^{+i b xi} instead; they too are built on first use.  The
-projections take and return raw length-M sample arrays on the kernel's
-grid.  Kernel and phase arrays are read-only, since one cached kernel
-serves every pricing call on its grid.
+Hermitian FFT of the lags 0 .. M.  ``BarrierProjections`` holds the
+barriers of one backward-induction call and builds each folded kernel
+once, on first use, so a date costs one single-row FFT pair.  (The
+z-domain pricer shifts its own inputs by the phase vectors e^{-+i b xi}
+and applies the plain Hilbert kernel; see ``pricers``.)  The projections
+take and return raw length-M sample arrays on the projections' grid.
+Kernel arrays are read-only, since one cached kernel serves every
+pricing call on its grid.
 """
 
 from __future__ import annotations
@@ -58,8 +58,7 @@ from .grid import GridSpec, read_only
 __all__ = [
     "HilbertKernel",
     "hilbert_kernel",
-    "BarrierPhases",
-    "barrier_phases",
+    "BarrierProjections",
     "above_values",
     "below_values",
     "window_values",
@@ -70,7 +69,7 @@ __all__ = [
 class HilbertKernel:
     """Precomputed frequency representation of a Toeplitz kernel on a
     grid: the Hilbert kernel h (``for_grid``) or a folded projection
-    kernel (``BarrierPhases``)."""
+    kernel (``BarrierProjections``)."""
 
     grid: GridSpec
     kernel_fft: np.ndarray = field(repr=False)
@@ -136,79 +135,54 @@ def _projection_kernel(grid: GridSpec, l: float | None, u: float | None) -> Hilb
 
 
 @dataclass(frozen=True, eq=False)
-class BarrierPhases:
-    """The barriers l and u (None when absent) of one pricing call on one
-    kernel's grid, with read-only data built on first use: the phase
-    vectors ``down_b`` = e^{-i b xi} and ``up_b`` = e^{+i b xi}, and the
-    folded projection kernels ``above``, ``below`` and ``window``.
-    Asking for data of an absent barrier raises ValueError."""
+class BarrierProjections:
+    """The barriers l and u (None when absent; finite, l < u when both
+    are given) of one pricing call on one grid, with the folded
+    projection kernels ``above``, ``below`` and ``window``, each
+    read-only and built on first use.  Asking for the kernel of an
+    absent barrier raises ValueError."""
 
-    kernel: HilbertKernel
-    l: float | None
-    u: float | None
+    grid: GridSpec
+    l: float | None = None
+    u: float | None = None
+
+    def __post_init__(self) -> None:
+        for b in (self.l, self.u):
+            if b is not None and not math.isfinite(b):
+                raise ValueError(f"barrier must be finite, got {b}")
+        if self.l is not None and self.u is not None and not self.l < self.u:
+            raise ValueError(f"need l < u, got l={self.l}, u={self.u}")
 
     def _given(self, b: float | None) -> float:
         if b is None:
-            raise ValueError("projection needs the phases of a barrier that was not given")
+            raise ValueError("projection needs a barrier that was not given")
         return b
-
-    def _phase(self, sign: complex, b: float | None) -> np.ndarray:
-        return read_only(np.exp(sign * self._given(b) * self.kernel.grid.xi))
-
-    @cached_property
-    def down_l(self) -> np.ndarray:
-        return self._phase(-1j, self.l)
-
-    @cached_property
-    def up_l(self) -> np.ndarray:
-        return self._phase(1j, self.l)
-
-    @cached_property
-    def down_u(self) -> np.ndarray:
-        return self._phase(-1j, self.u)
-
-    @cached_property
-    def up_u(self) -> np.ndarray:
-        return self._phase(1j, self.u)
 
     @cached_property
     def above(self) -> HilbertKernel:
-        return _projection_kernel(self.kernel.grid, self._given(self.l), None)
+        return _projection_kernel(self.grid, self._given(self.l), None)
 
     @cached_property
     def below(self) -> HilbertKernel:
-        return _projection_kernel(self.kernel.grid, None, self._given(self.u))
+        return _projection_kernel(self.grid, None, self._given(self.u))
 
     @cached_property
     def window(self) -> HilbertKernel:
-        return _projection_kernel(self.kernel.grid, self._given(self.l), self._given(self.u))
+        return _projection_kernel(self.grid, self._given(self.l), self._given(self.u))
 
 
-def barrier_phases(
-    kernel: HilbertKernel, l: float | None = None, u: float | None = None
-) -> BarrierPhases:
-    """Barrier data of a lower barrier l and/or an upper barrier u
-    (finite, l < u when both are given), one per pricing call."""
-    for b in (l, u):
-        if b is not None and not math.isfinite(b):
-            raise ValueError(f"barrier must be finite, got {b}")
-    if l is not None and u is not None and not l < u:
-        raise ValueError(f"need l < u, got l={l}, u={u}")
-    return BarrierPhases(kernel, l, u)
-
-
-def window_values(values: np.ndarray, phases: BarrierPhases) -> np.ndarray:
+def window_values(values: np.ndarray, projections: BarrierProjections) -> np.ndarray:
     """Transform of the restriction of the function to l < x < u."""
-    return phases.window.apply(values)
+    return projections.window.apply(values)
 
 
-def above_values(values: np.ndarray, phases: BarrierPhases) -> np.ndarray:
+def above_values(values: np.ndarray, projections: BarrierProjections) -> np.ndarray:
     """Transform of the restriction of the function to x > l; l = 0 is the
     plain Plemelj half (values + i H[values]) / 2."""
-    return phases.above.apply(values)
+    return projections.above.apply(values)
 
 
-def below_values(values: np.ndarray, phases: BarrierPhases) -> np.ndarray:
+def below_values(values: np.ndarray, projections: BarrierProjections) -> np.ndarray:
     """Transform of the restriction of the function to x < u; at u = l the
     complement of above_values, so the two halves sum to the input."""
-    return phases.below.apply(values)
+    return projections.below.apply(values)

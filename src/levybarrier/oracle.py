@@ -192,17 +192,19 @@ def _increments(
     return drift + p["theta"] * tau + p["sigma"] * np.sqrt(tau) * rng.standard_normal(size)
 
 
+# paths per simulation chunk; each chunk draws from its own substream,
+# so changing this changes the Monte Carlo result
+MC_CHUNK = 200_000
+
+
 def mc_price(
-    contract: OptionContract,
-    model: LevyModel,
-    cfg: OracleConfig | None = None,
-    chunk: int = 200_000,
+    contract: OptionContract, model: LevyModel, cfg: OracleConfig | None = None
 ) -> tuple[float, float]:
     """(price, standard error) from cfg.mc_paths simulated paths.
 
-    Paths are processed in chunks with per-chunk substreams spawned
-    deterministically from mc_seed, so results do not depend on the
-    chunk size schedule's interaction with a single stream state.
+    Paths are simulated in chunks of MC_CHUNK, each from its own
+    substream spawned deterministically from mc_seed, so the result
+    depends on mc_seed and mc_paths only.
     """
     cfg = cfg or OracleConfig()
     dt = contract.dt
@@ -213,8 +215,8 @@ def mc_price(
     acc = 0.0
     acc2 = 0.0
     remaining = cfg.mc_paths
-    for child in seeds.spawn(math.ceil(cfg.mc_paths / chunk)):
-        m = min(chunk, remaining)
+    for child in seeds.spawn(math.ceil(cfg.mc_paths / MC_CHUNK)):
+        m = min(MC_CHUNK, remaining)
         remaining -= m
         rng = np.random.default_rng(child)
         x = np.zeros(m)

@@ -12,7 +12,9 @@ has the analytic transform
 
 with a = u, b = max(k, l) for a call and a = l, b = min(k, u) for a put.
 An infinite upper barrier is truncated at the grid edge x_max, matching
-the finite computational domain.  The removable singularities at
+the finite computational domain; a double-barrier band that this
+clipping empties is rejected (``OptionContract.clipped_barriers``), so
+every method refuses it in one place.  The removable singularities at
 i*xi + alpha = 0 and 1 + i*xi + alpha = 0 are evaluated by their limits.
 The transform is returned as a plain length-M array on the xi lattice.
 """
@@ -97,8 +99,13 @@ class OptionContract:
         return max(anchors)
 
     def clipped_barriers(self, x_max: float) -> tuple[float, float]:
-        """Log barriers (l, u) clipped to [-x_max, x_max]; absent ones sit on the edge."""
-        return max(self.log_lower, -x_max), min(self.log_upper, x_max)
+        """Log barriers (l, u) clipped to [-x_max, x_max]; absent ones sit on
+        the edge.  A band that the clipping empties (l >= u with both
+        barriers given) is rejected with ValueError."""
+        l, u = max(self.log_lower, -x_max), min(self.log_upper, x_max)
+        if self.has_lower and self.has_upper and not l < u:
+            raise ValueError(f"need l < u, got l={l}, u={u}")
+        return l, u
 
     def support(self, x_max: float) -> tuple[float, float]:
         """Transform integration limits (a, b) on a grid of half-width

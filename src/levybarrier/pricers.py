@@ -25,17 +25,17 @@ filter; it resolves the filter, times the call and returns the
   linear in N.
 
 Everything that does not change within a pricing call is computed once
-per call: the grid's Hilbert kernel (cached per grid), Psi, the
-conjugated payoff, the taper and the barrier data of ``barrier_phases``.
-``_price_fl`` first cuts Psi, its step and the payoff to the live band,
-the central frequencies where |Psi| is not negligible, and builds the
-kernel and the barrier data on that narrower grid; it folds the barrier
-phases into one projection kernel (above, below or window), so each
-monitoring date costs one single-row FFT pair on the live band;
-``_price_fgm`` uses the phase vectors e^{-+i b xi} themselves and forms
-its q-invariant products (phase-shifted Psi, payoff * Psi,
-sigma * Psi, e^{i(u-l) xi}) once, shared by all contour points.  Only
-q-dependent work runs per contour point or per monitoring date.
+per call: Psi, the conjugated payoff, the taper and the barrier data,
+which each algorithm holds in its own form.  ``_price_fgm`` looks up the
+grid's Hilbert kernel (cached per grid); its solvers form the phase
+vectors e^{-+i b xi} and the q-invariant products (phase-shifted Psi,
+payoff * Psi, sigma * Psi, e^{i(u-l) xi}) once, as read-only arrays
+shared by all contour points.  ``_price_fl`` first cuts Psi, its step
+and the payoff to the live band, the central frequencies where |Psi| is
+not negligible, and builds ``BarrierProjections`` on that narrower grid:
+the barriers fold into one projection kernel (above, below or window),
+so each monitoring date costs one single-row FFT pair on the live band.
+Only q-dependent work runs per contour point or per monitoring date.
 
 The filtered variants multiply the inputs of the Hilbert-transform
 stages by a spectral taper sigma(xi/xi_max), which restores exponential
@@ -60,11 +60,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filters import FilterSpec, filter_profile
-from .grid import GridSpec, build_grid, inverse_at_zero
+from .grid import GridSpec, build_grid, inverse_at_zero, read_only
 from .hilbert import (
-    BarrierPhases,
+    BarrierProjections,
+    HilbertKernel,
     above_values,
-    barrier_phases,
     below_values,
     hilbert_kernel,
     window_values,
@@ -179,17 +179,18 @@ def default_grid(
 def _down_out_solver(
     psi: np.ndarray,
     pay_psi: np.ndarray,
-    phases: BarrierPhases,
+    kernel: HilbertKernel,
+    l: float,
     sigma: np.ndarray | None,
 ) -> Callable[[complex], tuple[np.ndarray, int]]:
-    """Direct solve per contour point, lower barrier only; the q-invariant
-    products are formed once here.  ``solve`` may run on several threads
-    at once, so it must only read what is built here (every phase vector
-    included) and write no shared state."""
-    kernel = phases.kernel
-    psi_f = psi if sigma is None else sigma * psi
-    shifted = phases.down_l * psi_f  # lower barrier shifted to the origin
-    pay_up = pay_psi * phases.up_l
+    """Direct solve per contour point, lower barrier l only; the phase
+    vectors e^{-+i l xi} and the q-invariant products are formed once
+    here.  ``solve`` may run on several threads at once, so it reads only
+    the read-only arrays built here and writes no shared state."""
+    xi = kernel.grid.xi
+    psi_f = read_only(psi if sigma is None else sigma * psi)
+    shifted = read_only(np.exp(-1j * l * xi) * psi_f)  # lower barrier shifted to the origin
+    pay_up = read_only(pay_psi * np.exp(1j * l * xi))
 
     def solve(q: complex) -> tuple[np.ndarray, int]:
         phi_plus, phi_minus = factorize_values(1.0 - q * psi_f, kernel)
@@ -203,25 +204,28 @@ def _down_out_solver(
 def _band_solver(
     psi: np.ndarray,
     pay_psi: np.ndarray,
-    phases: BarrierPhases,
+    kernel: HilbertKernel,
+    l: float,
+    u: float,
     sigma: np.ndarray | None,
     filter_factorization: bool,
     fp: FixedPointSettings,
 ) -> Callable[[complex], tuple[np.ndarray, int]]:
     """Fixed-point solve of the coupled barrier terms per contour point,
-    returning the spectrum and the number of sweeps; the q-invariant
-    products are formed once here.  ``solve`` may run on several threads
-    at once, so it must only read what is built here (every phase vector
-    included) and write no shared state."""
-    kernel = phases.kernel
-    psi_fact = psi if not filter_factorization else sigma * psi
+    returning the spectrum and the number of sweeps; the phase vectors
+    e^{-+i b xi} of both barriers and the q-invariant products are formed
+    once here.  ``solve`` may run on several threads at once, so it reads
+    only the read-only arrays built here and writes no shared state."""
+    psi, pay_psi = read_only(psi), read_only(pay_psi)
+    sigma = None if sigma is None else read_only(sigma)
+    psi_fact = read_only(psi if not filter_factorization else sigma * psi)
     xi = kernel.grid.xi
-    e_ul = np.exp(1j * (phases.u - phases.l) * xi)
-    e_lu = np.conj(e_ul)
-    psi_l = phases.down_l * psi
-    psi_u = phases.down_u * psi
-    up_l, up_u = phases.up_l, phases.up_u
-    zeros = np.zeros(kernel.grid.M, dtype=complex)
+    e_ul = read_only(np.exp(1j * (u - l) * xi))
+    e_lu = read_only(np.conj(e_ul))
+    psi_l = read_only(np.exp(-1j * l * xi) * psi)
+    psi_u = read_only(np.exp(-1j * u * xi) * psi)
+    up_l, up_u = read_only(np.exp(1j * l * xi)), read_only(np.exp(1j * u * xi))
+    zeros = read_only(np.zeros(kernel.grid.M, dtype=complex))
 
     def solve(q: complex) -> tuple[np.ndarray, int]:
         phi = 1.0 - q * psi_fact
@@ -335,11 +339,10 @@ def _price_fgm(
     psi = model.char_function(grid.xi + 1j * contract.alpha, contract.dt)
     pay_psi = np.conj(damped_payoff_fourier(contract, grid)) * psi
     l, u = contract.clipped_barriers(grid.x_max)
-    phases = barrier_phases(kernel, l, u if band else None)
     if band:
-        solve = _band_solver(psi, pay_psi, phases, sigma, filter_fact, fp)
+        solve = _band_solver(psi, pay_psi, kernel, l, u, sigma, filter_fact, fp)
     else:
-        solve = _down_out_solver(psi, pay_psi, phases, sigma)
+        solve = _down_out_solver(psi, pay_psi, kernel, l, sigma)
     pts = contour_points(n, zcfg).points
 
     def at(q: complex) -> tuple[complex, int]:
@@ -425,17 +428,16 @@ def _price_fl(
         live = slice((grid.M - m) // 2, (grid.M + m) // 2)
         vhat, psi, step = vhat[live], psi[live], step[live]
         grid = build_grid(m, grid.x_max)
-    kernel = hilbert_kernel(grid)
     l, u = contract.clipped_barriers(grid.x_max)
-    phases = barrier_phases(
-        kernel, l if contract.has_lower else None, u if contract.has_upper else None
+    projections = BarrierProjections(
+        grid, l if contract.has_lower else None, u if contract.has_upper else None
     )
     if contract.has_lower and contract.has_upper:
-        project = lambda v: window_values(v, phases)
+        project = lambda v: window_values(v, projections)
     elif contract.has_lower:
-        project = lambda v: above_values(v, phases)
+        project = lambda v: above_values(v, projections)
     elif contract.has_upper:
-        project = lambda v: below_values(v, phases)
+        project = lambda v: below_values(v, projections)
     else:
         project = lambda v: v  # no monitoring between dates
     for _ in range(contract.N - 1):
@@ -461,7 +463,7 @@ def price(
     filter is supplied; an explicitly inactive filter is rejected, and
     so is an active one for an unfiltered method.  ``zcfg`` and ``fp``
     configure the z-domain methods only.  ``cpu_seconds`` includes the
-    method's per-call set-up (Hilbert kernel lookup, taper)."""
+    method's per-call set-up (kernel lookup or build, taper)."""
     method = Method(method)
     if filt is None:
         filt = FilterSpec.exponential() if method.filtered else FilterSpec.none()

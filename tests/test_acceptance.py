@@ -28,7 +28,7 @@ from levybarrier import (
 from levybarrier.cases import TABLE_PRICES, double_barrier, down_and_out
 from levybarrier.cli import fit_slope, pulse_recovery
 from levybarrier.grid import build_grid as _build
-from levybarrier.hilbert import above_values, barrier_phases, below_values, hilbert_kernel
+from levybarrier.hilbert import BarrierProjections, above_values, below_values, hilbert_kernel
 from levybarrier.pricers import reference_price
 from levybarrier.wiener_hopf import factorize_values
 from levybarrier.ztransform import ZInversionConfig, contour_points, invert_euler
@@ -98,10 +98,9 @@ def test_criterion_3_convergence_orders(kou, kou_n52_reference):
 
 @pytest.mark.xfail(
     strict=False,
-    reason="filtered/unfiltered backward-induction errors interleave at "
-    "weekly monitoring and the cross-method ratio is unstable against the "
-    "same-family reference; improvement holds only at low date counts "
-    "(see the convergence CSVs)",
+    reason="the vg band edge in the pricers: fl-f beats fl at 2^9-2^11 but "
+    "loses at 2^12 and 2^13, and the fgm-f/fl-f error ratio at 2^12 is "
+    "65, also against the oracle value 0.0535050162 (ROADMAP, test status)",
 )
 def test_criterion_4_vg_single_barrier_improvement(vg, vg_single_reference):
     c = down_and_out(52)
@@ -173,8 +172,8 @@ def test_criterion_7_projection_and_factorisation_identities(all_models):
         psi = model.char_function(g.xi, 1.0 / 52.0)
         for q in qs:
             phi = 1.0 - q * psi
-            plus = above_values(phi, barrier_phases(kern, l=0.0))
-            minus = below_values(phi, barrier_phases(kern, u=0.0))
+            plus = above_values(phi, BarrierProjections(g, l=0.0))
+            minus = below_values(phi, BarrierProjections(g, u=0.0))
             worst_sum = max(worst_sum, float(np.max(np.abs(plus + minus - phi))))
             phi_plus, phi_minus = factorize_values(phi, kern)
             prod = phi_plus * phi_minus

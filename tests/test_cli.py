@@ -159,6 +159,18 @@ def test_grid_inside_the_strike_rejected(tmp_path, capsys, method, x_max):
     assert capsys.readouterr().err.startswith("config error: grid.x_max: ")
 
 
+def test_band_clipped_past_itself_rejected(tmp_path, capsys):
+    # grid.x_max = 0.03 clips u = log 1.2 to 0.03, below l = log 1.05
+    text = KOU_DOUBLE_CFG.read_text()
+    for key, value in (("contract.K", "1.0"), ("contract.L", "1.05"), ("grid.x_max", "0.03")):
+        text, count = re.subn(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text, flags=re.M)
+        assert count == 1
+    assert main(["price", "--config", write_config(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: need l < u")
+    assert len(err.splitlines()) == 1
+
+
 def test_empty_sweep_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE_CONFIG.replace("grid.M = 512", "grid.M = "))
     assert main(["converge", "--config", cfg]) == 2

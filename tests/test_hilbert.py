@@ -10,10 +10,10 @@ from scipy.linalg import toeplitz
 from levybarrier import price, pricers
 from levybarrier.grid import build_grid, inverse_dft
 from levybarrier.hilbert import (
+    BarrierProjections,
     HilbertKernel,
     _kernel_fft,
     above_values,
-    barrier_phases,
     below_values,
     hilbert_kernel,
     window_values,
@@ -76,16 +76,14 @@ def test_plemelj_sum_identity():
     g = build_grid(512, 5.0)
     rng = np.random.default_rng(11)
     f = rng.standard_normal(512) + 1j * rng.standard_normal(512)
-    kern = hilbert_kernel(g)
-    plus = above_values(f, barrier_phases(kern, l=0.0))
-    minus = below_values(f, barrier_phases(kern, u=0.0))
+    plus = above_values(f, BarrierProjections(g, l=0.0))
+    minus = below_values(f, BarrierProjections(g, u=0.0))
     assert np.max(np.abs(plus + minus - f)) < 1e-15 * np.max(np.abs(f))
 
 
 def test_plemelj_projects_gaussian_onto_half_line():
     g, f = gaussian_spectrum()
-    kern = hilbert_kernel(g)
-    plus = above_values(f, barrier_phases(kern, l=0.0))
+    plus = above_values(f, BarrierProjections(g, l=0.0))
 
     # frequency-domain check against direct quadrature of the half-density
     def half_transform(xi):
@@ -114,8 +112,8 @@ def test_plemelj_symmetry_for_real_even_input():
     h = kern.apply(f)[1:]
     assert np.max(np.abs(h + h[::-1])) < 1e-13
     # for real even input the halves are conjugates and mirror images
-    plus = above_values(f, barrier_phases(kern, l=0.0))
-    minus = below_values(f, barrier_phases(kern, u=0.0))
+    plus = above_values(f, BarrierProjections(g, l=0.0))
+    minus = below_values(f, BarrierProjections(g, u=0.0))
     assert np.max(np.abs(plus - np.conj(minus))) < 1e-13
     assert np.max(np.abs(plus[1:] - minus[1:][::-1])) < 1e-13
 
@@ -126,26 +124,24 @@ def test_shift_reduces_to_plain_decomposition_at_zero():
     # the plain Plemelj halves (f +- i H f) / 2
     ih = 1j * kern.apply(f)
     plus, minus = 0.5 * (f + ih), 0.5 * (f - ih)
-    above = above_values(f, barrier_phases(kern, l=0.0))
-    below = below_values(f, barrier_phases(kern, u=0.0))
+    above = above_values(f, BarrierProjections(g, l=0.0))
+    below = below_values(f, BarrierProjections(g, u=0.0))
     assert np.max(np.abs(above - plus)) < 1e-14
     assert np.max(np.abs(below - minus)) < 1e-14
 
 
 def test_shifted_halves_sum_to_input():
     g, f = gaussian_spectrum(M=1024, x_max=6.0)
-    kern = hilbert_kernel(g)
     b = -0.1625
-    above = above_values(f, barrier_phases(kern, l=b))
-    below = below_values(f, barrier_phases(kern, u=b))
+    above = above_values(f, BarrierProjections(g, l=b))
+    below = below_values(f, BarrierProjections(g, u=b))
     assert np.max(np.abs(above + below - f)) < 1e-15
 
 
 def test_shifted_projection_matches_quadrature():
     g, f = gaussian_spectrum()
-    kern = hilbert_kernel(g)
     b = math.log(0.85)
-    above = above_values(f, barrier_phases(kern, l=b))
+    above = above_values(f, BarrierProjections(g, l=b))
 
     def tail_transform(xi):
         re = quad(lambda x: math.exp(-x * x / 2) / math.sqrt(2 * math.pi) * math.cos(xi * x), b, 12, limit=200)[0]
@@ -158,11 +154,10 @@ def test_shifted_projection_matches_quadrature():
 
 def test_window_algebra():
     g, f = gaussian_spectrum(M=2048, x_max=8.0)
-    kern = hilbert_kernel(g)
     l, u = math.log(0.85), math.log(1.15)
-    w = window_values(f, barrier_phases(kern, l, u))
-    above = above_values(f, barrier_phases(kern, l=l))
-    below = below_values(f, barrier_phases(kern, u=u))
+    w = window_values(f, BarrierProjections(g, l, u))
+    above = above_values(f, BarrierProjections(g, l=l))
+    below = below_values(f, BarrierProjections(g, u=u))
     combo = above + below - f
     assert np.max(np.abs(w - combo)) < 1e-14
 
@@ -170,15 +165,14 @@ def test_window_algebra():
     # reproduces the input
     gwide = build_grid(2048, 12.0)
     fwide = np.exp(-gwide.xi**2 / 2).astype(complex)
-    full = window_values(fwide, barrier_phases(hilbert_kernel(gwide), -6.0, 6.0))
+    full = window_values(fwide, BarrierProjections(gwide, -6.0, 6.0))
     assert np.max(np.abs(full - fwide)) < 1e-6
 
 
 def test_window_matches_quadrature():
     g, f = gaussian_spectrum()
-    kern = hilbert_kernel(g)
     l, u = math.log(0.85), math.log(1.15)
-    w = window_values(f, barrier_phases(kern, l, u))
+    w = window_values(f, BarrierProjections(g, l, u))
 
     def band_transform(xi):
         re = quad(lambda x: math.exp(-x * x / 2) / math.sqrt(2 * math.pi) * math.cos(xi * x), l, u)[0]
@@ -207,11 +201,11 @@ def test_exponential_decay_gives_geometric_convergence():
     x_max = 6.0
     f_of = lambda xi: np.exp(-((xi / 40.0) ** 2)).astype(complex)
     ref_grid = build_grid(2**11, x_max)
-    ref = above_values(f_of(ref_grid.xi), barrier_phases(hilbert_kernel(ref_grid), l=0.0))
+    ref = above_values(f_of(ref_grid.xi), BarrierProjections(ref_grid, l=0.0))
     errors = []
     for M in (2**7, 2**8, 2**9):
         g = build_grid(M, x_max)
-        plus = above_values(f_of(g.xi), barrier_phases(hilbert_kernel(g), l=0.0))
+        plus = above_values(f_of(g.xi), BarrierProjections(g, l=0.0))
         offset = (ref_grid.M - M) // 2
         errors.append(np.max(np.abs(plus - ref[offset : offset + M])))
     assert errors[1] < 0.6 * errors[0]
@@ -224,11 +218,11 @@ def test_polynomial_decay_truncation_rate():
     x_max = 6.0
     ref_grid = build_grid(2**13, x_max)
     f_of = lambda xi: (1.0 / (1.0 + xi**2)).astype(complex)
-    ref = above_values(f_of(ref_grid.xi), barrier_phases(hilbert_kernel(ref_grid), l=0.0))
+    ref = above_values(f_of(ref_grid.xi), BarrierProjections(ref_grid, l=0.0))
     errors = []
     for M in (2**8, 2**9, 2**10):
         g = build_grid(M, x_max)
-        plus = above_values(f_of(g.xi), barrier_phases(hilbert_kernel(g), l=0.0))
+        plus = above_values(f_of(g.xi), BarrierProjections(g, l=0.0))
         offset = (ref_grid.M - M) // 2
         err = np.abs(plus - ref[offset : offset + M])
         errors.append(np.max(err[np.abs(g.xi) <= 5.0]))
@@ -239,20 +233,19 @@ def test_polynomial_decay_truncation_rate():
 def test_bad_arguments_rejected():
     g = build_grid(64, 1.0)
     f = np.ones(64, dtype=complex)
-    kern = hilbert_kernel(g)
     with pytest.raises(ValueError):
-        above_values(f, barrier_phases(kern, l=math.inf))
+        above_values(f, BarrierProjections(g, l=math.inf))
     with pytest.raises(ValueError):
-        below_values(f, barrier_phases(kern, u=-math.inf))
+        below_values(f, BarrierProjections(g, u=-math.inf))
     with pytest.raises(ValueError):
-        window_values(f, barrier_phases(kern, 0.5, 0.5))
-    # a projection needs the phases of the barrier(s) it cuts at
+        window_values(f, BarrierProjections(g, 0.5, 0.5))
+    # a projection needs the barrier(s) it cuts at
     with pytest.raises(ValueError):
-        above_values(f, barrier_phases(kern, u=0.5))
+        above_values(f, BarrierProjections(g, u=0.5))
     with pytest.raises(ValueError):
-        below_values(f, barrier_phases(kern, l=0.5))
+        below_values(f, BarrierProjections(g, l=0.5))
     with pytest.raises(ValueError):
-        window_values(f, barrier_phases(kern, l=0.5))
+        window_values(f, BarrierProjections(g, l=0.5))
 
 
 @pytest.mark.parametrize("M", [1024, 8192])
@@ -280,7 +273,7 @@ def test_window_equals_two_separate_shifted_transforms(M):
         np.exp(1j * b * g.xi) * (1j * kern.apply(np.exp(-1j * b * g.xi) * f)) for b in (l, u)
     ]
     expected = 0.5 * (halves[0] - halves[1])
-    assert np.max(np.abs(window_values(f, barrier_phases(kern, l, u)) - expected)) <= 1e-15
+    assert np.max(np.abs(window_values(f, BarrierProjections(g, l, u)) - expected)) <= 1e-15
 
 
 def test_kernel_transform_is_shared_by_grids_of_one_size(kou):
@@ -301,10 +294,10 @@ def test_kernel_transform_is_shared_by_grids_of_one_size(kou):
 def test_shared_arrays_are_read_only():
     g = build_grid(64, 1.0)
     kern = hilbert_kernel(g)
-    phases = barrier_phases(kern, -0.2, 0.3)
+    projections = BarrierProjections(g, -0.2, 0.3)
     shared = [kern.kernel_fft, g.x, g.xi, g.eta]
-    shared += [phases.down_l, phases.up_l, phases.down_u, phases.up_u]
-    shared += [phases.above.kernel_fft, phases.below.kernel_fft, phases.window.kernel_fft]
+    shared += [kernel.kernel_fft for kernel in
+               (projections.above, projections.below, projections.window)]
     before = [array.copy() for array in shared]
     for array in shared:
         with pytest.raises(ValueError):
@@ -319,15 +312,15 @@ def test_projections_match_explicit_phase_shift(M):
     g, f = gaussian_spectrum(M=M, x_max=8.0)
     kern = hilbert_kernel(g)
     l, u = math.log(0.83), math.log(1.17)
-    phases = barrier_phases(kern, l, u)
+    projections = BarrierProjections(g, l, u)
 
     def shifted(b):
         return np.exp(1j * b * g.xi) * (1j * kern.apply(np.exp(-1j * b * g.xi) * f))
 
     tol = 1e-15 * np.max(np.abs(f))
-    assert np.max(np.abs(above_values(f, phases) - 0.5 * (f + shifted(l)))) <= tol
-    assert np.max(np.abs(below_values(f, phases) - 0.5 * (f - shifted(u)))) <= tol
-    assert np.max(np.abs(window_values(f, phases) - 0.5 * (shifted(l) - shifted(u)))) <= tol
+    assert np.max(np.abs(above_values(f, projections) - 0.5 * (f + shifted(l)))) <= tol
+    assert np.max(np.abs(below_values(f, projections) - 0.5 * (f - shifted(u)))) <= tol
+    assert np.max(np.abs(window_values(f, projections) - 0.5 * (shifted(l) - shifted(u)))) <= tol
 
 
 @pytest.mark.skipif(
@@ -352,13 +345,13 @@ def test_folded_window_keeps_phase_accuracy_at_high_frequency():
         return up * (1j * kern.apply(np.conj(up) * f))
 
     reference = 0.5 * (shifted(l) - shifted(u))
-    err = np.max(np.abs(window_values(f, barrier_phases(kern, l, u)) - reference))
+    err = np.max(np.abs(window_values(f, BarrierProjections(g, l, u)) - reference))
     assert err <= 5e-14 * np.max(np.abs(f))
 
 
 def test_projection_is_one_single_row_apply_of_one_kernel(monkeypatch):
     g, f = gaussian_spectrum(M=1024, x_max=8.0)
-    phases = barrier_phases(hilbert_kernel(g), -0.2, 0.3)
+    projections = BarrierProjections(g, -0.2, 0.3)
     calls = []
     apply = HilbertKernel.apply
 
@@ -368,33 +361,35 @@ def test_projection_is_one_single_row_apply_of_one_kernel(monkeypatch):
 
     monkeypatch.setattr(HilbertKernel, "apply", spy)
     for project in (window_values, window_values, above_values, above_values, below_values):
-        project(f, phases)
+        project(f, projections)
     assert [shape for _, shape in calls] == [(1024,)] * 5
     kernels = [kernel for kernel, _ in calls]
-    assert kernels[0] is kernels[1] is phases.window
-    assert kernels[2] is kernels[3] is phases.above
-    assert kernels[4] is phases.below
+    assert kernels[0] is kernels[1] is projections.window
+    assert kernels[2] is kernels[3] is projections.above
+    assert kernels[4] is projections.below
 
 
 @pytest.mark.parametrize(
     "method, shape, built",
     [
-        ("fgm", double_barrier, {"down_l", "up_l", "down_u", "up_u"}),
-        ("fgm-f", down_and_out, {"down_l", "up_l"}),
+        ("fgm", double_barrier, set()),
+        ("fgm-f", down_and_out, set()),
         ("fl", double_barrier, {"window"}),
         ("fl-f", down_and_out, {"above"}),
         ("fl", up_and_out, {"below"}),
     ],
 )
 def test_pricers_build_only_the_barrier_data_they_use(monkeypatch, kou, method, shape, built):
+    # the z-domain solvers form their own phase vectors and build no
+    # projections; backward induction builds the one kernel it applies
     made = []
 
     def spy(*args):
-        made.append(barrier_phases(*args))
+        made.append(BarrierProjections(*args))
         return made[-1]
 
-    monkeypatch.setattr(pricers, "barrier_phases", spy)
+    monkeypatch.setattr(pricers, "BarrierProjections", spy)
     contract = shape(52)
     price(contract, kou, method, pricers.default_grid(contract, kou, 1024))
-    assert len(made) == 1
-    assert set(vars(made[0])) - {"kernel", "l", "u"} == built
+    assert len(made) == (1 if built else 0)
+    assert all(set(vars(p)) - {"grid", "l", "u"} == built for p in made)

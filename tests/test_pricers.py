@@ -24,6 +24,8 @@ from levybarrier import (
     quad_price,
 )
 from levybarrier import pricers
+from levybarrier.filters import filter_profile
+from levybarrier.hilbert import hilbert_kernel
 from levybarrier.cases import (
     NIG_252_CONVERGED, SHAPES, TABLE_PRICES, double_barrier, down_and_out, european, up_and_out,
 )
@@ -170,6 +172,14 @@ def test_geometry_validation(kou):
         price(down_and_out(2), kou, "fgm", default_grid(down_and_out(2), kou, 256))
     with pytest.raises(ValueError):
         price(up_and_out(4), kou, "fgm", default_grid(up_and_out(4), kou, 256))
+
+
+@pytest.mark.parametrize("method", ["fgm", "fgm-f", "fl", "fl-f"])
+def test_band_clipped_past_itself_rejected(kou, method):
+    # x_max = 0.03 clips u = log 1.2 to 0.03, below l = log 1.05 = 0.049
+    c = OptionContract(S0=1.0, K=1.0, T=1.0, N=52, r=0.05, q_div=0.02, L=1.05, U=1.2)
+    with pytest.raises(ValueError, match="need l < u"):
+        price(c, kou, method, build_grid(1024, 0.03))
 
 
 def test_method_filter_dispatch(kou):
@@ -324,6 +334,29 @@ def test_pooled_contour_raises_the_first_failing_point(kou, monkeypatch):
         monkeypatch.setattr(pricers, "_cpu_count", lambda: cpus)
         with pytest.raises(BranchFailureError, match=r"^contour point 5$"):
             price(c, kou, "fgm-f", default_grid(c, kou, 1024))
+
+
+def test_solver_closures_hold_only_read_only_arrays(kou):
+    # solve runs on two threads at once on large grids, so no array it
+    # reads may be writeable, inputs handed to the solver included
+    c = double_barrier(52)
+    g = default_grid(c, kou, 256)
+    kernel = hilbert_kernel(g)
+    psi = kou.char_function(g.xi, c.dt)
+    sigma = filter_profile(EXP, g)
+    l, u = c.clipped_barriers(g.x_max)
+    fp = FixedPointSettings()
+    solvers = [
+        pricers._down_out_solver(psi.copy(), psi.copy(), kernel, l, None),
+        pricers._down_out_solver(psi.copy(), psi.copy(), kernel, l, sigma.copy()),
+        pricers._band_solver(psi.copy(), psi.copy(), kernel, l, u, None, False, fp),
+        pricers._band_solver(psi.copy(), psi.copy(), kernel, l, u, sigma.copy(), True, fp),
+    ]
+    for solve in solvers:
+        arrays = [cell.cell_contents for cell in solve.__closure__
+                  if isinstance(cell.cell_contents, np.ndarray)]
+        assert arrays
+        assert not any(array.flags.writeable for array in arrays)
 
 
 def _price_in_child(conn, contract, model, method, grid):

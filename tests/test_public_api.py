@@ -1,8 +1,10 @@
-"""Exports and the names the benchmark's tracer patches from outside.
+"""Exports and the library names the benchmark uses from outside.
 
 ``bench/tracing.py`` rebinds module globals of ``levybarrier.pricers``
 and wraps ``HilbertKernel.for_grid`` as a classmethod; a refactor that
 renames or inlines those would silently untrace ``bench/run.py --trace 1``.
+``bench/run.py`` and ``bench/workloads.py`` call the names in
+``test_bench_names_resolve``; dropping one fails every benchmark run.
 """
 
 import importlib
@@ -15,7 +17,7 @@ import pytest
 
 import levybarrier
 from levybarrier.cases import double_barrier, down_and_out
-from levybarrier import pricers
+from levybarrier import hilbert, pricers
 from levybarrier.hilbert import HilbertKernel
 
 MODULES = sorted(
@@ -45,6 +47,15 @@ def test_traced_names_are_pricer_globals():
     imports = _tracing_module().PRICER_IMPORTS
     missing = [attr for attr in imports if attr not in vars(pricers)]
     assert not missing, f"bench/tracing.py patches names absent from pricers: {missing}"
+
+
+def test_bench_names_resolve():
+    for name in ("price", "quad_price", "default_grid", "OracleConfig", "__version__",
+                 "LevyModel", "OptionContract"):
+        assert hasattr(levybarrier, name), f"levybarrier.{name} is gone"
+    for name in ("kou", "nig", "vg"):
+        assert callable(getattr(levybarrier.LevyModel, name, None)), f"LevyModel.{name} is gone"
+    assert callable(getattr(hilbert.hilbert_kernel, "cache_info", None))
 
 
 def test_kernel_builder_is_a_classmethod():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from levybarrier.grid import build_grid, inverse_dft
-from levybarrier.hilbert import above_values, barrier_phases, below_values, hilbert_kernel
+from levybarrier.hilbert import BarrierProjections, above_values, below_values, hilbert_kernel
 from levybarrier.wiener_hopf import BranchFailureError, SingularInputError, factorize_values
 from levybarrier.ztransform import ZInversionConfig
 
@@ -71,16 +71,15 @@ def test_plus_factor_log_supported_on_positive_axis(kou):
 
 def test_additive_split():
     g = build_grid(512, 4.0)
-    kern = hilbert_kernel(g)
     zero = np.zeros(512, dtype=complex)
-    plus = above_values(zero, barrier_phases(kern, l=0.0))
-    minus = below_values(zero, barrier_phases(kern, u=0.0))
+    plus = above_values(zero, BarrierProjections(g, l=0.0))
+    minus = below_values(zero, BarrierProjections(g, u=0.0))
     assert np.all(plus == 0) and np.all(minus == 0)
 
     rng = np.random.default_rng(5)
     f = rng.standard_normal(512) + 1j * rng.standard_normal(512)
-    plus = above_values(f, barrier_phases(kern, l=0.0))
-    minus = below_values(f, barrier_phases(kern, u=0.0))
+    plus = above_values(f, BarrierProjections(g, l=0.0))
+    minus = below_values(f, BarrierProjections(g, u=0.0))
     assert np.max(np.abs(plus + minus - f)) < 1e-15 * np.max(np.abs(f))
 
 
@@ -88,10 +87,9 @@ def test_additive_split_of_right_supported_function():
     # spectrum of a Gaussian bump centred at +3: the minus part carries
     # only ringing-level mass
     g = build_grid(2**12, 10.0)
-    kern = hilbert_kernel(g)
     sigma = 0.5
     spec = np.exp(3j * g.xi - sigma**2 * g.xi**2 / 2)
-    minus = below_values(spec, barrier_phases(kern, u=0.0))
+    minus = below_values(spec, BarrierProjections(g, u=0.0))
     dens = inverse_dft(minus, g).real
     assert np.max(np.abs(dens)) < 1e-6
 
