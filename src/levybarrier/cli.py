@@ -116,7 +116,7 @@ class RunConfig:
     contract: OptionContract
     methods: list[Method]
     m_list: list[int]
-    filt: FilterSpec = FilterSpec.none()
+    filt: FilterSpec | None = None
     x_max: float | None = None
     zcfg: ZInversionConfig = ZInversionConfig()
     fixpoint: FixedPointSettings = FixedPointSettings()
@@ -205,14 +205,17 @@ def _build_contract(raw: dict[str, str]) -> OptionContract:
         raise ConfigError(str(exc)) from exc
 
 
-def _build_filter(raw: dict[str, str]) -> FilterSpec:
+def _build_filter(raw: dict[str, str]) -> FilterSpec | None:
     kind = raw.get("filter.kind", "none").lower()
+    args = _given(raw, "filter", p=_as_int, theta=_as_float, eps=_as_float)
+    if kind == "none":
+        return None
     try:
         fk = FilterKind(kind)
     except ValueError as exc:
         raise ConfigError(f"filter.kind: unknown filter {kind!r}") from exc
     try:
-        return FilterSpec(fk, **_given(raw, "filter", p=_as_int, theta=_as_float, eps=_as_float))
+        return FilterSpec(fk, **args)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -363,10 +366,14 @@ def lookup_reference(cfg: RunConfig) -> float | None:
 
 def _run_one(cfg: RunConfig, method: Method, M: int) -> PricingResult:
     # the configured filter serves the filtered methods; price() supplies
-    # the defaults otherwise
-    filt = cfg.filt if method.filtered and cfg.filt.active else None
+    # the default when none is configured
+    filt = cfg.filt if method.filtered else None
     grid = default_grid(cfg.contract, cfg.model, M, cfg.x_max)
     return run_pricer(cfg.contract, cfg.model, method, grid, filt, cfg.zcfg, cfg.fixpoint)
+
+
+def _filter_label(result: PricingResult) -> str:
+    return result.filter.label() if result.filter else "none"
 
 
 def _single(key: str, values: list, command: str):
@@ -380,7 +387,7 @@ def cmd_price(cfg: RunConfig) -> int:
     method = _single("method", cfg.methods, "price")
     result = _run_one(cfg, method, _single("grid.M", cfg.m_list, "price"))
     print(f"method = {result.method.value}")
-    print(f"filter = {result.filter.label()}")
+    print(f"filter = {_filter_label(result)}")
     print(f"M = {result.grid_m}")
     print(f"price = {NUM_FMT % result.price}")
     print(f"cpu_seconds = {NUM_FMT % result.cpu_seconds}")
@@ -403,7 +410,7 @@ def cmd_price(cfg: RunConfig) -> int:
                     result.cpu_seconds,
                     result.avg_iterations,
                     result.method.value,
-                    result.filter.label(),
+                    _filter_label(result),
                 ]
             ],
         )
@@ -447,7 +454,7 @@ def cmd_converge(cfg: RunConfig) -> int:
                     result.cpu_seconds,
                     result.avg_iterations,
                     result.method.value,
-                    result.filter.label(),
+                    _filter_label(result),
                 ]
             )
         slopes.append((method, fit_slope(cfg.m_list, errors)))
@@ -535,8 +542,7 @@ def cmd_oracle(cfg: RunConfig, with_mc: bool) -> int:
 def cmd_filters_dump(cfg: RunConfig) -> int:
     M = _single("grid.M", cfg.m_list, "filters-dump")
     grid = default_grid(cfg.contract, cfg.model, M, cfg.x_max)
-    spec = cfg.filt if cfg.filt.active else FilterSpec.exponential()
-    sigma = filter_profile(spec, grid)
+    sigma = filter_profile(cfg.filt or FilterSpec.exponential(), grid)
     psi = cfg.model.char_function(grid.xi, cfg.contract.dt)
     rows = [
         [k, xi, eta, s, p.real, p.imag]

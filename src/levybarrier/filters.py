@@ -7,6 +7,8 @@ through a C-infinity sigmoid.
 
 Default exponential parameters p = 12 and theta = 16 ln 10 put the
 band-edge value at 1e-16, i.e. at double-precision machine accuracy.
+A ``FilterSpec`` names the taper only; the pricing method says whether
+one applies, and "no taper" is ``None``.
 """
 
 from __future__ import annotations
@@ -25,14 +27,13 @@ DEFAULT_EPS = 0.25
 
 
 class FilterKind(str, enum.Enum):
-    NONE = "none"
     EXPONENTIAL = "exponential"
     PLANCK = "planck"
 
 
 @dataclass(frozen=True)
 class FilterSpec:
-    kind: FilterKind = FilterKind.NONE
+    kind: FilterKind = FilterKind.EXPONENTIAL
     p: int = DEFAULT_EXPONENT
     theta: float = DEFAULT_THETA
     eps: float = DEFAULT_EPS
@@ -47,14 +48,6 @@ class FilterSpec:
         if self.kind is FilterKind.PLANCK and not (0.0 < self.eps < 0.5):
             raise ValueError(f"planck taper slope fraction must lie in (0, 0.5), got {self.eps}")
 
-    @property
-    def active(self) -> bool:
-        return self.kind is not FilterKind.NONE
-
-    @classmethod
-    def none(cls) -> "FilterSpec":
-        return cls(FilterKind.NONE)
-
     @classmethod
     def exponential(cls, p: int = DEFAULT_EXPONENT, theta: float = DEFAULT_THETA) -> "FilterSpec":
         return cls(FilterKind.EXPONENTIAL, p=p, theta=theta)
@@ -66,9 +59,7 @@ class FilterSpec:
     def label(self) -> str:
         if self.kind is FilterKind.EXPONENTIAL:
             return f"exp(p={self.p})"
-        if self.kind is FilterKind.PLANCK:
-            return f"planck(eps={self.eps:g})"
-        return "none"
+        return f"planck(eps={self.eps:g})"
 
 
 def _planck(eta: np.ndarray, eps: float) -> np.ndarray:
@@ -97,9 +88,7 @@ def eval_filter(spec: FilterSpec, eta) -> np.ndarray | float:
     e = np.atleast_1d(np.asarray(eta, dtype=float))
     if np.any(np.abs(e) > 1.0 + 1e-15):
         raise ValueError("filter argument eta must satisfy |eta| <= 1")
-    if spec.kind is FilterKind.NONE:
-        out = np.ones_like(e)
-    elif spec.kind is FilterKind.EXPONENTIAL:
+    if spec.kind is FilterKind.EXPONENTIAL:
         out = np.exp(-spec.theta * e**spec.p)
     else:
         out = _planck(e, spec.eps)
@@ -107,5 +96,5 @@ def eval_filter(spec: FilterSpec, eta) -> np.ndarray | float:
 
 
 def filter_profile(spec: FilterSpec, grid) -> np.ndarray:
-    """sigma sampled on the grid's eta lattice (all-ones for kind none)."""
+    """sigma sampled on the grid's eta lattice."""
     return np.asarray(eval_filter(spec, grid.eta), dtype=float)

@@ -12,10 +12,11 @@ has the analytic transform
 
 with a = u, b = max(k, l) for a call and a = l, b = min(k, u) for a put.
 An infinite upper barrier is truncated at the grid edge x_max, matching
-the finite computational domain; a double-barrier band that this
-clipping empties is rejected (``OptionContract.clipped_barriers``), so
-every method refuses it in one place.  The removable singularities at
-i*xi + alpha = 0 and 1 + i*xi + alpha = 0 are evaluated by their limits.
+the finite computational domain.  A grid that misses a barrier (a band
+the clipping empties, or a lone barrier at or beyond the edge, which
+would price 0) is rejected in one place, ``clipped_barriers``, so every
+method refuses it.  The removable singularities at i*xi + alpha = 0 and
+1 + i*xi + alpha = 0 are evaluated by their limits.
 The transform is returned as a plain length-M array on the xi lattice.
 """
 
@@ -100,11 +101,13 @@ class OptionContract:
 
     def clipped_barriers(self, x_max: float) -> tuple[float, float]:
         """Log barriers (l, u) clipped to [-x_max, x_max]; absent ones sit on
-        the edge.  A band that the clipping empties (l >= u with both
-        barriers given) is rejected with ValueError."""
+        the edge.  A barrier the grid does not reach (l >= x_max or
+        u <= -x_max) is rejected with ValueError; so is, by that alone,
+        every band the clipping would empty."""
         l, u = max(self.log_lower, -x_max), min(self.log_upper, x_max)
-        if self.has_lower and self.has_upper and not l < u:
-            raise ValueError(f"need l < u, got l={l}, u={u}")
+        if l >= x_max or u <= -x_max:
+            name, b = ("lower barrier l", l) if l >= x_max else ("upper barrier u", u)
+            raise ValueError(f"{name} = {b:.6g} lies outside the grid, x_max = {x_max:.6g}")
         return l, u
 
     def support(self, x_max: float) -> tuple[float, float]:

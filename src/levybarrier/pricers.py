@@ -3,8 +3,8 @@
 ``price`` is the one entry point.  It prices the t = 0 value of a
 discretely monitored knock-out option with N dates by one of four
 methods (``Method``), two algorithms each with and without a spectral
-filter; it resolves the filter, times the call and returns the
-``PricingResult``.  The algorithms are private:
+filter; it samples a filtered method's taper sigma, times the call and
+returns the ``PricingResult``.  The private algorithms take sigma or None:
 
 * ``_price_fgm`` solves the fluctuation identities for the
   barrier-constrained transition law in the combined Fourier/z-transform
@@ -116,7 +116,7 @@ class PricingResult:
     grid_m: int
     cpu_seconds: float
     method: Method
-    filter: FilterSpec
+    filter: FilterSpec | None
     avg_iterations: float | None = None
     max_iter_hit: bool = False
     imag_residual: float = 0.0
@@ -313,7 +313,7 @@ def _price_fgm(
     contract: OptionContract,
     model: LevyModel,
     grid: GridSpec,
-    filt: FilterSpec,
+    sigma: np.ndarray | None,
     zcfg: ZInversionConfig,
     fp: FixedPointSettings,
 ) -> tuple[float, dict]:
@@ -322,7 +322,7 @@ def _price_fgm(
     A lower barrier alone is solved by the direct identity; with an
     upper barrier as well the coupled barrier terms are solved by the
     fixed-point iteration, whose average sweep count is reported.  With
-    an active filter the projection inputs are tapered; the
+    a taper sigma the projection inputs are tapered; the
     factorisation input is tapered for a single barrier, and for a band
     only when the characteristic function decays polynomially.
     Requires a lower barrier and N >= 3."""
@@ -332,9 +332,8 @@ def _price_fgm(
         raise ValueError("z-domain pricers require N >= 3")
     kernel = hilbert_kernel(grid)
     n = contract.N - 2
-    sigma = filter_profile(filt, grid) if filt.active else None
     band = contract.has_upper
-    filter_fact = band and filt.active and model.polynomial_decay
+    filter_fact = band and sigma is not None and model.polynomial_decay
 
     psi = model.char_function(grid.xi + 1j * contract.alpha, contract.dt)
     pay_psi = np.conj(damped_payoff_fourier(contract, grid)) * psi
@@ -388,7 +387,7 @@ def _live_band(psi_abs: np.ndarray, N: int) -> int:
 
 
 def _price_fl(
-    contract: OptionContract, model: LevyModel, grid: GridSpec, filt: FilterSpec
+    contract: OptionContract, model: LevyModel, grid: GridSpec, sigma: np.ndarray | None
 ) -> tuple[float, dict]:
     """Backward induction over the N monitoring dates in the frequency
     domain: N - 1 propagate-and-window steps, one final bare propagation,
@@ -422,7 +421,7 @@ def _price_fl(
     full grid."""
     vhat = damped_payoff_fourier(contract, grid)
     psi = np.conj(model.char_function(grid.xi + 1j * contract.alpha, contract.dt))
-    step = psi if not filt.active else filter_profile(filt, grid) * psi
+    step = psi if sigma is None else sigma * psi
     m = _live_band(np.abs(psi), contract.N)
     if m < grid.M:
         live = slice((grid.M - m) // 2, (grid.M + m) // 2)
@@ -459,23 +458,22 @@ def price(
 ) -> PricingResult:
     """Price the contract by one method on the given grid.
 
-    Filtered methods fall back to the default exponential taper when no
-    filter is supplied; an explicitly inactive filter is rejected, and
-    so is an active one for an unfiltered method.  ``zcfg`` and ``fp``
-    configure the z-domain methods only.  ``cpu_seconds`` includes the
-    method's per-call set-up (kernel lookup or build, taper)."""
+    The method alone says whether the call is filtered: a filtered one
+    takes ``filt``, or the default exponential taper when None, and an
+    unfiltered one rejects a filter.  ``zcfg`` and ``fp`` configure the
+    z-domain methods only.  ``cpu_seconds`` includes the per-call set-up
+    (taper, kernel lookup or build)."""
     method = Method(method)
-    if filt is None:
-        filt = FilterSpec.exponential() if method.filtered else FilterSpec.none()
-    if method.filtered and not filt.active:
-        raise ValueError(f"method {method.value} requires an active filter")
-    if not method.filtered and filt.active:
+    if method.filtered:
+        filt = filt or FilterSpec.exponential()
+    elif filt is not None:
         raise ValueError(f"method {method.value} does not take a filter")
     start = time.perf_counter()
+    sigma = filter_profile(filt, grid) if filt else None
     if method.recursive:
-        value, extras = _price_fl(contract, model, grid, filt)
+        value, extras = _price_fl(contract, model, grid, sigma)
     else:
-        value, extras = _price_fgm(contract, model, grid, filt, zcfg, fp)
+        value, extras = _price_fgm(contract, model, grid, sigma, zcfg, fp)
     return PricingResult(value, grid.M, time.perf_counter() - start, method, filt, **extras)
 
 

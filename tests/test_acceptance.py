@@ -2,11 +2,12 @@
 
 Every test prints a single ``ACCEPTANCE <n> PASS|FAIL`` line with the
 measured numbers, then asserts.  Criterion 4 is known not to hold on
-this implementation (the filtered and unfiltered backward-induction
-error curves interleave at weekly monitoring, and the cross-method
-error ratio is unstable against the same-family reference); it runs
-unmodified and is marked xfail so the honest red is visible without
-masking the rest of the suite.
+this implementation, and the cause is the vg band edge in the pricers,
+not the reference: on vg down-and-out at N=52, fl-f beats fl at
+M = 2^9 .. 2^11 and loses at 2^12 and 2^13, and the fgm-f/fl-f error
+ratio at 2^12 is 65, which is fgm-f's own 7.0e-5 error, also against
+the oracle value 0.0535050162.  It runs unmodified and is marked xfail
+so the honest red is visible without masking the rest of the suite.
 """
 
 import math

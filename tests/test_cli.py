@@ -160,15 +160,24 @@ def test_grid_inside_the_strike_rejected(tmp_path, capsys, method, x_max):
 
 
 def test_band_clipped_past_itself_rejected(tmp_path, capsys):
-    # grid.x_max = 0.03 clips u = log 1.2 to 0.03, below l = log 1.05
-    text = KOU_DOUBLE_CFG.read_text()
-    for key, value in (("contract.K", "1.0"), ("contract.L", "1.05"), ("grid.x_max", "0.03")):
-        text, count = re.subn(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text, flags=re.M)
-        assert count == 1
-    assert main(["price", "--config", write_config(tmp_path, text)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: need l < u")
-    assert len(err.splitlines()) == 1
+    # grid.x_max = 0.03 clips u = log 1.2 to 0.03, below l = log 1.05; a
+    # lone l = log 1.05 or u = log 0.95 lies outside that grid
+    cases = [
+        ({}, "lower barrier"),
+        ({"contract.U": "inf"}, "lower barrier"),
+        ({"contract.L": "0", "contract.U": "0.95", "contract.type": "put", "method": "fl"},
+         "upper barrier"),
+    ]
+    for changes, message in cases:
+        text = KOU_DOUBLE_CFG.read_text()
+        base = {"contract.K": "1.0", "contract.L": "1.05", "grid.x_max": "0.03"}
+        for key, value in {**base, **changes}.items():
+            text, count = re.subn(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text, flags=re.M)
+            assert count == 1
+        assert main(["price", "--config", write_config(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}")
+        assert len(err.splitlines()) == 1
 
 
 def test_empty_sweep_rejected(tmp_path, capsys):
@@ -187,6 +196,22 @@ def test_flag_overrides(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "method = fl" in out
     assert "M = 256" in out
+
+
+def test_unfiltered_method_reports_no_filter(tmp_path, capsys):
+    # BASE_CONFIG configures an exponential taper, which fl does not take
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    assert main(["price", "--config", cfg, "--method", "fl"]) == 0
+    assert "filter = none" in capsys.readouterr().out.splitlines()
+
+
+def test_filter_kind_none_takes_the_default_taper(tmp_path, capsys):
+    def price_line(text):
+        assert main(["price", "--config", write_config(tmp_path, text)]) == 0
+        return next(l for l in capsys.readouterr().out.splitlines() if l.startswith("price = "))
+
+    unset = BASE_CONFIG.replace("filter.kind = exponential", "filter.kind = none")
+    assert price_line(unset) == price_line(BASE_CONFIG)
 
 
 @pytest.mark.parametrize(
@@ -289,12 +314,6 @@ def test_oracle_writes_cache_and_price_reports_error(tmp_path, capsys):
 def test_converge_writes_csv_and_slope(tmp_path, capsys):
     cache = tmp_path / "refs.txt"
     out_csv = tmp_path / "conv.csv"
-    cfg = write_config(
-        tmp_path,
-        BASE_CONFIG.replace("grid.M = 512", "grid.M = 256,512,1024")
-        + f"\noutput.cache = {cache}\noutput.csv = {out_csv}\nmethod = fgm,fgm-f\n",
-    )
-    # BASE_CONFIG already sets method; build a fresh text instead
     text = BASE_CONFIG.replace("grid.M = 512", "grid.M = 256,512,1024").replace(
         "method = fgm-f", "method = fgm,fgm-f"
     ) + f"\noutput.cache = {cache}\noutput.csv = {out_csv}\n"

@@ -14,7 +14,7 @@ PLANCK = FilterSpec.planck(0.25)
 
 
 def test_unit_value_at_centre():
-    for spec in (FilterSpec.none(), EXP, PLANCK):
+    for spec in (EXP, PLANCK):
         assert eval_filter(spec, 0.0) == 1.0
 
 
@@ -70,13 +70,6 @@ def test_flat_to_high_order_at_centre():
     d3 = (stencil[4] - 2 * stencil[3] + 2 * stencil[1] - stencil[0]) / (2 * h**3)
     for fd in (d1, d2, d3):
         assert abs(fd) < 1e-6
-
-
-def test_apply_none_is_identity():
-    g = build_grid(64, 1.0)
-    f = np.arange(64, dtype=complex)
-    out = filter_profile(FilterSpec.none(), g) * f
-    assert np.array_equal(out, f)
 
 
 def test_apply_exponential_order_two():

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -178,24 +179,36 @@ def test_geometry_validation(kou):
 def test_band_clipped_past_itself_rejected(kou, method):
     # x_max = 0.03 clips u = log 1.2 to 0.03, below l = log 1.05 = 0.049
     c = OptionContract(S0=1.0, K=1.0, T=1.0, N=52, r=0.05, q_div=0.02, L=1.05, U=1.2)
-    with pytest.raises(ValueError, match="need l < u"):
-        price(c, kou, method, build_grid(1024, 0.03))
+    g = build_grid(1024, 0.03)
+    with pytest.raises(ValueError, match="lower barrier .* outside the grid"):
+        price(c, kou, method, g)
+    # a lone barrier outside the grid knocks every node out: l = log 1.05
+    # >= x_max, and u = log 0.95 <= -x_max for an up-and-out put
+    lone = [(replace(c, U=math.inf), "lower barrier")]
+    if Method(method).recursive:  # the z-domain pricers take no up-and-out
+        lone.append((replace(c, L=0.0, U=0.95, kind="put"), "upper barrier"))
+    for contract, name in lone:
+        with pytest.raises(ValueError, match=f"{name} .* outside the grid"):
+            price(contract, kou, method, g)
 
 
 def test_method_filter_dispatch(kou):
     c = double_barrier(4)
     g = default_grid(c, kou, 512)
     with pytest.raises(ValueError):
-        price(c, kou, Method.FGM_F, g, FilterSpec.none())
-    with pytest.raises(ValueError):
         price(c, kou, Method.FGM, g, EXP)
+    with pytest.raises(ValueError):
+        FilterSpec("none")
     res = price(c, kou, Method.FGM_F, g, EXP)
     assert res.method is Method.FGM_F
     res_fl = price(c, kou, Method.FL, g)
     assert res_fl.method is Method.FL
+    # the method alone says whether a call is filtered
+    assert res_fl.filter is None
+    assert price(c, kou, Method.FGM, g).filter is None
     # filtered method without an explicit filter falls back to defaults
     res_def = price(c, kou, Method.FGM_F, g)
-    assert res_def.filter.active
+    assert res_def.filter == FilterSpec.exponential()
 
 
 @pytest.mark.parametrize(
