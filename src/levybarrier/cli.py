@@ -12,15 +12,22 @@ Subcommands:
   filters-dump  taper profile samples on the scaled frequency lattice
 
 Configuration is a plain-text file of dotted `key = value` lines
-('#' comments); unknown keys are rejected.  Exit codes: 0 success,
-2 configuration error, 3 numerical failure.  CSV output is
-comma-separated with a header row and %.12e numbers.
+('#' comments); each key is read or rejected by name.  A value that does
+not parse names its key (`zt.ne: not an integer: ...`); a value the
+library refuses names its section (`zt: ...`).  filter.kind picks the
+taper, exponential when absent (`none` is the default taper): it reads
+filter.p and filter.theta, planck reads filter.eps, and a filter key
+the kind does not read is an error, as is a parameter of another model
+kind.  Exit codes: 0 success, 2 configuration error, 3 numerical
+failure.  CSV output is comma-separated with a header row and %.12e
+numbers.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import math
 import os
 import sys
@@ -30,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .filters import FilterKind, FilterSpec, filter_profile
+from .filters import FilterSpec, filter_profile
 from .grid import build_grid, inverse_dft
 from .levy import _REQUIRED_PARAMS, LevyModel
 from .oracle import OracleConfig, mc_price, quad_price
@@ -64,30 +71,112 @@ class NumericalFailure(RuntimeError):
 # ---------------------------------------------------------------------------
 
 # config key name -> library argument name, where they differ
-_ARG_NAMES = {"lambda": "lam", "ne": "n_e", "me": "m_e"}
+_ARG_NAMES = {"lambda": "lam", "q": "q_div", "type": "kind", "ne": "n_e", "me": "m_e"}
 _KEY_NAMES = {arg: key for key, arg in _ARG_NAMES.items()}
 
 # model kind -> its parameter keys, spelled as in the config
-_MODEL_PARAM_KEYS = {
+_MODEL_KEYS = {
     kind.value: tuple(_KEY_NAMES.get(name, name) for name in names)
     for kind, names in _REQUIRED_PARAMS.items()
 }
 
-# section -> key names; "method" is the one key without a section
-_SECTION_KEYS = {
-    "model": ("kind",),
-    "contract": ("S0", "K", "U", "L", "r", "q", "T", "N", "type", "alpha"),
-    "filter": ("kind", "p", "theta", "eps"),
-    "grid": ("M", "x_max"),
-    "zt": ("gamma", "ne", "me"),
-    "fixpoint": ("tol", "max_iter"),
-    "oracle": ("quad_points", "mc_paths", "mc_seed"),
-    "output": ("csv", "cache"),
-    **_MODEL_PARAM_KEYS,
+# filter.kind -> the constructor of its taper, whose arguments are the
+# filter keys that kind reads; none is the default taper and reads none
+_TAPERS = {
+    "exponential": FilterSpec.exponential,
+    "planck": FilterSpec.planck,
+    "none": lambda: FilterSpec(),
 }
 
-_KNOWN_KEYS = {"method"} | {
-    f"{section}.{name}" for section, names in _SECTION_KEYS.items() for name in names
+
+def _float(key: str, value: str) -> float:
+    try:
+        number = float(value)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: not a number: {value!r}") from exc
+    if not math.isfinite(number):
+        raise ConfigError(f"{key}: not a finite number: {value!r}")
+    return number
+
+
+def _int(key: str, value: str) -> int:
+    try:
+        return int(value)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: not an integer: {value!r}") from exc
+
+
+def _float_or(tokens: tuple[str, ...], meaning: float | None):
+    """Parser of a finite float, or of one of ``tokens`` (any case) for ``meaning``."""
+    return lambda key, value: meaning if value.lower() in tokens else _float(key, value)
+
+
+def _choice(noun: str, options):
+    """Parser of one of ``options``, in any case."""
+
+    def parse(key: str, value: str) -> str:
+        if value.lower() not in options:
+            raise ConfigError(f"{key}: unknown {noun} {value.lower()!r}")
+        return value.lower()
+
+    return parse
+
+
+def _methods(key: str, value: str) -> list[Method]:
+    methods = []
+    for token in filter(None, value.replace(" ", "").split(",")):
+        try:
+            methods.append(Method(token.lower().replace("_", "-")))
+        except ValueError as exc:
+            raise ConfigError(f"{key}: unknown method {token!r}") from exc
+    if not methods:
+        raise ConfigError(f"{key}: empty method list")
+    return methods
+
+
+def _sizes(key: str, value: str) -> list[int]:
+    try:
+        ms = [int(part) for part in value.replace(" ", "").split(",") if part]
+    except ValueError as exc:
+        raise ConfigError(f"{key}: not an integer list: {value!r}") from exc
+    if not ms:
+        raise ConfigError(f"{key}: empty grid list")
+    if any(b <= a for a, b in zip(ms, ms[1:])):
+        raise ConfigError(f"{key}: sweep sizes must be strictly increasing")
+    return ms
+
+
+# config key -> parser of its value: the one list of the keys
+_KEYS = {
+    "method": _methods,
+    "model.kind": _choice("model", _MODEL_KEYS),
+    **{f"{kind}.{name}": _float for kind, names in _MODEL_KEYS.items() for name in names},
+    "contract.S0": _float,
+    "contract.K": _float,
+    "contract.T": _float,
+    "contract.N": _int,
+    "contract.r": _float,
+    "contract.q": _float,
+    "contract.L": _float_or(("none", "0"), 0.0),
+    "contract.U": _float_or(("inf", "+inf", "none"), math.inf),
+    "contract.type": lambda key, value: value.lower(),
+    "contract.alpha": _float,
+    "filter.kind": _choice("filter", _TAPERS),
+    "filter.p": _int,
+    "filter.theta": _float,
+    "filter.eps": _float,
+    "grid.M": _sizes,
+    "grid.x_max": _float_or(("auto",), None),
+    "zt.gamma": _float,
+    "zt.ne": _int,
+    "zt.me": _int,
+    "fixpoint.tol": _float,
+    "fixpoint.max_iter": _int,
+    "oracle.quad_points": _int,
+    "oracle.mc_paths": _int,
+    "oracle.mc_seed": _int,
+    "output.csv": lambda key, value: value,
+    "output.cache": lambda key, value: value,
 }
 
 
@@ -100,12 +189,28 @@ def _parse_lines(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         out[key] = value
     return out
+
+
+def _build(values: dict, section: str, make, required: tuple[str, ...] = (), **fixed):
+    """``make(**fixed, **args)``: args are the keys of ``section`` that
+    ``values`` holds, popped and passed by argument name, so a key the
+    file omits keeps the library's default unless ``required`` names it.
+    A library ValueError becomes a ConfigError that names the section."""
+    for name in required:
+        if f"{section}.{name}" not in values:
+            raise ConfigError(f"missing required key: {section}.{name}")
+    names = [key.split(".")[1] for key in values if key.split(".")[0] == section]
+    args = {_ARG_NAMES.get(name, name): values.pop(f"{section}.{name}") for name in names}
+    try:
+        return make(**fixed, **args)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 @dataclass
@@ -116,120 +221,13 @@ class RunConfig:
     contract: OptionContract
     methods: list[Method]
     m_list: list[int]
-    filt: FilterSpec | None = None
+    filt: FilterSpec = FilterSpec()
     x_max: float | None = None
     zcfg: ZInversionConfig = ZInversionConfig()
     fixpoint: FixedPointSettings = FixedPointSettings()
     oracle: OracleConfig = OracleConfig()
     csv_path: str | None = None
     cache_path: str | None = None
-
-
-def _need(raw: dict[str, str], key: str) -> str:
-    if key not in raw:
-        raise ConfigError(f"missing required key: {key}")
-    return raw[key]
-
-
-def _as_float(raw: dict[str, str], key: str, default: float | None = None) -> float:
-    if key not in raw:
-        if default is None:
-            raise ConfigError(f"missing required key: {key}")
-        return default
-    try:
-        value = float(raw[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key}: not a number: {raw[key]!r}") from exc
-    if not math.isfinite(value):
-        raise ConfigError(f"{key}: not a finite number: {raw[key]!r}")
-    return value
-
-
-def _as_int(raw: dict[str, str], key: str, default: int | None = None) -> int:
-    if key not in raw:
-        if default is None:
-            raise ConfigError(f"missing required key: {key}")
-        return default
-    try:
-        return int(raw[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key}: not an integer: {raw[key]!r}") from exc
-
-
-def _given(raw: dict[str, str], section: str, **parsers) -> dict:
-    """Parsed values of the section's keys present in raw, by library
-    argument name; keys the file omits keep the library's defaults."""
-    return {
-        _ARG_NAMES.get(name, name): parse(raw, f"{section}.{name}")
-        for name, parse in parsers.items()
-        if f"{section}.{name}" in raw
-    }
-
-
-def _build_model(raw: dict[str, str]) -> LevyModel:
-    kind = _need(raw, "model.kind").lower()
-    if kind not in _MODEL_PARAM_KEYS:
-        raise ConfigError(f"model.kind: unknown model {kind!r}")
-    r = _as_float(raw, "contract.r")
-    q = _as_float(raw, "contract.q", 0.0)
-    params = {
-        _ARG_NAMES.get(name, name): _as_float(raw, f"{kind}.{name}")
-        for name in _MODEL_PARAM_KEYS[kind]
-    }
-    try:
-        return LevyModel(kind, params, r, q)
-    except ValueError as exc:
-        raise ConfigError(f"model.kind={kind}: {exc}") from exc
-
-
-def _build_contract(raw: dict[str, str]) -> OptionContract:
-    upper_raw = raw.get("contract.U", "inf").lower()
-    upper = math.inf if upper_raw in ("inf", "+inf", "none") else _as_float(raw, "contract.U")
-    lower_raw = raw.get("contract.L", "0").lower()
-    lower = 0.0 if lower_raw in ("none", "0") else _as_float(raw, "contract.L")
-    kind = raw.get("contract.type", "call").lower()
-    try:
-        return OptionContract(
-            S0=_as_float(raw, "contract.S0"),
-            K=_as_float(raw, "contract.K"),
-            T=_as_float(raw, "contract.T"),
-            N=_as_int(raw, "contract.N"),
-            r=_as_float(raw, "contract.r"),
-            q_div=_as_float(raw, "contract.q", 0.0),
-            L=lower,
-            U=upper,
-            kind=kind,
-            alpha=_as_float(raw, "contract.alpha", 0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _build_filter(raw: dict[str, str]) -> FilterSpec | None:
-    kind = raw.get("filter.kind", "none").lower()
-    args = _given(raw, "filter", p=_as_int, theta=_as_float, eps=_as_float)
-    if kind == "none":
-        return None
-    try:
-        fk = FilterKind(kind)
-    except ValueError as exc:
-        raise ConfigError(f"filter.kind: unknown filter {kind!r}") from exc
-    try:
-        return FilterSpec(fk, **args)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _parse_m_list(value: str) -> list[int]:
-    try:
-        ms = [int(part) for part in value.replace(" ", "").split(",") if part]
-    except ValueError as exc:
-        raise ConfigError(f"grid.M: not an integer list: {value!r}") from exc
-    if not ms:
-        raise ConfigError("grid.M: empty grid list")
-    if any(b <= a for a, b in zip(ms, ms[1:])):
-        raise ConfigError("grid.M: sweep sizes must be strictly increasing")
-    return ms
 
 
 def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> RunConfig:
@@ -239,52 +237,36 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Ru
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    raw = _parse_lines(text)
-    raw.update(overrides or {})
+    given = {**_parse_lines(text), **(overrides or {})}
+    values = {key: _KEYS[key](key, value) for key, value in given.items()}
 
-    model = _build_model(raw)
-    contract = _build_contract(raw)
-    methods: list[Method] = []
-    for token in raw.get("method", "fl").replace(" ", "").split(","):
-        if not token:
-            continue
-        try:
-            methods.append(Method(token.lower().replace("_", "-")))
-        except ValueError as exc:
-            raise ConfigError(f"method: unknown method {token!r}") from exc
-    if not methods:
-        raise ConfigError("method: empty method list")
-
-    filt = _build_filter(raw)
-    m_list = _parse_m_list(raw.get("grid.M", "1024"))
-    x_raw = raw.get("grid.x_max", "auto").lower()
-    x_max = None if x_raw == "auto" else _as_float(raw, "grid.x_max")
-    # a grid that ends inside the strike prices every payoff as 0
-    if x_max is not None and x_max <= abs(contract.log_strike):
-        raise ConfigError(
-            f"grid.x_max: {x_max} does not cover the log-strike |log(K/S0)| = "
-            f"{abs(contract.log_strike):.6g}"
-        )
-    zcfg = ZInversionConfig(**_given(raw, "zt", gamma=_as_float, ne=_as_int, me=_as_int))
-    fixpoint_args = _given(raw, "fixpoint", tol=_as_float, max_iter=_as_int)
-    try:
-        fixpoint = FixedPointSettings(**fixpoint_args)
-    except ValueError as exc:  # the message starts with the field name
-        raise ConfigError(f"fixpoint.{exc}") from exc
-    oracle_args = _given(raw, "oracle", quad_points=_as_int, mc_paths=_as_int, mc_seed=_as_int)
-    return RunConfig(
+    contract = _build(values, "contract", OptionContract, ("S0", "K", "T", "N", "r"))
+    kind = values.get("model.kind")
+    if kind is None:
+        raise ConfigError("missing required key: model.kind")
+    params = _build(values, kind, dict, _MODEL_KEYS[kind])
+    model = _build(values, "model", LevyModel, params=params, r=contract.r, q_div=contract.q_div)
+    taper = values.pop("filter.kind", "exponential")
+    reads = inspect.signature(_TAPERS[taper]).parameters
+    for key in values:
+        if key.startswith("filter.") and key.split(".")[1] not in reads:
+            raise ConfigError(f"{key}: not read by filter.kind = {taper}")
+    cfg = RunConfig(
         model=model,
         contract=contract,
-        methods=methods,
-        filt=filt,
-        m_list=m_list,
-        x_max=x_max,
-        zcfg=zcfg,
-        fixpoint=fixpoint,
-        oracle=OracleConfig(**oracle_args),
-        csv_path=raw.get("output.csv"),
-        cache_path=raw.get("output.cache"),
+        methods=values.pop("method", [Method.FL]),
+        m_list=values.pop("grid.M", [1024]),
+        filt=_build(values, "filter", _TAPERS[taper]),
+        x_max=values.pop("grid.x_max", None),
+        zcfg=_build(values, "zt", ZInversionConfig),
+        fixpoint=_build(values, "fixpoint", FixedPointSettings),
+        oracle=_build(values, "oracle", OracleConfig),
+        csv_path=values.pop("output.csv", None),
+        cache_path=values.pop("output.cache", None),
     )
+    if values:  # only parameters of another model kind are left
+        raise ConfigError(f"{next(iter(values))}: not read by model.kind = {kind}")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -365,15 +347,23 @@ def lookup_reference(cfg: RunConfig) -> float | None:
 
 
 def _run_one(cfg: RunConfig, method: Method, M: int) -> PricingResult:
-    # the configured filter serves the filtered methods; price() supplies
-    # the default when none is configured
+    # the configured taper serves the filtered methods only
     filt = cfg.filt if method.filtered else None
     grid = default_grid(cfg.contract, cfg.model, M, cfg.x_max)
     return run_pricer(cfg.contract, cfg.model, method, grid, filt, cfg.zcfg, cfg.fixpoint)
 
 
-def _filter_label(result: PricingResult) -> str:
-    return result.filter.label() if result.filter else "none"
+def _row(result: PricingResult, **extra) -> dict:
+    """The CSV cells of one result by column name; ``extra`` follows the price."""
+    return {
+        "M": result.grid_m,
+        "price": result.price,
+        **extra,
+        "cpu_seconds": result.cpu_seconds,
+        "avg_iterations": result.avg_iterations,
+        "method": result.method.value,
+        "filter": result.filter.label() if result.filter else "none",
+    }
 
 
 def _single(key: str, values: list, command: str):
@@ -386,9 +376,9 @@ def _single(key: str, values: list, command: str):
 def cmd_price(cfg: RunConfig) -> int:
     method = _single("method", cfg.methods, "price")
     result = _run_one(cfg, method, _single("grid.M", cfg.m_list, "price"))
-    print(f"method = {result.method.value}")
-    print(f"filter = {_filter_label(result)}")
-    print(f"M = {result.grid_m}")
+    row = _row(result)
+    for name in ("method", "filter", "M"):
+        print(f"{name} = {row[name]}")
     print(f"price = {NUM_FMT % result.price}")
     print(f"cpu_seconds = {NUM_FMT % result.cpu_seconds}")
     if result.avg_iterations is not None:
@@ -400,20 +390,7 @@ def cmd_price(cfg: RunConfig) -> int:
     if result.max_iter_hit:
         print("warning = fixed point hit max_iter", file=sys.stderr)
     if cfg.csv_path:
-        _write_csv(
-            cfg.csv_path,
-            ["M", "price", "cpu_seconds", "avg_iterations", "method", "filter"],
-            [
-                [
-                    result.grid_m,
-                    result.price,
-                    result.cpu_seconds,
-                    result.avg_iterations,
-                    result.method.value,
-                    _filter_label(result),
-                ]
-            ],
-        )
+        _write_csv(cfg.csv_path, list(row), [list(row.values())])
     return 0
 
 
@@ -444,29 +421,14 @@ def cmd_converge(cfg: RunConfig) -> int:
         errors = []
         for M in cfg.m_list:
             result = _run_one(cfg, method, M)
-            err = abs(result.price - reference)
-            errors.append(err)
-            rows.append(
-                [
-                    M,
-                    result.price,
-                    err,
-                    result.cpu_seconds,
-                    result.avg_iterations,
-                    result.method.value,
-                    _filter_label(result),
-                ]
-            )
+            errors.append(abs(result.price - reference))
+            rows.append(_row(result, abs_error=errors[-1]))
         slopes.append((method, fit_slope(cfg.m_list, errors)))
     print(f"reference = {NUM_FMT % reference}")
     for method, slope in slopes:
         print(f"slope method={method.value} log2_error_slope={slope:.3f}")
     if cfg.csv_path:
-        _write_csv(
-            cfg.csv_path,
-            ["M", "price", "abs_error", "cpu_seconds", "avg_iterations", "method", "filter"],
-            rows,
-        )
+        _write_csv(cfg.csv_path, list(rows[0]), [list(row.values()) for row in rows])
     return 0
 
 
@@ -542,7 +504,7 @@ def cmd_oracle(cfg: RunConfig, with_mc: bool) -> int:
 def cmd_filters_dump(cfg: RunConfig) -> int:
     M = _single("grid.M", cfg.m_list, "filters-dump")
     grid = default_grid(cfg.contract, cfg.model, M, cfg.x_max)
-    sigma = filter_profile(cfg.filt or FilterSpec.exponential(), grid)
+    sigma = filter_profile(cfg.filt, grid)
     psi = cfg.model.char_function(grid.xi, cfg.contract.dt)
     rows = [
         [k, xi, eta, s, p.real, p.imag]
@@ -550,31 +512,26 @@ def cmd_filters_dump(cfg: RunConfig) -> int:
             range(-grid.M // 2, grid.M // 2), grid.xi, grid.eta, sigma, psi
         )
     ]
-    header = ["k", "xi", "eta", "sigma", "re", "im"]
-    if cfg.csv_path:
-        _write_csv(cfg.csv_path, header, rows)
-    else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(_fmt_cell(c) for c in row))
+    _write_csv(cfg.csv_path, ["k", "xi", "eta", "sigma", "re", "im"], rows)
     return 0
 
 
 def _fmt_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, (str, int, np.integer)):
+        return str(value)
     return NUM_FMT % value
 
 
-def _write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt_cell(c) for c in row) for row in rows)
+def _write_csv(path: str | Path | None, header: list[str], rows: list[list]) -> None:
+    """Write the CSV to ``path``, or to stdout when it is None."""
+    text = "".join(",".join(map(_fmt_cell, row)) + "\n" for row in [header, *rows])
+    if path is None:
+        sys.stdout.write(text)
+        return
     try:
-        Path(path).write_text("\n".join(lines) + "\n")
+        Path(path).write_text(text)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
@@ -584,7 +541,7 @@ def _write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
 # ---------------------------------------------------------------------------
 
 
-# flag -> the config key it overrides, and the flags each config subcommand reads
+# flag -> the config key it overrides
 _FLAG_KEYS = {
     "--method": "method",
     "--filter": "filter.kind",
@@ -592,11 +549,13 @@ _FLAG_KEYS = {
     "--out": "output.csv",
     "--seed": "oracle.mc_seed",
 }
-_COMMAND_FLAGS = {
-    "price": ("--method", "--filter", "--M", "--out"),
-    "converge": ("--method", "--filter", "--M", "--out"),
-    "oracle": ("--seed",),
-    "filters-dump": ("--filter", "--M", "--out"),
+# config subcommand -> (the flags it reads, the RunConfig output paths it
+# writes); price only reads the cache
+_COMMANDS = {
+    "price": (("--method", "--filter", "--M", "--out"), ("csv_path",)),
+    "converge": (("--method", "--filter", "--M", "--out"), ("csv_path", "cache_path")),
+    "oracle": (("--seed",), ("cache_path",)),
+    "filters-dump": (("--filter", "--M", "--out"), ("csv_path",)),
 }
 
 
@@ -605,7 +564,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="levybarrier", description="barrier-option pricing benchmarks"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, flags in _COMMAND_FLAGS.items():
+    for name, (flags, _) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         for flag in flags:
@@ -616,15 +575,6 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--M", dest="M", default="64,128,256,512,1024")
     g.add_argument("--out")
     return parser
-
-
-# the RunConfig output paths each subcommand writes; price only reads the cache
-_OUTPUTS = {
-    "price": ("csv_path",),
-    "converge": ("csv_path", "cache_path"),
-    "oracle": ("cache_path",),
-    "filters-dump": ("csv_path",),
-}
 
 
 def _check_output_dirs(*paths: str | None) -> None:
@@ -639,10 +589,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "gibbs-demo":
             _check_output_dirs(args.out)
-            return cmd_gibbs(_parse_m_list(args.M), args.out)
-        flags = {k: v for k, v in vars(args).items() if k in _KNOWN_KEYS and v is not None}
+            return cmd_gibbs(_sizes("grid.M", args.M), args.out)
+        flags = {k: v for k, v in vars(args).items() if k in _KEYS and v is not None}
         cfg = load_config(args.config, flags)
-        _check_output_dirs(*(getattr(cfg, name) for name in _OUTPUTS[args.command]))
+        _check_output_dirs(*(getattr(cfg, name) for name in _COMMANDS[args.command][1]))
         if args.command == "price":
             return cmd_price(cfg)
         if args.command == "converge":

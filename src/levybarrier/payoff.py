@@ -12,11 +12,12 @@ has the analytic transform
 
 with a = u, b = max(k, l) for a call and a = l, b = min(k, u) for a put.
 An infinite upper barrier is truncated at the grid edge x_max, matching
-the finite computational domain.  A grid that misses a barrier (a band
-the clipping empties, or a lone barrier at or beyond the edge, which
-would price 0) is rejected in one place, ``clipped_barriers``, so every
-method refuses it.  The removable singularities at i*xi + alpha = 0 and
-1 + i*xi + alpha = 0 are evaluated by their limits.
+the finite computational domain.  A grid that does not reach past the
+strike and each barrier the contract has (x_max <= |k|, |l| or |u|)
+would price 0 or move a barrier onto its edge; it is rejected in one
+place, ``clipped_barriers``, so every method refuses it.  The removable
+singularities at i*xi + alpha = 0 and 1 + i*xi + alpha = 0 are evaluated
+by their limits.
 The transform is returned as a plain length-M array on the xi lattice.
 """
 
@@ -90,25 +91,32 @@ class OptionContract:
         return math.isfinite(self.U)
 
     @property
+    def _levels(self) -> list[tuple[str, float]]:
+        """(name, log level) of the strike and of each barrier the contract has."""
+        out = [("log-strike k", self.log_strike)]
+        if self.has_lower:
+            out.append(("lower barrier l", self.log_lower))
+        if self.has_upper:
+            out.append(("upper barrier u", self.log_upper))
+        return out
+
+    @property
     def log_anchor(self) -> float:
         """Largest of |k|, |l| and |u| over the levels the contract has."""
-        anchors = [abs(self.log_strike)]
-        if self.has_lower:
-            anchors.append(abs(self.log_lower))
-        if self.has_upper:
-            anchors.append(abs(self.log_upper))
-        return max(anchors)
+        return max(abs(level) for _, level in self._levels)
 
     def clipped_barriers(self, x_max: float) -> tuple[float, float]:
         """Log barriers (l, u) clipped to [-x_max, x_max]; absent ones sit on
-        the edge.  A barrier the grid does not reach (l >= x_max or
-        u <= -x_max) is rejected with ValueError; so is, by that alone,
-        every band the clipping would empty."""
-        l, u = max(self.log_lower, -x_max), min(self.log_upper, x_max)
-        if l >= x_max or u <= -x_max:
-            name, b = ("lower barrier l", l) if l >= x_max else ("upper barrier u", u)
-            raise ValueError(f"{name} = {b:.6g} lies outside the grid, x_max = {x_max:.6g}")
-        return l, u
+        the edge.  A grid that does not reach past the strike and each
+        barrier the contract has (x_max <= log_anchor) is rejected with a
+        ValueError that names the level: it would price 0, or price a
+        barrier moved onto the grid edge."""
+        for name, level in self._levels:
+            if abs(level) >= x_max:
+                raise ValueError(
+                    f"{name} = {level:.6g} lies outside the grid, x_max = {x_max:.6g}"
+                )
+        return max(self.log_lower, -x_max), min(self.log_upper, x_max)
 
     def support(self, x_max: float) -> tuple[float, float]:
         """Transform integration limits (a, b) on a grid of half-width

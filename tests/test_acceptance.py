@@ -228,16 +228,19 @@ def test_criterion_9_pulse_recovery():
 
 
 def test_criterion_10_timing_profiles(kou):
-    def median_time(fn, repeats=3):
-        return sorted(fn().cpu_seconds for _ in range(repeats))[1]
-
+    # the four calls take turns, and each keeps its best of 5 rounds, so
+    # load from other processes that comes and goes hits them alike
     c52, c504 = double_barrier(52), double_barrier(504)
     g52 = default_grid(c52, kou, 1024)
     g504 = default_grid(c504, kou, 1024)
-    t52 = median_time(lambda: price(c52, kou, "fgm-f", g52, EXP))
-    t504 = median_time(lambda: price(c504, kou, "fgm-f", g504, EXP))
-    f52 = median_time(lambda: price(c52, kou, "fl", g52))
-    f504 = median_time(lambda: price(c504, kou, "fl", g504))
+    calls = [
+        lambda: price(c52, kou, "fgm-f", g52, EXP),
+        lambda: price(c504, kou, "fgm-f", g504, EXP),
+        lambda: price(c52, kou, "fl", g52),
+        lambda: price(c504, kou, "fl", g504),
+    ]
+    rounds = [[call().cpu_seconds for call in calls] for _ in range(5)]
+    t52, t504, f52, f504 = (min(times) for times in zip(*rounds))
     fgm_ratio = t504 / t52
     fl_ratio = f504 / f52
     ok = fgm_ratio <= 1.5 and fl_ratio >= 5.0

@@ -115,38 +115,62 @@ def test_malformed_number_names_its_key(tmp_path, capsys, key, message):
     assert err == f"config error: {message.format(line=line)}\n"
 
 
-def _kou_double_with(tmp_path, key, value):
+def _kou_double(tmp_path, changes):
+    """kou_double.cfg with each key of ``changes`` set to its value (a key
+    the file lacks is appended), or removed where the value is None."""
     text = KOU_DOUBLE_CFG.read_text()
-    text, count = re.subn(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text, flags=re.M)
-    assert count == 1
+    for key, value in changes.items():
+        line = "" if value is None else f"{key} = {value}\n"
+        text, count = re.subn(rf"^{re.escape(key)} = .*\n", line, text, flags=re.M)
+        if count == 0:
+            text += line
     return write_config(tmp_path, text)
 
 
 @pytest.mark.parametrize("key", ["contract.r", "contract.alpha", "kou.sigma", "grid.x_max"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_number_names_its_key(tmp_path, capsys, key, value):
-    assert main(["price", "--config", _kou_double_with(tmp_path, key, value)]) == 2
+    assert main(["price", "--config", _kou_double(tmp_path, {key: value})]) == 2
     assert capsys.readouterr().err == f"config error: {key}: not a finite number: {value!r}\n"
 
 
 @pytest.mark.parametrize("token", ["inf", "+inf", "none", "INF"])
 def test_open_upper_barrier_tokens(tmp_path, token):
-    cfg = load_config(_kou_double_with(tmp_path, "contract.U", token))
+    cfg = load_config(_kou_double(tmp_path, {"contract.U": token}))
     assert cfg.contract.U == math.inf
 
 
 @pytest.mark.parametrize(
-    "key, value", [("fixpoint.max_iter", "0"), ("fixpoint.tol", "-1"), ("fixpoint.tol", "nan")]
+    "key, value",
+    [
+        ("fixpoint.max_iter", "0"),
+        ("fixpoint.tol", "-1"),
+        ("fixpoint.tol", "nan"),
+        ("zt.gamma", "20"),
+        ("zt.ne", "0"),
+        ("oracle.quad_points", "100"),
+        ("filter.p", "3"),
+        ("filter.eps", "0.7"),
+        ("contract.type", "straddle"),
+        ("kou.p", "2"),
+    ],
 )
 def test_invalid_fixed_point_settings_name_their_key(tmp_path, capsys, key, value):
-    assert main(["price", "--config", _kou_double_with(tmp_path, key, value)]) == 2
+    # a value the library rejects names its section (the model's keys
+    # build the model); a value that is not a number names its key
+    changes = {key: value}
+    if key == "filter.eps":
+        changes.update({"filter.kind": "planck", "filter.p": None})
+    section = "model" if key.startswith("kou.") else key.split(".")[0]
+    prefix = f"{key}: " if value == "nan" else f"{section}: "
+    assert main(["price", "--config", _kou_double(tmp_path, changes)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: {key}")
+    assert err.startswith(f"config error: {prefix}")
     assert len(err.splitlines()) == 1
 
 
 def test_zero_fixed_point_tolerance_is_valid(tmp_path):
-    cfg = load_config(_kou_double_with(tmp_path, "fixpoint.tol", "0"))
+    cfg = load_config(_kou_double(tmp_path, {"fixpoint.tol": "0"}))
     assert cfg.fixpoint == FixedPointSettings(tol=0.0)
 
 
@@ -154,27 +178,31 @@ def test_zero_fixed_point_tolerance_is_valid(tmp_path):
 @pytest.mark.parametrize("x_max", ["0.01", "0.0953"])
 def test_grid_inside_the_strike_rejected(tmp_path, capsys, method, x_max):
     # K = 1.1: |log(K/S0)| = 0.09531
-    cfg = _kou_double_with(tmp_path, "grid.x_max", x_max)
+    cfg = _kou_double(tmp_path, {"grid.x_max": x_max})
     assert main(["price", "--config", cfg, "--method", method]) == 2
-    assert capsys.readouterr().err.startswith("config error: grid.x_max: ")
+    assert capsys.readouterr().err.startswith("config error: log-strike k = 0.0953102 lies ")
 
 
 def test_band_clipped_past_itself_rejected(tmp_path, capsys):
     # grid.x_max = 0.03 clips u = log 1.2 to 0.03, below l = log 1.05; a
     # lone l = log 1.05 or u = log 0.95 lies outside that grid
+    base = {"contract.K": "1.0", "contract.L": "1.05", "grid.x_max": "0.03"}
     cases = [
-        ({}, "lower barrier"),
-        ({"contract.U": "inf"}, "lower barrier"),
-        ({"contract.L": "0", "contract.U": "0.95", "contract.type": "put", "method": "fl"},
+        ({**base}, "lower barrier"),
+        ({**base, "contract.U": "inf"}, "lower barrier"),
+        ({**base, "contract.L": "0", "contract.U": "0.95", "contract.type": "put", "method": "fl"},
          "upper barrier"),
+        # a grid inside the strike prices 0; one inside the near barrier
+        # l = log 0.7 = -0.357 would move it onto the edge -0.2
+        ({"grid.x_max": "0.05"}, "log-strike k"),
+        *[
+            ({"contract.K": "1.0", "contract.L": "0.7", "contract.U": "inf", "contract.N": "52",
+              "grid.x_max": "0.2", "grid.M": "2048", "method": method}, "lower barrier")
+            for method in ("fgm-f", "fl")
+        ],
     ]
     for changes, message in cases:
-        text = KOU_DOUBLE_CFG.read_text()
-        base = {"contract.K": "1.0", "contract.L": "1.05", "grid.x_max": "0.03"}
-        for key, value in {**base, **changes}.items():
-            text, count = re.subn(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text, flags=re.M)
-            assert count == 1
-        assert main(["price", "--config", write_config(tmp_path, text)]) == 2
+        assert main(["price", "--config", _kou_double(tmp_path, changes)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {message}")
         assert len(err.splitlines()) == 1
@@ -203,6 +231,27 @@ def test_unfiltered_method_reports_no_filter(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE_CONFIG)
     assert main(["price", "--config", cfg, "--method", "fl"]) == 0
     assert "filter = none" in capsys.readouterr().out.splitlines()
+
+
+def test_filter_keys_are_read_by_their_kind(tmp_path, capsys):
+    def run(text):
+        code = main(["price", "--config", write_config(tmp_path, text)])
+        return code, capsys.readouterr()
+
+    # an absent filter.kind is exponential, which reads filter.p
+    unset = BASE_CONFIG.replace("filter.kind = exponential\n", "filter.p = 8\n")
+    code, out = run(unset)
+    assert code == 0 and "filter = exp(p=8)" in out.out.splitlines()
+    # a key the kind does not read is rejected by name
+    for kind, key, value in [
+        ("planck", "filter.p", "8"),
+        ("exponential", "filter.eps", "0.3"),
+        ("none", "filter.theta", "30"),
+    ]:
+        text = BASE_CONFIG.replace("exponential", kind) + f"{key} = {value}\n"
+        code, out = run(text)
+        assert code == 2
+        assert out.err == f"config error: {key}: not read by filter.kind = {kind}\n"
 
 
 def test_filter_kind_none_takes_the_default_taper(tmp_path, capsys):
@@ -404,6 +453,35 @@ def test_filters_dump(tmp_path):
     lines = out_csv.read_text().splitlines()
     assert lines[0] == "k,xi,eta,sigma,re,im"
     assert len(lines) == 1 + 512
+
+
+def test_filters_dump_prints_the_csv_it_writes(tmp_path, capsys):
+    out_csv = tmp_path / "filt.csv"
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    assert main(["filters-dump", "--config", cfg, "--M", "64", "--out", str(out_csv)]) == 0
+    assert main(["filters-dump", "--config", cfg, "--M", "64"]) == 0
+    assert capsys.readouterr().out == out_csv.read_text()
+
+
+def test_parameters_of_another_model_kind_rejected(tmp_path, capsys):
+    assert main(["price", "--config", _kou_double(tmp_path, {"nig.alpha": "15"})]) == 2
+    assert capsys.readouterr().err == "config error: nig.alpha: not read by model.kind = kou\n"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_lists_the_config_keys():
+    # the key column of the block under "Configuration files": the leading
+    # dotted names of each line
+    block = README.read_text().split("### Configuration files", 1)[1].split("```")[1]
+    listed = []
+    for line in block.splitlines():
+        for token in line.split():
+            if not re.fullmatch(r"method|[a-z]+\.[A-Za-z0-9_]+", token):
+                break
+            listed.append(token)
+    assert sorted(listed) == sorted(cli._KEYS)
 
 
 def test_model_key_distinguishes_parameters():

@@ -190,6 +190,15 @@ def test_band_clipped_past_itself_rejected(kou, method):
     for contract, name in lone:
         with pytest.raises(ValueError, match=f"{name} .* outside the grid"):
             price(contract, kou, method, g)
+    # a grid inside the strike prices 0; one inside the near barrier
+    # l = log 0.7 = -0.357 would move it onto the edge -0.2
+    near = [
+        (replace(c, K=1.1), build_grid(1024, 0.05), "log-strike k"),
+        (replace(c, L=0.7, U=math.inf), build_grid(2048, 0.2), "lower barrier"),
+    ]
+    for contract, grid, name in near:
+        with pytest.raises(ValueError, match=f"{name} .* outside the grid, x_max = "):
+            price(contract, kou, method, grid)
 
 
 def test_method_filter_dispatch(kou):
