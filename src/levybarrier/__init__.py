@@ -8,21 +8,18 @@ from .levy import LevyModel, ModelKind
 from .oracle import OracleConfig, mc_price, quad_price
 from .payoff import OptionContract, damped_payoff_fourier
 from .pricers import (
-    FixedPointSettings,
     Method,
     PricingResult,
     default_grid,
     price,
     reference_price,
 )
-from .ztransform import ZInversionConfig
 
 __version__ = "0.1.0"
 
 __all__ = [
     "FilterKind",
     "FilterSpec",
-    "FixedPointSettings",
     "GridSpec",
     "HilbertKernel",
     "LevyModel",
@@ -31,7 +28,6 @@ __all__ = [
     "OptionContract",
     "OracleConfig",
     "PricingResult",
-    "ZInversionConfig",
     "build_grid",
     "damped_payoff_fourier",
     "default_grid",

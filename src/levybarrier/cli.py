@@ -13,14 +13,14 @@ Subcommands:
 
 Configuration is a plain-text file of dotted `key = value` lines
 ('#' comments); each key is read or rejected by name.  A value that does
-not parse names its key (`zt.ne: not an integer: ...`); a value the
-library refuses names its section (`zt: ...`).  filter.kind picks the
-taper, exponential when absent (`none` is the default taper): it reads
-filter.p and filter.theta, planck reads filter.eps, and a filter key
-the kind does not read is an error, as is a parameter of another model
-kind.  Exit codes: 0 success, 2 configuration error, 3 numerical
-failure.  CSV output is comma-separated with a header row and %.12e
-numbers.
+not parse names its key (`contract.N: not an integer: ...`); a value
+the library refuses names its section (`contract: ...`).  filter.kind
+picks the taper, exponential when absent (`none` is the default taper):
+it reads filter.p and filter.theta, planck reads filter.eps, and a
+filter key the kind does not read is an error, as is a parameter of
+another model kind.  grid.M sizes are powers of two >= 8.  Exit codes:
+0 success, 2 configuration error, 3 numerical failure.  CSV output is
+comma-separated with a header row and %.12e numbers.
 """
 
 from __future__ import annotations
@@ -43,15 +43,14 @@ from .levy import _REQUIRED_PARAMS, LevyModel
 from .oracle import OracleConfig, mc_price, quad_price
 from .payoff import OptionContract
 from .pricers import (
-    FixedPointSettings,
     Method,
     PricingResult,
     default_grid,
+    default_x_max,
     price as run_pricer,
     reference_price,
 )
 from .wiener_hopf import BranchFailureError, SingularInputError
-from .ztransform import ZInversionConfig
 
 __all__ = ["main", "ConfigError", "RunConfig", "load_config", "fit_slope"]
 
@@ -71,7 +70,7 @@ class NumericalFailure(RuntimeError):
 # ---------------------------------------------------------------------------
 
 # config key name -> library argument name, where they differ
-_ARG_NAMES = {"lambda": "lam", "q": "q_div", "type": "kind", "ne": "n_e", "me": "m_e"}
+_ARG_NAMES = {"lambda": "lam", "q": "q_div", "type": "kind"}
 _KEY_NAMES = {arg: key for key, arg in _ARG_NAMES.items()}
 
 # model kind -> its parameter keys, spelled as in the config
@@ -141,6 +140,9 @@ def _sizes(key: str, value: str) -> list[int]:
         raise ConfigError(f"{key}: not an integer list: {value!r}") from exc
     if not ms:
         raise ConfigError(f"{key}: empty grid list")
+    for m in ms:
+        if m < 8 or m & (m - 1):
+            raise ConfigError(f"{key}: {m} is not a power of two >= 8")
     if any(b <= a for a, b in zip(ms, ms[1:])):
         raise ConfigError(f"{key}: sweep sizes must be strictly increasing")
     return ms
@@ -167,11 +169,6 @@ _KEYS = {
     "filter.eps": _float,
     "grid.M": _sizes,
     "grid.x_max": _float_or(("auto",), None),
-    "zt.gamma": _float,
-    "zt.ne": _int,
-    "zt.me": _int,
-    "fixpoint.tol": _float,
-    "fixpoint.max_iter": _int,
     "oracle.quad_points": _int,
     "oracle.mc_paths": _int,
     "oracle.mc_seed": _int,
@@ -223,8 +220,6 @@ class RunConfig:
     m_list: list[int]
     filt: FilterSpec = FilterSpec()
     x_max: float | None = None
-    zcfg: ZInversionConfig = ZInversionConfig()
-    fixpoint: FixedPointSettings = FixedPointSettings()
     oracle: OracleConfig = OracleConfig()
     csv_path: str | None = None
     cache_path: str | None = None
@@ -258,8 +253,6 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Ru
         m_list=values.pop("grid.M", [1024]),
         filt=_build(values, "filter", _TAPERS[taper]),
         x_max=values.pop("grid.x_max", None),
-        zcfg=_build(values, "zt", ZInversionConfig),
-        fixpoint=_build(values, "fixpoint", FixedPointSettings),
         oracle=_build(values, "oracle", OracleConfig),
         csv_path=values.pop("output.csv", None),
         cache_path=values.pop("output.cache", None),
@@ -330,12 +323,18 @@ def write_cache_entry(
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
+def _reference_tag(cfg: RunConfig) -> str:
+    """Cache tag of the backward-induction reference, which moves with x_max."""
+    x_max = default_x_max(cfg.contract, cfg.model) if cfg.x_max is None else cfg.x_max
+    return f"fl-ref@{x_max:.12g}"
+
+
 def lookup_reference(cfg: RunConfig) -> float | None:
     if not cfg.cache_path:
         return None
     entries = read_cache(cfg.cache_path)
     key = (model_key(cfg.model), contract_key(cfg.contract), cfg.contract.N)
-    for tag in ("fl-ref", "quad"):
+    for tag in (_reference_tag(cfg), "quad"):
         if (*key, tag) in entries:
             return entries[(*key, tag)]
     return None
@@ -350,7 +349,7 @@ def _run_one(cfg: RunConfig, method: Method, M: int) -> PricingResult:
     # the configured taper serves the filtered methods only
     filt = cfg.filt if method.filtered else None
     grid = default_grid(cfg.contract, cfg.model, M, cfg.x_max)
-    return run_pricer(cfg.contract, cfg.model, method, grid, filt, cfg.zcfg, cfg.fixpoint)
+    return run_pricer(cfg.contract, cfg.model, method, grid, filt)
 
 
 def _row(result: PricingResult, **extra) -> dict:
@@ -414,7 +413,8 @@ def cmd_converge(cfg: RunConfig) -> int:
     if reference is None:
         reference = reference_price(cfg.contract, cfg.model, cfg.x_max)
         if cfg.cache_path:
-            write_cache_entry(cfg.cache_path, cfg.model, cfg.contract, "fl-ref", reference)
+            tag = _reference_tag(cfg)
+            write_cache_entry(cfg.cache_path, cfg.model, cfg.contract, tag, reference)
     rows = []
     slopes = []
     for method in cfg.methods:

@@ -101,16 +101,13 @@ def _payoff_on(x: np.ndarray, contract: OptionContract) -> np.ndarray:
 
 
 def _convolution_window(
-    values: np.ndarray, lags_fft: np.ndarray, width: int | None = None, size: int | None = None
+    values: np.ndarray, lags_fft: np.ndarray, width: int, size: int
 ) -> np.ndarray:
     """Window [a-1, a-1+width) of the linear convolution of the a
     ``values`` with the a + width - 1 reversed density lags whose
     length-``size`` real transform is ``lags_fft``, as one circular
-    convolution of that length (size >= a + width - 1).  The defaults,
-    width = a and size = 2a, take 2a lags and a window of a."""
+    convolution of that length (size >= a + width - 1)."""
     a = len(values)
-    width = a if width is None else width
-    size = 2 * a if size is None else size
     return scipy.fft.irfft(scipy.fft.rfft(values, size) * lags_fft, size)[a - 1 : a - 1 + width]
 
 
@@ -131,8 +128,7 @@ def quad_price(
     # surviving fraction of each cell; fractional weights at the two
     # barrier-cut cells keep the knockout indicator second-order accurate
     edges = (np.arange(n + 1) - c - 0.5) * h
-    lo = contract.log_lower if contract.has_lower else -np.inf
-    hi = contract.log_upper if contract.has_upper else np.inf
+    lo, hi = contract.log_lower, contract.log_upper
     alive = np.clip(
         (np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo)) / h, 0.0, 1.0
     )

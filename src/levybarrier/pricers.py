@@ -11,7 +11,8 @@ returns the ``PricingResult``.  The private algorithms take sigma or None:
   domain.  Per contour point q the kernel Phi = 1 - q Psi is factorised
   (Wiener-Hopf) and the barrier terms are isolated with half-line
   projections.  A down-and-out contract is solved directly; the
-  double-barrier coupling is resolved by a small fixed-point iteration.
+  double-barrier coupling is resolved by a small fixed-point iteration
+  that stops at the tolerance SWEEP_TOL or after MAX_SWEEPS sweeps.
   Up-and-out contracts are not supported.  Two monitoring dates are
   withheld from the z-index and restored as explicit Psi factors, which
   smooths both ends of the scheme, so the inversion targets index N - 2.
@@ -72,12 +73,11 @@ from .hilbert import (
 from .levy import LevyModel, ModelKind
 from .payoff import OptionContract, damped_payoff_fourier
 from .wiener_hopf import factorize_values
-from .ztransform import ZInversionConfig, contour_points, invert
+from .ztransform import contour_points, invert
 
 __all__ = [
     "Method",
     "PricingResult",
-    "FixedPointSettings",
     "default_x_max",
     "default_grid",
     "price",
@@ -122,22 +122,6 @@ class PricingResult:
     imag_residual: float = 0.0
 
 
-@dataclass(frozen=True)
-class FixedPointSettings:
-    """Stop when the sup-norm change of the assembled transform between
-    successive sweeps drops below tol (absolute scale; the transform is
-    O(payoff)), or after max_iter sweeps."""
-
-    tol: float = 1e-8
-    max_iter: int = 5
-
-    def __post_init__(self) -> None:
-        if not self.tol >= 0:
-            raise ValueError(f"tol must be >= 0, got {self.tol}")
-        if not self.max_iter >= 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-
-
 JUMP_WIDTH_STEP_STDS = 38.0
 
 
@@ -175,6 +159,11 @@ def default_grid(
 # z-transform-domain pricer
 # ---------------------------------------------------------------------------
 
+# the band fixed point stops once a sweep moves the assembled transform by
+# at most SWEEP_TOL in sup norm (absolute; it is O(payoff)), or after MAX_SWEEPS
+SWEEP_TOL = 1e-8
+MAX_SWEEPS = 5
+
 
 def _down_out_solver(
     psi: np.ndarray,
@@ -209,7 +198,6 @@ def _band_solver(
     u: float,
     sigma: np.ndarray | None,
     filter_factorization: bool,
-    fp: FixedPointSettings,
 ) -> Callable[[complex], tuple[np.ndarray, int]]:
     """Fixed-point solve of the coupled barrier terms per contour point,
     returning the spectrum and the number of sweeps; the phase vectors
@@ -247,9 +235,9 @@ def _band_solver(
             j_plus = q_plus * phi_plus
             f = pay_phi * (psi - up_l * j_minus - up_u * j_plus)
             iterations += 1
-            if f_old is not None and np.max(np.abs(f - f_old)) <= fp.tol:
+            if f_old is not None and np.max(np.abs(f - f_old)) <= SWEEP_TOL:
                 break
-            if iterations >= fp.max_iter:
+            if iterations >= MAX_SWEEPS:
                 break
             f_old = f
         return f, iterations
@@ -310,12 +298,7 @@ def _map_contour(at: Callable, pts: np.ndarray, M: int) -> list:
 
 
 def _price_fgm(
-    contract: OptionContract,
-    model: LevyModel,
-    grid: GridSpec,
-    sigma: np.ndarray | None,
-    zcfg: ZInversionConfig,
-    fp: FixedPointSettings,
+    contract: OptionContract, model: LevyModel, grid: GridSpec, sigma: np.ndarray | None
 ) -> tuple[float, dict]:
     """Down-and-out or double-barrier price in the z-domain.
 
@@ -339,10 +322,10 @@ def _price_fgm(
     pay_psi = np.conj(damped_payoff_fourier(contract, grid)) * psi
     l, u = contract.clipped_barriers(grid.x_max)
     if band:
-        solve = _band_solver(psi, pay_psi, kernel, l, u, sigma, filter_fact, fp)
+        solve = _band_solver(psi, pay_psi, kernel, l, u, sigma, filter_fact)
     else:
         solve = _down_out_solver(psi, pay_psi, kernel, l, sigma)
-    pts = contour_points(n, zcfg).points
+    pts = contour_points(n).points
 
     def at(q: complex) -> tuple[complex, int]:
         f, sweeps = solve(q)
@@ -351,10 +334,10 @@ def _price_fgm(
     results = _map_contour(at, pts, grid.M)
     vals = np.array([v for v, _ in results])
     iters = np.array([k for _, k in results])
-    price_val = math.exp(-contract.r * contract.T) * invert(vals, n, zcfg)
+    price_val = math.exp(-contract.r * contract.T) * invert(vals, n)
     return price_val, {
         "avg_iterations": float(np.mean(iters)) if band else None,
-        "max_iter_hit": band and bool(np.max(iters) >= fp.max_iter),
+        "max_iter_hit": band and bool(np.max(iters) >= MAX_SWEEPS),
         "imag_residual": float(abs(vals[0].imag)),  # q on the real axis must price real
     }
 
@@ -453,16 +436,13 @@ def price(
     method: Method,
     grid: GridSpec,
     filt: FilterSpec | None = None,
-    zcfg: ZInversionConfig = ZInversionConfig(),
-    fp: FixedPointSettings = FixedPointSettings(),
 ) -> PricingResult:
     """Price the contract by one method on the given grid.
 
     The method alone says whether the call is filtered: a filtered one
     takes ``filt``, or the default exponential taper when None, and an
-    unfiltered one rejects a filter.  ``zcfg`` and ``fp`` configure the
-    z-domain methods only.  ``cpu_seconds`` includes the per-call set-up
-    (taper, kernel lookup or build)."""
+    unfiltered one rejects a filter.  ``cpu_seconds`` includes the
+    per-call set-up (taper, kernel lookup or build)."""
     method = Method(method)
     if method.filtered:
         filt = filt or FilterSpec.exponential()
@@ -473,7 +453,7 @@ def price(
     if method.recursive:
         value, extras = _price_fl(contract, model, grid, sigma)
     else:
-        value, extras = _price_fgm(contract, model, grid, sigma, zcfg, fp)
+        value, extras = _price_fgm(contract, model, grid, sigma)
     return PricingResult(value, grid.M, time.perf_counter() - start, method, filt, **extras)
 
 

@@ -10,8 +10,9 @@ coefficient is recovered by the alternating trapezoid sum
 whose aliasing error is of order 10^(-2 gamma) on the coefficient scale.
 Euler acceleration replaces the full sum by the binomial average of the
 partial sums b_{nE} .. b_{nE+mE}, requiring only nE + mE + 1 contour
-evaluations regardless of n.  ``ZInversionConfig`` holds gamma and the
-Euler window; the target index n is an argument of every function, and
+evaluations regardless of n.  Gamma and the Euler window are the
+module constants ``GAMMA``, ``EULER_NE`` and ``EULER_ME``, read at call
+time; the target index n is an argument of every function, and
 ``invert`` uses Euler whenever it needs fewer evaluations than the exact
 sum (``use_euler``).
 
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "ZInversionConfig",
     "ContourPoints",
+    "rho",
     "contour_points",
     "invert_exact",
     "invert_euler",
@@ -37,30 +38,17 @@ __all__ = [
     "use_euler",
 ]
 
-DEFAULT_GAMMA = 6.0
-DEFAULT_NE = 12
-DEFAULT_ME = 20
+# contour radius exponent gamma and Euler window (n_e, m_e)
+GAMMA = 6.0
+EULER_NE = 12
+EULER_ME = 20
 
 
-@dataclass(frozen=True)
-class ZInversionConfig:
-    """Contour radius exponent gamma and Euler window (n_e, m_e)."""
-
-    gamma: float = DEFAULT_GAMMA
-    n_e: int = DEFAULT_NE
-    m_e: int = DEFAULT_ME
-
-    def __post_init__(self) -> None:
-        if not (0 < self.gamma <= 12):
-            raise ValueError(f"gamma must lie in (0, 12], got {self.gamma}")
-        if self.n_e < 1 or self.m_e < 1:
-            raise ValueError("Euler parameters n_e and m_e must be >= 1")
-
-    def rho(self, n: int) -> float:
-        """Contour radius for target index n."""
-        if n < 1:
-            raise ValueError(f"target index must be >= 1, got {n}")
-        return 10.0 ** (-self.gamma / n)
+def rho(n: int) -> float:
+    """Contour radius for target index n."""
+    if n < 1:
+        raise ValueError(f"target index must be >= 1, got {n}")
+    return 10.0 ** (-GAMMA / n)
 
 
 @dataclass(frozen=True)
@@ -68,19 +56,19 @@ class ContourPoints:
     points: np.ndarray  # q_j = rho e^{i pi j / n}, j = 0 .. J
 
 
-def use_euler(n: int, cfg: ZInversionConfig) -> bool:
+def use_euler(n: int) -> bool:
     """Acceleration pays only when it needs fewer evaluations than the
     exact sum; with few monitoring dates fall back to the exact formula."""
-    return n > cfg.n_e + cfg.m_e
+    return n > EULER_NE + EULER_ME
 
 
-def contour_points(n: int, cfg: ZInversionConfig) -> ContourPoints:
-    J = cfg.n_e + cfg.m_e if use_euler(n, cfg) else n
+def contour_points(n: int) -> ContourPoints:
+    J = EULER_NE + EULER_ME if use_euler(n) else n
     j = np.arange(J + 1)
-    return ContourPoints(cfg.rho(n) * np.exp(1j * np.pi * j / n))
+    return ContourPoints(rho(n) * np.exp(1j * np.pi * j / n))
 
 
-def invert_exact(values, n: int, cfg: ZInversionConfig) -> float:
+def invert_exact(values, n: int) -> float:
     """Full alternating sum over j = 0 .. n (endpoints rho and -rho)."""
     v = np.asarray(values, dtype=complex)
     if len(v) != n + 1:
@@ -90,7 +78,7 @@ def invert_exact(values, n: int, cfg: ZInversionConfig) -> float:
     if n > 1:
         signs = (-1.0) ** np.arange(1, n)
         s += 2.0 * np.sum(signs * re[1:n])
-    return float(s / (2.0 * n * cfg.rho(n) ** n))
+    return float(s / (2.0 * n * rho(n) ** n))
 
 
 def _binomials(m: int) -> np.ndarray:
@@ -102,12 +90,13 @@ def _binomials(m: int) -> np.ndarray:
     return c
 
 
-def invert_euler(values, n: int, cfg: ZInversionConfig) -> float:
+def invert_euler(values, n: int) -> float:
     """Binomial average of the partial sums b_{nE} .. b_{nE+mE}."""
     if n < 2:
         raise ValueError("Euler acceleration requires n >= 2")
     v = np.asarray(values, dtype=complex)
-    J = cfg.n_e + cfg.m_e
+    n_e, m_e = EULER_NE, EULER_ME
+    J = n_e + m_e
     if len(v) != J + 1:
         raise ValueError(f"expected {J + 1} contour values, got {len(v)}")
     re = v.real
@@ -115,10 +104,10 @@ def invert_euler(values, n: int, cfg: ZInversionConfig) -> float:
     terms = signs * re
     terms[0] = 0.5 * re[0]
     b = np.cumsum(terms)  # b_k = f~(rho)/2 + sum_{j<=k} (-1)^j Re f~(q_j)
-    w = _binomials(cfg.m_e)
-    avg = float(np.dot(w, b[cfg.n_e : cfg.n_e + cfg.m_e + 1]))
-    return avg / (2.0**cfg.m_e * n * cfg.rho(n) ** n)
+    w = _binomials(m_e)
+    avg = float(np.dot(w, b[n_e : n_e + m_e + 1]))
+    return avg / (2.0**m_e * n * rho(n) ** n)
 
 
-def invert(values, n: int, cfg: ZInversionConfig) -> float:
-    return invert_euler(values, n, cfg) if use_euler(n, cfg) else invert_exact(values, n, cfg)
+def invert(values, n: int) -> float:
+    return invert_euler(values, n) if use_euler(n) else invert_exact(values, n)

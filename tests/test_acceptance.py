@@ -25,6 +25,7 @@ from levybarrier import (
     mc_price,
     price,
     quad_price,
+    ztransform,
 )
 from levybarrier.cases import TABLE_PRICES, double_barrier, down_and_out
 from levybarrier.cli import fit_slope, pulse_recovery
@@ -32,7 +33,7 @@ from levybarrier.grid import build_grid as _build
 from levybarrier.hilbert import BarrierProjections, above_values, below_values, hilbert_kernel
 from levybarrier.pricers import reference_price
 from levybarrier.wiener_hopf import factorize_values
-from levybarrier.ztransform import ZInversionConfig, contour_points, invert_euler
+from levybarrier.ztransform import contour_points, invert_euler, rho
 
 EXP = FilterSpec.exponential()
 
@@ -121,15 +122,14 @@ def test_criterion_4_vg_single_barrier_improvement(vg, vg_single_reference):
     assert report(4, ok, f"filt/unfilt errors {'; '.join(rows)}; fgm/fl ratio@2^12={ratio:.1f}")
 
 
-def test_criterion_5_z_inversion_accuracy():
-    cfg = ZInversionConfig()
-    vals = 1.0 / (1.0 - 0.5 * contour_points(252, cfg).points)
-    err = abs(invert_euler(vals, 252, cfg) - 0.5**252)
+def test_criterion_5_z_inversion_accuracy(monkeypatch):
+    vals = 1.0 / (1.0 - 0.5 * contour_points(252).points)
+    err = abs(invert_euler(vals, 252) - 0.5**252)
     floor = {}
     for gamma in (3.0, 6.0, 9.0):
-        cg = ZInversionConfig(gamma=gamma)
-        v = 1.0 / (1.0 - contour_points(252, cg).points)
-        floor[gamma] = abs(invert_euler(v, 252, cg) - 1.0)
+        monkeypatch.setattr(ztransform, "GAMMA", gamma)
+        v = 1.0 / (1.0 - contour_points(252).points)
+        floor[gamma] = abs(invert_euler(v, 252) - 1.0)
     plateau = floor[6.0] < 1e-9 and floor[6.0] < floor[3.0] and floor[6.0] < floor[9.0]
     ok = err < 1e-8 and plateau
     assert report(
@@ -165,7 +165,7 @@ def test_criterion_6_hilbert_oracle_equivalence():
 def test_criterion_7_projection_and_factorisation_identities(all_models):
     g = _build(2**12, 1.5)
     kern = hilbert_kernel(g)
-    qs = ZInversionConfig().rho(50) * np.exp(1j * np.pi * np.array([0, 12, 25, 38, 50]) / 50)
+    qs = rho(50) * np.exp(1j * np.pi * np.array([0, 12, 25, 38, 50]) / 50)
     worst_sum = 0.0
     worst_prod = 0.0
 

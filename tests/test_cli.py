@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from levybarrier import FilterSpec, FixedPointSettings, OracleConfig, ZInversionConfig, cli
+from levybarrier import FilterSpec, OracleConfig, cli
 from levybarrier.cases import MODELS, TABLE_PRICES
 from levybarrier.cli import load_config, main, model_key, read_cache
 
@@ -89,19 +89,23 @@ def test_pricer_rejection_is_config_error(tmp_path, capsys, key, value):
     assert len(err.splitlines()) == 1
 
 
-# grid.width and zt.accelerated are no longer keys (grid.x_max is the one
-# knob for the grid range; the inversion picks Euler from the target index),
-# so they are rejected as unknown, by name, before their value is read
+# keys that are gone are rejected as unknown, by name, before their value
+# is read: grid.width and zt.accelerated (grid.x_max is the one knob for
+# the grid range; the inversion picks Euler from the target index), and the
+# z-inversion and fixed-point settings, which are library constants
+RETIRED_KEYS = (
+    "grid.width", "zt.accelerated",
+    "zt.gamma", "zt.ne", "zt.me", "fixpoint.tol", "fixpoint.max_iter",
+)
+
+
 @pytest.mark.parametrize(
     "key, message",
     [
         pytest.param(key, f"{key}: not a number: 'abc'", id=key)
         for key in ("contract.U", "contract.L", "grid.x_max")
     ]
-    + [
-        pytest.param(key, f"line {{line}}: unknown key '{key}'", id=key)
-        for key in ("grid.width", "zt.accelerated")
-    ],
+    + [pytest.param(key, f"line {{line}}: unknown key '{key}'", id=key) for key in RETIRED_KEYS],
 )
 def test_malformed_number_names_its_key(tmp_path, capsys, key, message):
     text = KOU_DOUBLE_CFG.read_text()
@@ -143,11 +147,6 @@ def test_open_upper_barrier_tokens(tmp_path, token):
 @pytest.mark.parametrize(
     "key, value",
     [
-        ("fixpoint.max_iter", "0"),
-        ("fixpoint.tol", "-1"),
-        ("fixpoint.tol", "nan"),
-        ("zt.gamma", "20"),
-        ("zt.ne", "0"),
         ("oracle.quad_points", "100"),
         ("filter.p", "3"),
         ("filter.eps", "0.7"),
@@ -157,21 +156,15 @@ def test_open_upper_barrier_tokens(tmp_path, token):
 )
 def test_invalid_fixed_point_settings_name_their_key(tmp_path, capsys, key, value):
     # a value the library rejects names its section (the model's keys
-    # build the model); a value that is not a number names its key
+    # build the model)
     changes = {key: value}
     if key == "filter.eps":
         changes.update({"filter.kind": "planck", "filter.p": None})
     section = "model" if key.startswith("kou.") else key.split(".")[0]
-    prefix = f"{key}: " if value == "nan" else f"{section}: "
     assert main(["price", "--config", _kou_double(tmp_path, changes)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: {prefix}")
+    assert err.startswith(f"config error: {section}: ")
     assert len(err.splitlines()) == 1
-
-
-def test_zero_fixed_point_tolerance_is_valid(tmp_path):
-    cfg = load_config(_kou_double(tmp_path, {"fixpoint.tol": "0"}))
-    assert cfg.fixpoint == FixedPointSettings(tol=0.0)
 
 
 @pytest.mark.parametrize("method", ["fgm-f", "fl"])
@@ -320,6 +313,46 @@ def test_single_valued_command_rejects_a_list(tmp_path, capsys, monkeypatch, com
     assert err == f"config error: {key}: {command} takes one value, got 2\n"
 
 
+@pytest.mark.parametrize("command, sizes", [("price", "1000"), ("converge", "1024,4097")])
+def test_grid_sizes_are_powers_of_two(tmp_path, capsys, monkeypatch, command, sizes):
+    # checked when the config is loaded: nothing is priced or cached
+    cache = tmp_path / "refs.txt"
+    cfg = write_config(tmp_path, BASE_CONFIG + f"output.cache = {cache}\n")
+    _refuse_pricing(monkeypatch)
+    assert main([command, "--config", cfg, "--M", sizes]) == 2
+    bad = sizes.split(",")[-1]
+    assert capsys.readouterr().err == f"config error: grid.M: {bad} is not a power of two >= 8\n"
+    assert not cache.exists()
+    assert main(["gibbs-demo", "--M", f"64,{bad}"]) == 2
+    assert capsys.readouterr().err == f"config error: grid.M: {bad} is not a power of two >= 8\n"
+
+
+def test_converge_reference_is_cached_per_grid_range(tmp_path, capsys, monkeypatch):
+    # the backward-induction reference moves with grid.x_max, so a run
+    # must not take the one cached for another range
+    def fake_reference(contract, model, x_max=None):
+        return 1e-3 if x_max is None else 1e-3 * x_max
+
+    monkeypatch.setattr(cli, "reference_price", fake_reference)
+    cache = tmp_path / "refs.txt"
+    text = BASE_CONFIG + f"output.cache = {cache}\n"
+    auto = write_config(tmp_path, text, name="auto.cfg")
+    wide = write_config(tmp_path, text + "grid.x_max = 1.4\n", name="wide.cfg")
+    # an untagged entry of an older cache is ignored
+    loaded = load_config(auto)
+    cli.write_cache_entry(cache, loaded.model, loaded.contract, "fl-ref", 9.0)
+
+    def reference(cfg):
+        assert main(["converge", "--config", cfg, "--method", "fl", "--M", "256,512"]) == 0
+        return capsys.readouterr().out.splitlines()[0]
+
+    assert reference(auto) == "reference = 1.000000000000e-03"
+    assert reference(wide) == "reference = 1.400000000000e-03"
+    monkeypatch.setattr(cli, "reference_price", None)  # both are cached now
+    assert reference(auto) == "reference = 1.000000000000e-03"
+    assert reference(wide) == "reference = 1.400000000000e-03"
+
+
 SHIPPED_CONFIGS = sorted(KOU_DOUBLE_CFG.parent.glob("*.cfg"))
 
 
@@ -374,7 +407,7 @@ def test_converge_writes_csv_and_slope(tmp_path, capsys):
     assert lines[0] == "M,price,abs_error,cpu_seconds,avg_iterations,method,filter"
     assert len(lines) == 1 + 6  # two methods, three grid sizes
     # cache now holds the backward-induction reference
-    assert any(tag == "fl-ref" for (_, _, _, tag) in read_cache(cache))
+    assert any(tag.startswith("fl-ref@") for (_, _, _, tag) in read_cache(cache))
 
     # determinism apart from the timing column (warm cache: the stored
     # reference is what both runs price against)
@@ -501,26 +534,19 @@ def test_load_config_round_trip(tmp_path):
 
 
 def test_minimal_config_takes_library_defaults(tmp_path):
-    # BASE_CONFIG sets no zt, fixpoint, oracle or filter-parameter key
+    # BASE_CONFIG sets no oracle or filter-parameter key
     cfg = load_config(write_config(tmp_path, BASE_CONFIG))
-    assert cfg.zcfg == ZInversionConfig()
-    assert cfg.fixpoint == FixedPointSettings()
     assert cfg.oracle == OracleConfig()
     assert cfg.filt == FilterSpec.exponential()
     assert cfg.model.params["lam"] == 3.0
 
 
 def test_settings_keys_reach_the_library(tmp_path, capsys):
-    text = BASE_CONFIG + (
-        "zt.gamma = 7.5\nzt.ne = 16\nzt.me = 24\n"
-        "fixpoint.max_iter = 7\nfilter.p = 8\noracle.mc_seed = 5\n"
-    )
+    text = BASE_CONFIG + "filter.p = 8\noracle.mc_seed = 5\n"
     cfg = load_config(write_config(tmp_path, text))
-    assert cfg.zcfg == ZInversionConfig(gamma=7.5, n_e=16, m_e=24)
-    assert cfg.fixpoint == FixedPointSettings(max_iter=7)
     assert cfg.filt == FilterSpec.exponential(p=8)
     assert cfg.oracle == OracleConfig(mc_seed=5)
 
-    bad = write_config(tmp_path, BASE_CONFIG + "zt.ne = twelve\n", name="bad.cfg")
+    bad = write_config(tmp_path, BASE_CONFIG + "oracle.quad_points = twelve\n", name="bad.cfg")
     assert main(["price", "--config", bad]) == 2
-    assert "zt.ne: not an integer" in capsys.readouterr().err
+    assert "oracle.quad_points: not an integer" in capsys.readouterr().err

@@ -86,7 +86,7 @@ def test_circular_window_equals_linear_convolution(kou, n):
     assert len(p_rev) == 2 * n
     a = np.random.default_rng(n).random(n)
     expected = fftconvolve(a, p_rev)[n - 1 : 2 * n - 1]
-    window = _convolution_window(a, scipy.fft.rfft(p_rev))
+    window = _convolution_window(a, scipy.fft.rfft(p_rev), n, 2 * n)
     assert np.max(np.abs(window - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 

@@ -14,17 +14,15 @@ import levybarrier
 
 from levybarrier import (
     FilterSpec,
-    FixedPointSettings,
     Method,
     OptionContract,
     OracleConfig,
-    ZInversionConfig,
     build_grid,
     default_grid,
     price,
     quad_price,
 )
-from levybarrier import pricers
+from levybarrier import pricers, ztransform
 from levybarrier.filters import filter_profile
 from levybarrier.hilbert import hilbert_kernel
 from levybarrier.cases import (
@@ -153,15 +151,16 @@ def test_fixed_point_iteration_counts(kou, nig):
         assert not res.max_iter_hit
 
 
-def test_euler_parameters_sit_on_stability_plateau(kou):
+def test_euler_parameters_sit_on_stability_plateau(kou, monkeypatch):
     # perturbing the acceleration window by +-4 moves the price by less
     # than the documented 1e-9
     c = double_barrier(252)
     g = default_grid(c, kou, 1024)
     prices = {}
     for dn, dm in ((0, 0), (-4, 0), (4, 0), (0, -4), (0, 4), (-4, -4), (4, 4)):
-        zcfg = ZInversionConfig(n_e=12 + dn, m_e=20 + dm)
-        prices[(dn, dm)] = price(c, kou, "fgm-f", g, EXP, zcfg=zcfg).price
+        monkeypatch.setattr(ztransform, "EULER_NE", 12 + dn)
+        monkeypatch.setattr(ztransform, "EULER_ME", 20 + dm)
+        prices[(dn, dm)] = price(c, kou, "fgm-f", g, EXP).price
     base = prices[(0, 0)]
     assert max(abs(v - base) for v in prices.values()) < 1e-9
 
@@ -220,18 +219,12 @@ def test_method_filter_dispatch(kou):
     assert res_def.filter == FilterSpec.exponential()
 
 
-@pytest.mark.parametrize(
-    "settings", [dict(tol=-1.0), dict(tol=math.nan), dict(max_iter=0), dict(max_iter=-3)]
-)
-def test_invalid_fixed_point_settings_rejected(settings):
-    with pytest.raises(ValueError):
-        FixedPointSettings(**settings)
-
-
-def test_zero_tolerance_runs_every_sweep(kou):
+def test_zero_tolerance_runs_every_sweep(kou, monkeypatch):
+    monkeypatch.setattr(pricers, "SWEEP_TOL", 0.0)
+    monkeypatch.setattr(pricers, "MAX_SWEEPS", 3)
     c = double_barrier(52)
     g = default_grid(c, kou, 512)
-    res = price(c, kou, "fgm-f", g, EXP, fp=FixedPointSettings(tol=0.0, max_iter=3))
+    res = price(c, kou, "fgm-f", g, EXP)
     assert res.avg_iterations == 3.0
     assert res.max_iter_hit
 
@@ -367,12 +360,11 @@ def test_solver_closures_hold_only_read_only_arrays(kou):
     psi = kou.char_function(g.xi, c.dt)
     sigma = filter_profile(EXP, g)
     l, u = c.clipped_barriers(g.x_max)
-    fp = FixedPointSettings()
     solvers = [
         pricers._down_out_solver(psi.copy(), psi.copy(), kernel, l, None),
         pricers._down_out_solver(psi.copy(), psi.copy(), kernel, l, sigma.copy()),
-        pricers._band_solver(psi.copy(), psi.copy(), kernel, l, u, None, False, fp),
-        pricers._band_solver(psi.copy(), psi.copy(), kernel, l, u, sigma.copy(), True, fp),
+        pricers._band_solver(psi.copy(), psi.copy(), kernel, l, u, None, False),
+        pricers._band_solver(psi.copy(), psi.copy(), kernel, l, u, sigma.copy(), True),
     ]
     for solve in solvers:
         arrays = [cell.cell_contents for cell in solve.__closure__

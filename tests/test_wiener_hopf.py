@@ -4,12 +4,12 @@ import pytest
 from levybarrier.grid import build_grid, inverse_dft
 from levybarrier.hilbert import BarrierProjections, above_values, below_values, hilbert_kernel
 from levybarrier.wiener_hopf import BranchFailureError, SingularInputError, factorize_values
-from levybarrier.ztransform import ZInversionConfig
+from levybarrier.ztransform import rho
 
 
 def contour(n=50, count=5):
     j = np.linspace(0, n, count).round().astype(int)
-    return ZInversionConfig().rho(n) * np.exp(1j * np.pi * j / n)
+    return rho(n) * np.exp(1j * np.pi * j / n)
 
 
 def test_unit_input_gives_unit_factors():
@@ -40,7 +40,7 @@ def test_factor_tails_flatten(kou):
     # 1/xi rate: much slower than the near-Gaussian decay of the input
     g = build_grid(2**12, 1.5)
     kern = hilbert_kernel(g)
-    q = ZInversionConfig().rho(50)
+    q = rho(50)
     phi = 1.0 - q * kou.char_function(g.xi, 1.0 / 52.0)
     edge = np.abs(g.eta) > 0.95
     centre = np.abs(g.eta) < 0.05
@@ -57,7 +57,7 @@ def test_plus_factor_log_supported_on_positive_axis(kou):
     # from the value at the origin; the oscillation carries no signed mass
     g = build_grid(2**12, 1.5)
     kern = hilbert_kernel(g)
-    q = ZInversionConfig().rho(50)
+    q = rho(50)
     phi = 1.0 - q * kou.char_function(g.xi, 1.0 / 52.0)
     plus, _ = factorize_values(phi, kern)
     dens = inverse_dft(np.log(plus), g)
