@@ -147,6 +147,11 @@ def test_open_upper_barrier_tokens(tmp_path, token):
 @pytest.mark.parametrize(
     "key, value",
     [
+        ("fixpoint.max_iter", "0"),
+        ("fixpoint.tol", "-1"),
+        ("fixpoint.tol", "nan"),
+        ("zt.gamma", "20"),
+        ("zt.ne", "0"),
         ("oracle.quad_points", "100"),
         ("filter.p", "3"),
         ("filter.eps", "0.7"),
@@ -156,14 +161,19 @@ def test_open_upper_barrier_tokens(tmp_path, token):
 )
 def test_invalid_fixed_point_settings_name_their_key(tmp_path, capsys, key, value):
     # a value the library rejects names its section (the model's keys
-    # build the model)
+    # build the model); a retired key is rejected by name, whatever its
+    # value
     changes = {key: value}
     if key == "filter.eps":
         changes.update({"filter.kind": "planck", "filter.p": None})
     section = "model" if key.startswith("kou.") else key.split(".")[0]
     assert main(["price", "--config", _kou_double(tmp_path, changes)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: {section}: ")
+    if key in RETIRED_KEYS:
+        assert err.startswith("config error: line ")
+        assert err.endswith(f": unknown key '{key}'\n")
+    else:
+        assert err.startswith(f"config error: {section}: ")
     assert len(err.splitlines()) == 1
 
 
