@@ -47,6 +47,7 @@ from .pricers import (
     PricingResult,
     default_grid,
     default_x_max,
+    payoff_tilt,
     price as run_pricer,
     reference_price,
 )
@@ -162,7 +163,6 @@ _KEYS = {
     "contract.L": _float_or(("none", "0"), 0.0),
     "contract.U": _float_or(("inf", "+inf", "none"), math.inf),
     "contract.type": lambda key, value: value.lower(),
-    "contract.alpha": _float,
     "filter.kind": _choice("filter", _TAPERS),
     "filter.p": _int,
     "filter.theta": _float,
@@ -276,11 +276,11 @@ def model_key(model: LevyModel) -> str:
     return f"{model.kind.value}:{hashlib.sha1(blob.encode()).hexdigest()[:8]}"
 
 
-def contract_key(contract: OptionContract) -> str:
+def contract_key(contract: OptionContract, model: LevyModel) -> str:
     blob = (
         f"{contract.S0:.12g},{contract.K:.12g},{contract.L:.12g},{contract.U:.12g},"
         f"{contract.r:.12g},{contract.q_div:.12g},{contract.T:.12g},"
-        f"{contract.kind},{contract.alpha:.12g}"
+        f"{contract.kind},{payoff_tilt(contract, model):.12g}"
     )
     return hashlib.sha1(blob.encode()).hexdigest()[:12]
 
@@ -302,8 +302,9 @@ def read_cache(path: str | Path) -> dict[tuple[str, str, int, str], float]:
 def write_cache_entry(
     path: str | Path, model: LevyModel, contract: OptionContract, tag: str, value: float
 ) -> None:
-    entries = read_cache(path)
-    entries[(model_key(model), contract_key(contract), contract.N, tag)] = value
+    # an untagged fl-ref line predates the x_max tag, and no lookup reads it
+    entries = {key: v for key, v in read_cache(path).items() if key[3] != "fl-ref"}
+    entries[(model_key(model), contract_key(contract, model), contract.N, tag)] = value
     lines = ["# model contract_hash N tag price"]
     for (mkey, ckey, n, etag), price in sorted(entries.items()):
         lines.append(f"{mkey} {ckey} {n} {etag} {NUM_FMT % price}")
@@ -333,7 +334,7 @@ def lookup_reference(cfg: RunConfig) -> float | None:
     if not cfg.cache_path:
         return None
     entries = read_cache(cfg.cache_path)
-    key = (model_key(cfg.model), contract_key(cfg.contract), cfg.contract.N)
+    key = (model_key(cfg.model), contract_key(cfg.contract, cfg.model), cfg.contract.N)
     for tag in (_reference_tag(cfg), "quad"):
         if (*key, tag) in entries:
             return entries[(*key, tag)]

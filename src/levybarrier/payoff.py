@@ -10,12 +10,13 @@ has the analytic transform
     phi_hat(xi) = S0 * [ (e^{(1+i xi+alpha) a} - e^{(1+i xi+alpha) b}) / (1+i xi+alpha)
                        - (e^{k+(i xi+alpha) a} - e^{k+(i xi+alpha) b}) / (i xi+alpha) ],
 
-with a = u, b = max(k, l) for a call and a = l, b = min(k, u) for a put.
-An infinite upper barrier is truncated at the grid edge x_max, matching
-the finite computational domain.  A grid that does not reach past the
-strike and each barrier the contract has (x_max <= |k|, |l| or |u|)
-would price 0 or move a barrier onto its edge; it is rejected in one
-place, ``clipped_barriers``, so every method refuses it.  The removable
+with a = u, b = max(k, l) for a call and a = l, b = min(k, u) for a put;
+the pricer picks alpha (``pricers.payoff_tilt``).  An infinite upper
+barrier is truncated at the grid edge x_max, matching the finite
+computational domain.  A grid that does not reach past the strike and
+each barrier the contract has (x_max <= |k|, |l| or |u|) would price 0
+or move a barrier onto its edge; it is rejected in one place,
+``clipped_barriers``, so every method refuses it.  The removable
 singularities at i*xi + alpha = 0 and 1 + i*xi + alpha = 0 are evaluated
 by their limits.
 The transform is returned as a plain length-M array on the xi lattice.
@@ -46,7 +47,6 @@ class OptionContract:
     L: float = 0.0  # lower barrier; 0 disables it
     U: float = math.inf  # upper barrier; inf disables it
     kind: str = "call"
-    alpha: float = 0.0
 
     def __post_init__(self) -> None:
         if self.S0 <= 0 or self.K <= 0:
@@ -139,14 +139,13 @@ def _phase_ratio(s: np.ndarray, a: float, b: float) -> np.ndarray:
     return out
 
 
-def damped_payoff_fourier(contract: OptionContract, grid: GridSpec) -> np.ndarray:
-    """Analytic transform of the damped payoff sampled on the xi lattice,
-    with the contract's alpha as the tilt; empty payoff support yields
-    the zero spectrum."""
+def damped_payoff_fourier(contract: OptionContract, grid: GridSpec, alpha: float) -> np.ndarray:
+    """Analytic transform of the payoff damped by e^{alpha x}, sampled on
+    the xi lattice; empty payoff support yields the zero spectrum."""
     a, b = contract.support(grid.x_max)
     if contract.theta * (a - b) <= 0:
         return np.zeros(grid.M, dtype=complex)
-    ixa = 1j * grid.xi + contract.alpha
+    ixa = 1j * grid.xi + alpha
     k = contract.log_strike
     return contract.S0 * (
         _phase_ratio(ixa + 1.0, a, b) - math.exp(k) * _phase_ratio(ixa, a, b)

@@ -1,10 +1,10 @@
 """Barrier-option pricers on the shared frequency lattice.
 
-``price`` is the one entry point.  It prices the t = 0 value of a
-discretely monitored knock-out option with N dates by one of four
-methods (``Method``), two algorithms each with and without a spectral
-filter; it samples a filtered method's taper sigma, times the call and
-returns the ``PricingResult``.  The private algorithms take sigma or None:
+``price`` is the one entry point.  It prices the t = 0 value of a discretely
+monitored knock-out option with N dates by one of four methods (``Method``),
+two algorithms each with and without a spectral filter; it samples a filtered
+method's taper sigma, picks the payoff tilt alpha, times the call and returns
+the ``PricingResult``.  The private algorithms take sigma or None, and alpha:
 
 * ``_price_fgm`` solves the fluctuation identities for the
   barrier-constrained transition law in the combined Fourier/z-transform
@@ -73,7 +73,7 @@ from .hilbert import (
 from .levy import LevyModel, ModelKind
 from .payoff import OptionContract, damped_payoff_fourier
 from .wiener_hopf import factorize_values
-from .ztransform import contour_points, invert
+from .ztransform import contour_points, invert, rho
 
 __all__ = [
     "Method",
@@ -153,6 +153,18 @@ def default_grid(
     if x_max is None:
         x_max = default_x_max(contract, model)
     return build_grid(M, x_max)
+
+
+CALL_TILT = -2.0
+
+
+def payoff_tilt(contract: OptionContract, model: LevyModel) -> float:
+    """The payoff tilt alpha: CALL_TILT damps a call with no upper barrier,
+    whose payoff grows like e^x up to the grid edge (Carr & Madan 1999; Lee
+    2004), clipped to half the model's lower strip bound; 0 otherwise."""
+    if contract.kind == "call" and not contract.has_upper:
+        return max(CALL_TILT, 0.5 * model.strip[0])
+    return 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +310,8 @@ def _map_contour(at: Callable, pts: np.ndarray, M: int) -> list:
 
 
 def _price_fgm(
-    contract: OptionContract, model: LevyModel, grid: GridSpec, sigma: np.ndarray | None
+    contract: OptionContract, model: LevyModel, grid: GridSpec,
+    sigma: np.ndarray | None, alpha: float,
 ) -> tuple[float, dict]:
     """Down-and-out or double-barrier price in the z-domain.
 
@@ -308,18 +321,23 @@ def _price_fgm(
     a taper sigma the projection inputs are tapered; the
     factorisation input is tapered for a single barrier, and for a band
     only when the characteristic function decays polynomially.
-    Requires a lower barrier and N >= 3."""
+    Requires a lower barrier, N >= 3 and rho max|Psi(xi + i alpha)| < 1
+    (the maximum over real xi is Psi(i alpha) = E[e^{-alpha X_dt}])."""
     if not contract.has_lower:
         raise ValueError("z-domain pricer requires a lower barrier; use fl for up-and-out")
     if contract.N < 3:
         raise ValueError("z-domain pricers require N >= 3")
-    kernel = hilbert_kernel(grid)
     n = contract.N - 2
+    peak = rho(n) * model.char_function(1j * alpha, contract.dt).real
+    if not peak < 1.0:
+        msg = f"payoff tilt alpha = {alpha:g}: rho max|Psi(xi + i alpha)| = {peak:.6g}, not < 1"
+        raise ValueError(msg)
+    kernel = hilbert_kernel(grid)
     band = contract.has_upper
     filter_fact = band and sigma is not None and model.polynomial_decay
 
-    psi = model.char_function(grid.xi + 1j * contract.alpha, contract.dt)
-    pay_psi = np.conj(damped_payoff_fourier(contract, grid)) * psi
+    psi = model.char_function(grid.xi + 1j * alpha, contract.dt)
+    pay_psi = np.conj(damped_payoff_fourier(contract, grid, alpha)) * psi
     l, u = contract.clipped_barriers(grid.x_max)
     if band:
         solve = _band_solver(psi, pay_psi, kernel, l, u, sigma, filter_fact)
@@ -370,7 +388,8 @@ def _live_band(psi_abs: np.ndarray, N: int) -> int:
 
 
 def _price_fl(
-    contract: OptionContract, model: LevyModel, grid: GridSpec, sigma: np.ndarray | None
+    contract: OptionContract, model: LevyModel, grid: GridSpec,
+    sigma: np.ndarray | None, alpha: float,
 ) -> tuple[float, dict]:
     """Backward induction over the N monitoring dates in the frequency
     domain: N - 1 propagate-and-window steps, one final bare propagation,
@@ -379,9 +398,9 @@ def _price_fl(
     The recursion carries the transform of the tilted value function
     exp(alpha x) v(x, t_n), whose terminal condition is the damped-payoff
     transform itself; the matching propagator is conj(Psi(xi + i alpha)).
-    The asymmetric-model European limit fixes this orientation uniquely,
-    and a negative alpha keeps the carrier integrable when the upper
-    barrier is infinite.
+    The asymmetric-model European limit fixes this orientation uniquely.
+    alpha is ``payoff_tilt``'s: negative for a call with no upper barrier,
+    so the carrier decays toward the grid edge instead of jumping there.
 
     The induction runs on the live band only: Psi, the (filtered) step
     and the payoff transform are sampled on the requested grid, then cut
@@ -402,8 +421,8 @@ def _price_fl(
     checks the estimate at 1e-13 against the full band.  A slowly
     decaying Psi (vg) keeps every sample and prices exactly as on the
     full grid."""
-    vhat = damped_payoff_fourier(contract, grid)
-    psi = np.conj(model.char_function(grid.xi + 1j * contract.alpha, contract.dt))
+    vhat = damped_payoff_fourier(contract, grid, alpha)
+    psi = np.conj(model.char_function(grid.xi + 1j * alpha, contract.dt))
     step = psi if sigma is None else sigma * psi
     m = _live_band(np.abs(psi), contract.N)
     if m < grid.M:
@@ -450,10 +469,11 @@ def price(
         raise ValueError(f"method {method.value} does not take a filter")
     start = time.perf_counter()
     sigma = filter_profile(filt, grid) if filt else None
+    alpha = payoff_tilt(contract, model)
     if method.recursive:
-        value, extras = _price_fl(contract, model, grid, sigma)
+        value, extras = _price_fl(contract, model, grid, sigma, alpha)
     else:
-        value, extras = _price_fgm(contract, model, grid, sigma)
+        value, extras = _price_fgm(contract, model, grid, sigma, alpha)
     return PricingResult(value, grid.M, time.perf_counter() - start, method, filt, **extras)
 
 

@@ -2,10 +2,10 @@
 
 The multiplicative split Phi = Phi_plus * Phi_minus (factors analytic in
 the upper / lower half-planes) is obtained by decomposing log Phi with
-the half-line projections and exponentiating.  On the z-inversion
-contour |q| = rho < 1 and |Psi| <= 1, so Phi = 1 - q*Psi keeps a
-positive real part: the principal log branch is continuous and the
-winding check below is purely defensive.
+the half-line projections and exponentiating.  The z-domain pricer
+checks rho |Psi(xi + i alpha)| < 1 on its contour |q| = rho, so
+Phi = 1 - q*Psi keeps a positive real part: the principal log branch is
+continuous and the winding check below is purely defensive.
 """
 
 from __future__ import annotations

@@ -2,12 +2,13 @@
 
 Every test prints a single ``ACCEPTANCE <n> PASS|FAIL`` line with the
 measured numbers, then asserts.  Criterion 4 is known not to hold on
-this implementation, and the cause is the vg band edge in the pricers,
-not the reference: on vg down-and-out at N=52, fl-f beats fl at
-M = 2^9 .. 2^11 and loses at 2^12 and 2^13, and the fgm-f/fl-f error
-ratio at 2^12 is 65, which is fgm-f's own 7.0e-5 error, also against
-the oracle value 0.0535050162.  It runs unmodified and is marked xfail
-so the honest red is visible without masking the rest of the suite.
+this implementation, and the cause is in the vg pricers, not the
+reference: on vg down-and-out at N=52, fl-f beats fl at M = 2^9 and
+2^12 and loses at 2^10, 2^11 and 2^13, also against the oracle value
+0.0535050162, where both errors change sign from one M to the next.
+The fgm-f/fl-f error ratio at 2^12 is 2.5 since the pricer damps the
+open-top call (53.6 before).  It runs unmodified and is marked xfail so
+the honest red is visible without masking the rest of the suite.
 """
 
 import math
@@ -100,9 +101,9 @@ def test_criterion_3_convergence_orders(kou, kou_n52_reference):
 
 @pytest.mark.xfail(
     strict=False,
-    reason="the vg band edge in the pricers: fl-f beats fl at 2^9-2^11 but "
-    "loses at 2^12 and 2^13, and the fgm-f/fl-f error ratio at 2^12 is "
-    "65, also against the oracle value 0.0535050162 (ROADMAP, test status)",
+    reason="the vg pricers: fl-f beats fl at 2^9 and 2^12 but loses at 2^10, "
+    "2^11 and 2^13, also against the oracle value 0.0535050162; the "
+    "fgm-f/fl-f error ratio at 2^12 is 2.5 (ROADMAP, test status)",
 )
 def test_criterion_4_vg_single_barrier_improvement(vg, vg_single_reference):
     c = down_and_out(52)

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -74,28 +75,48 @@ KOU_DOUBLE_CFG = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "
     "key, value",
     [
         ("contract.N", "2"),  # the z-domain pricers need N >= 3
-        ("contract.alpha", "50"),  # outside the kou strip of regularity
+        ("contract.alpha", "50"),  # retired: the pricer picks the payoff tilt
         ("contract.L", "0"),  # up-and-out: fgm needs a lower barrier
     ],
 )
 def test_pricer_rejection_is_config_error(tmp_path, capsys, key, value):
     text = KOU_DOUBLE_CFG.read_text()
     text, count = re.subn(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text, flags=re.M)
-    assert count == 1
+    if key in RETIRED_KEYS:
+        assert count == 0
+        text += f"{key} = {value}\n"
+    else:
+        assert count == 1
     cfg = write_config(tmp_path, text)
     assert main(["price", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
+    if key in RETIRED_KEYS:
+        assert err.endswith(f": unknown key '{key}'\n")
+    assert len(err.splitlines()) == 1
+
+
+def test_tilt_breaking_the_premise_is_config_error(tmp_path, capsys):
+    # E[e^{2 X_dt}] = 1.42 for a gaussian of sigma 3 at dt = 2/52, against
+    # 1 / rho(50) = 1.32
+    changes = {"model.kind": "gaussian", "gaussian.sigma": "3", "contract.T": "2",
+               "contract.N": "52", "contract.U": "inf", "method": "fgm"}
+    changes.update({f"kou.{name}": None for name in ("sigma", "lambda", "p", "eta1", "eta2")})
+    assert main(["price", "--config", _kou_double(tmp_path, changes)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: payoff tilt alpha = -2: ")
     assert len(err.splitlines()) == 1
 
 
 # keys that are gone are rejected as unknown, by name, before their value
 # is read: grid.width and zt.accelerated (grid.x_max is the one knob for
-# the grid range; the inversion picks Euler from the target index), and the
-# z-inversion and fixed-point settings, which are library constants
+# the grid range; the inversion picks Euler from the target index), the
+# z-inversion and fixed-point settings, which are library constants, and
+# contract.alpha (the pricer works out the payoff tilt)
 RETIRED_KEYS = (
     "grid.width", "zt.accelerated",
     "zt.gamma", "zt.ne", "zt.me", "fixpoint.tol", "fixpoint.max_iter",
+    "contract.alpha",
 )
 
 
@@ -135,7 +156,12 @@ def _kou_double(tmp_path, changes):
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_number_names_its_key(tmp_path, capsys, key, value):
     assert main(["price", "--config", _kou_double(tmp_path, {key: value})]) == 2
-    assert capsys.readouterr().err == f"config error: {key}: not a finite number: {value!r}\n"
+    err = capsys.readouterr().err
+    if key in RETIRED_KEYS:  # rejected by name, whatever its value
+        assert err.startswith("config error: line ")
+        assert err.endswith(f": unknown key '{key}'\n")
+    else:
+        assert err == f"config error: {key}: not a finite number: {value!r}\n"
 
 
 @pytest.mark.parametrize("token", ["inf", "+inf", "none", "INF"])
@@ -348,15 +374,23 @@ def test_converge_reference_is_cached_per_grid_range(tmp_path, capsys, monkeypat
     text = BASE_CONFIG + f"output.cache = {cache}\n"
     auto = write_config(tmp_path, text, name="auto.cfg")
     wide = write_config(tmp_path, text + "grid.x_max = 1.4\n", name="wide.cfg")
-    # an untagged entry of an older cache is ignored
+    # an untagged entry of an older cache is ignored, and dropped on the
+    # next write; the entries of other contracts stay
     loaded = load_config(auto)
     cli.write_cache_entry(cache, loaded.model, loaded.contract, "fl-ref", 9.0)
+    other = replace(loaded.contract, N=8)
+    cli.write_cache_entry(cache, loaded.model, other, "quad", 8.0)
+    cli.write_cache_entry(cache, loaded.model, other, "fl-ref@2", 7.0)
 
     def reference(cfg):
         assert main(["converge", "--config", cfg, "--method", "fl", "--M", "256,512"]) == 0
         return capsys.readouterr().out.splitlines()[0]
 
     assert reference(auto) == "reference = 1.000000000000e-03"
+    entries = {(n, tag): value for (_, _, n, tag), value in read_cache(cache).items()}
+    assert "fl-ref" not in {tag for _, tag in entries}
+    assert entries[(8, "quad")] == 8.0 and entries[(8, "fl-ref@2")] == 7.0
+    assert len(entries) == 3
     assert reference(wide) == "reference = 1.400000000000e-03"
     monkeypatch.setattr(cli, "reference_price", None)  # both are cached now
     assert reference(auto) == "reference = 1.000000000000e-03"

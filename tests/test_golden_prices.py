@@ -5,10 +5,13 @@ were recorded before ``price()`` took over the filter defaulting and
 the result assembly of the two method functions.  The reference
 entries were recorded before backward induction ran on the live band
 of Psi only, the first pins on a grid where that band is narrower than
-the requested one.
+the requested one.  The down-and-out entries of kou fgm and fgm-f and of
+every vg method were recorded after the pricer began damping a call with
+no upper barrier by e^{-2x}; each moved toward its reference.
 
-Unfiltered fgm on vg prices outside [0, S0] (the known truncation
-failure the filters exist to fix); those values are pinned as they are.
+Unfiltered fgm on the vg double barrier prices outside [0, S0] (the
+known truncation failure the filters exist to fix); that value is pinned
+as it is.
 """
 
 import pytest
@@ -25,21 +28,21 @@ GOLDEN = {
     ("kou", "fl", "down"): 0.04321098452843257,
     ("kou", "fl", "up"): 0.0051945301645401395,
     ("kou", "fgm", "double"): 0.005174336811575838,
-    ("kou", "fgm", "down"): 0.04321098503314274,
+    ("kou", "fgm", "down"): 0.043210984526198856,
     ("kou", "fgm-f", "double"): 0.005184036349268212,
-    ("kou", "fgm-f", "down"): 0.04321098518544028,
+    ("kou", "fgm-f", "down"): 0.04321098452569962,
     ("kou", "fl-f", "double"): 0.005184036342185908,
     ("kou", "fl-f", "down"): 0.04321098452787417,
     ("kou", "fl-f", "up"): 0.005194530037281416,
     ("vg", "fl", "double"): 0.0024766402607923873,
-    ("vg", "fl", "down"): 0.05356869200384705,
+    ("vg", "fl", "down"): 0.05350797871387437,
     ("vg", "fl", "up"): 0.002520935988748862,
     ("vg", "fgm", "double"): -0.014276742133279384,
-    ("vg", "fgm", "down"): -0.0774827976068436,
+    ("vg", "fgm", "down"): 0.05298350815410849,
     ("vg", "fgm-f", "double"): 0.002483460381227276,
-    ("vg", "fgm-f", "down"): 0.05420757286896215,
+    ("vg", "fgm-f", "down"): 0.05350758422943909,
     ("vg", "fl-f", "double"): 0.0024789186910750952,
-    ("vg", "fl-f", "down"): 0.05352901045582499,
+    ("vg", "fl-f", "down"): 0.053508652176029646,
     ("vg", "fl-f", "up"): 0.0025185125387920163,
 }
 

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,18 +8,17 @@ from levybarrier import OptionContract, damped_payoff_fourier
 from levybarrier.grid import build_grid, inverse_dft
 
 
-def quad_transform(contract, grid, xi, alpha=None):
+def quad_transform(contract, grid, xi, alpha=0.0):
     """Direct quadrature of the damped payoff transform at one frequency."""
-    a = contract.alpha if alpha is None else alpha
     b_lim, a_lim = sorted(contract.support(grid.x_max))
 
     def integrand_re(x):
         intrinsic = contract.theta * (contract.S0 * math.exp(x) - contract.K)
-        return math.exp(a * x) * max(intrinsic, 0.0) * math.cos(xi * x)
+        return math.exp(alpha * x) * max(intrinsic, 0.0) * math.cos(xi * x)
 
     def integrand_im(x):
         intrinsic = contract.theta * (contract.S0 * math.exp(x) - contract.K)
-        return math.exp(a * x) * max(intrinsic, 0.0) * math.sin(xi * x)
+        return math.exp(alpha * x) * max(intrinsic, 0.0) * math.sin(xi * x)
 
     re = quad(integrand_re, b_lim, a_lim, limit=400)[0]
     im = quad(integrand_im, b_lim, a_lim, limit=400)[0]
@@ -53,16 +51,16 @@ def test_derived_fields():
 def test_empty_support_gives_zero_spectrum():
     g = build_grid(256, 2.0)
     c = OptionContract(S0=1.0, K=1.3, T=1.0, N=4, L=0.85, U=1.2)  # strike above band
-    spec = damped_payoff_fourier(c, g)
+    spec = damped_payoff_fourier(c, g, 0.0)
     assert np.all(spec == 0)
     p = OptionContract(S0=1.0, K=0.7, T=1.0, N=4, L=0.8, U=1.2, kind="put")
-    assert np.all(damped_payoff_fourier(p, g) == 0)
+    assert np.all(damped_payoff_fourier(p, g, 0.0) == 0)
 
 
 def test_zero_frequency_is_payoff_integral():
     g = build_grid(512, 2.0)
     c = OptionContract(S0=1.0, K=1.1, T=1.0, N=4, L=0.85, U=1.15)
-    spec = damped_payoff_fourier(c, g)
+    spec = damped_payoff_fourier(c, g, 0.0)
     assert complex(spec[256]) == pytest.approx(quad_transform(c, g, 0.0), abs=1e-12)
 
 
@@ -70,7 +68,7 @@ def test_zero_frequency_is_payoff_integral():
 def test_transform_matches_quadrature(kind):
     g = build_grid(512, 2.0)
     c = OptionContract(S0=1.0, K=1.1, T=1.0, N=4, L=0.85, U=1.15, kind=kind)
-    spec = damped_payoff_fourier(c, g)
+    spec = damped_payoff_fourier(c, g, 0.0)
     for k in (256, 300, 380, 150):
         assert complex(spec[k]) == pytest.approx(
             quad_transform(c, g, g.xi[k]), abs=1e-10
@@ -79,34 +77,33 @@ def test_transform_matches_quadrature(kind):
 
 def test_damped_variant_matches_quadrature():
     g = build_grid(512, 2.0)
-    c = OptionContract(S0=1.0, K=1.1, T=1.0, N=4, L=0.85, U=1.15, alpha=-2.0)
-    spec = damped_payoff_fourier(c, g)
+    c = OptionContract(S0=1.0, K=1.1, T=1.0, N=4, L=0.85, U=1.15)
+    spec = damped_payoff_fourier(c, g, -2.0)
     for k in (256, 330):
-        assert complex(spec[k]) == pytest.approx(quad_transform(c, g, g.xi[k]), abs=1e-10)
-    # the tilt comes from the contract: alpha = 0 gives the undamped transform
-    spec2 = damped_payoff_fourier(replace(c, alpha=0.0), g)
-    for k in (256, 330):
-        assert complex(spec2[k]) == pytest.approx(
-            quad_transform(c, g, g.xi[k], alpha=0.0), abs=1e-10
+        assert complex(spec[k]) == pytest.approx(
+            quad_transform(c, g, g.xi[k], alpha=-2.0), abs=1e-10
         )
+    # the tilt is the argument: alpha = 0 gives the undamped transform
+    spec2 = damped_payoff_fourier(c, g, 0.0)
+    for k in (256, 330):
+        assert complex(spec2[k]) == pytest.approx(quad_transform(c, g, g.xi[k]), abs=1e-10)
 
 
 def test_hermitian_symmetry():
     g = build_grid(512, 2.0)
     c = OptionContract(S0=1.0, K=1.1, T=1.0, N=4, L=0.85, U=1.15)
-    v = damped_payoff_fourier(c, g)
+    v = damped_payoff_fourier(c, g, 0.0)
     assert np.max(np.abs(v[1:] - np.conj(v[1:][::-1]))) < 1e-13
 
 
 def test_singular_nodes_take_limits():
     g = build_grid(256, 2.0)  # xi = 0 on-grid
-    c0 = OptionContract(S0=1.0, K=1.1, T=1.0, N=4, L=0.85, U=1.15, alpha=0.0)
-    v0 = damped_payoff_fourier(c0, g)
+    c = OptionContract(S0=1.0, K=1.1, T=1.0, N=4, L=0.85, U=1.15)
+    v0 = damped_payoff_fourier(c, g, 0.0)
     assert np.all(np.isfinite(v0))
-    cm1 = OptionContract(S0=1.0, K=1.1, T=1.0, N=4, L=0.85, U=1.15, alpha=-1.0)
-    vm1 = damped_payoff_fourier(cm1, g)
+    vm1 = damped_payoff_fourier(c, g, -1.0)
     assert np.all(np.isfinite(vm1))
-    assert complex(vm1[128]) == pytest.approx(quad_transform(cm1, g, 0.0), abs=1e-12)
+    assert complex(vm1[128]) == pytest.approx(quad_transform(c, g, 0.0, alpha=-1.0), abs=1e-12)
 
 
 def test_inverse_transform_recovers_payoff_away_from_kinks():
@@ -116,7 +113,7 @@ def test_inverse_transform_recovers_payoff_away_from_kinks():
     def recovery_error(M):
         g = build_grid(M, 2.0)
         c = OptionContract(S0=1.0, K=1.1, T=1.0, N=4, L=0.85, U=1.15)
-        dens = inverse_dft(damped_payoff_fourier(c, g), g).real
+        dens = inverse_dft(damped_payoff_fourier(c, g, 0.0), g).real
         x = g.x
         payoff = np.where(
             (x >= c.log_lower) & (x <= c.log_upper),
@@ -137,8 +134,8 @@ def test_homogeneous_of_degree_one_in_spot():
     g = build_grid(256, 2.0)
     base = OptionContract(S0=1.0, K=1.1, T=1.0, N=4, L=0.85, U=1.15)
     scaled = OptionContract(S0=100.0, K=110.0, T=1.0, N=4, L=85.0, U=115.0)
-    vb = damped_payoff_fourier(base, g)
-    vs = damped_payoff_fourier(scaled, g)
+    vb = damped_payoff_fourier(base, g, 0.0)
+    vs = damped_payoff_fourier(scaled, g, 0.0)
     assert np.max(np.abs(vs - 100.0 * vb)) < 1e-12 * np.max(np.abs(vs))
 
 

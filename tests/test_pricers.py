@@ -14,6 +14,7 @@ import levybarrier
 
 from levybarrier import (
     FilterSpec,
+    LevyModel,
     Method,
     OptionContract,
     OracleConfig,
@@ -174,6 +175,59 @@ def test_geometry_validation(kou):
         price(up_and_out(4), kou, "fgm", default_grid(up_and_out(4), kou, 256))
 
 
+# barrier geometry name -> contract builder, with the barrierless call
+TILT_SHAPES = {**SHAPES, "none": european}
+
+
+@pytest.mark.parametrize("kind", ["call", "put"])
+@pytest.mark.parametrize("shape", sorted(TILT_SHAPES))
+@pytest.mark.parametrize("model_name", ["kou", "nig", "vg", "gaussian"])
+def test_payoff_tilt_damps_only_calls_open_above(model_name, shape, kind, all_models):
+    contract = TILT_SHAPES[shape](52, kind=kind)
+    expected = -2.0 if kind == "call" and shape in ("down", "none") else 0.0
+    assert pricers.payoff_tilt(contract, all_models[model_name]) == expected
+
+
+def test_payoff_tilt_clipped_to_half_the_strip():
+    steep = LevyModel.kou(sigma=0.1, lam=3.0, p=0.3, eta1=3.0, eta2=12.0, r=0.05, q_div=0.02)
+    assert pricers.payoff_tilt(down_and_out(52), steep) == -1.5
+
+
+@pytest.mark.parametrize("model_name", ["kou", "nig", "gaussian"])
+def test_payoff_tilt_changes_no_fl_price(model_name, all_models, monkeypatch):
+    model, c = all_models[model_name], down_and_out(52)
+    g = default_grid(c, model, 2**12)
+    base = price(c, model, "fl", g).price
+    for tilt in (0.0, -1.0):
+        monkeypatch.setattr(pricers, "CALL_TILT", tilt)
+        assert price(c, model, "fl", g).price == pytest.approx(base, abs=1e-13)
+
+
+def test_payoff_tilt_breaking_the_premise_is_rejected(gaussian):
+    # E[e^{2 X_dt}] = 1.42 at sigma 3 and dt = 2/52, against 1/rho(50) = 1.32
+    wide = LevyModel.gaussian(sigma=3.0, r=0.05, q_div=0.02)
+    c = down_and_out(52, T=2.0)
+    assert ztransform.rho(50) * wide.char_function(-2j, c.dt).real > 1.0
+    for method in ("fgm", "fgm-f"):
+        with pytest.raises(ValueError, match="payoff tilt alpha = -2"):
+            price(c, wide, method, default_grid(c, wide, 256))
+    # the same contract in the gaussian of the paper's cases keeps the premise
+    assert price(c, gaussian, "fgm", default_grid(c, gaussian, 256)).price > 0
+
+
+@pytest.mark.parametrize("N", [52, 504])
+@pytest.mark.parametrize("model_name", ["kou", "nig"])
+def test_down_and_out_matches_the_wide_reference(model_name, N, all_models):
+    # the undamped open-top call put nig N=504 fgm-f 2.7e-6 and kou N=52
+    # fgm 6.7e-10 off this reference
+    model, c = all_models[model_name], down_and_out(N)
+    ref = reference_price(c, model, 1.5 * pricers.default_x_max(c, model))
+    g = default_grid(c, model, 2**12)
+    assert price(c, model, "fgm-f", g).price == pytest.approx(ref, abs=1e-7)
+    if model_name == "kou" and N == 52:
+        assert price(c, model, "fgm", g).price == pytest.approx(ref, abs=1e-10)
+
+
 @pytest.mark.parametrize("method", ["fgm", "fgm-f", "fl", "fl-f"])
 def test_band_clipped_past_itself_rejected(kou, method):
     # x_max = 0.03 clips u = log 1.2 to 0.03, below l = log 1.05 = 0.049
@@ -233,7 +287,8 @@ FL_VARIANTS = [("fl", None), ("fl-f", EXP), ("fl-f", FilterSpec.planck())]
 
 
 def _abs_psi(contract, model, grid):
-    return np.abs(model.char_function(grid.xi + 1j * contract.alpha, contract.dt))
+    alpha = pricers.payoff_tilt(contract, model)
+    return np.abs(model.char_function(grid.xi + 1j * alpha, contract.dt))
 
 
 def _outside(samples, width):
