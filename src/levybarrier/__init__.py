@@ -1,7 +1,7 @@
 """Fourier/Hilbert-transform pricing of discretely monitored barrier
 options under Levy processes, with spectral filtering."""
 
-from .filters import FilterKind, FilterSpec
+from .filters import ExponentialFilter, PlanckTaper
 from .grid import GridSpec, build_grid
 from .hilbert import HilbertKernel, hilbert_kernel
 from .levy import LevyModel, ModelKind
@@ -18,8 +18,7 @@ from .pricers import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "FilterKind",
-    "FilterSpec",
+    "ExponentialFilter",
     "GridSpec",
     "HilbertKernel",
     "LevyModel",
@@ -27,6 +26,7 @@ __all__ = [
     "ModelKind",
     "OptionContract",
     "OracleConfig",
+    "PlanckTaper",
     "PricingResult",
     "build_grid",
     "damped_payoff_fourier",

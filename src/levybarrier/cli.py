@@ -15,12 +15,12 @@ Configuration is a plain-text file of dotted `key = value` lines
 ('#' comments); each key is read or rejected by name.  A value that does
 not parse names its key (`contract.N: not an integer: ...`); a value
 the library refuses names its section (`contract: ...`).  filter.kind
-picks the taper, exponential when absent (`none` is the default taper):
-it reads filter.p and filter.theta, planck reads filter.eps, and a
-filter key the kind does not read is an error, as is a parameter of
-another model kind.  grid.M sizes are powers of two >= 8.  Exit codes:
-0 success, 2 configuration error, 3 numerical failure.  CSV output is
-comma-separated with a header row and %.12e numbers.
+picks the taper, the default taper's kind when absent: exponential
+reads filter.p, planck reads filter.eps, and a filter key the kind does
+not read is an error, as is a parameter of another model kind.  grid.M
+sizes are powers of two >= 8.  Exit codes: 0 success, 2 configuration
+error, 3 numerical failure.  CSV output is comma-separated with a
+header row and %.12e numbers.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .filters import FilterSpec, filter_profile
+from .filters import DEFAULT_TAPER, ExponentialFilter, PlanckTaper, Taper, filter_profile
 from .grid import build_grid, inverse_dft
 from .levy import _REQUIRED_PARAMS, LevyModel
 from .oracle import OracleConfig, mc_price, quad_price
@@ -51,7 +51,7 @@ from .pricers import (
     price as run_pricer,
     reference_price,
 )
-from .wiener_hopf import BranchFailureError, SingularInputError
+from .wiener_hopf import SingularInputError
 
 __all__ = ["main", "ConfigError", "RunConfig", "load_config", "fit_slope"]
 
@@ -80,13 +80,8 @@ _MODEL_KEYS = {
     for kind, names in _REQUIRED_PARAMS.items()
 }
 
-# filter.kind -> the constructor of its taper, whose arguments are the
-# filter keys that kind reads; none is the default taper and reads none
-_TAPERS = {
-    "exponential": FilterSpec.exponential,
-    "planck": FilterSpec.planck,
-    "none": lambda: FilterSpec(),
-}
+# filter.kind -> its taper type, whose fields are the filter keys it reads
+_TAPERS = {"exponential": ExponentialFilter, "planck": PlanckTaper}
 
 
 def _float(key: str, value: str) -> float:
@@ -165,7 +160,6 @@ _KEYS = {
     "contract.type": lambda key, value: value.lower(),
     "filter.kind": _choice("filter", _TAPERS),
     "filter.p": _int,
-    "filter.theta": _float,
     "filter.eps": _float,
     "grid.M": _sizes,
     "grid.x_max": _float_or(("auto",), None),
@@ -218,7 +212,7 @@ class RunConfig:
     contract: OptionContract
     methods: list[Method]
     m_list: list[int]
-    filt: FilterSpec = FilterSpec()
+    filt: Taper = DEFAULT_TAPER
     x_max: float | None = None
     oracle: OracleConfig = OracleConfig()
     csv_path: str | None = None
@@ -241,7 +235,8 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Ru
         raise ConfigError("missing required key: model.kind")
     params = _build(values, kind, dict, _MODEL_KEYS[kind])
     model = _build(values, "model", LevyModel, params=params, r=contract.r, q_div=contract.q_div)
-    taper = values.pop("filter.kind", "exponential")
+    default = next(name for name, make in _TAPERS.items() if make is type(DEFAULT_TAPER))
+    taper = values.pop("filter.kind", default)
     reads = inspect.signature(_TAPERS[taper]).parameters
     for key in values:
         if key.startswith("filter.") and key.split(".")[1] not in reads:
@@ -601,7 +596,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "oracle":
             return cmd_oracle(cfg, with_mc=args.mc)
         return cmd_filters_dump(cfg)
-    except (BranchFailureError, SingularInputError, NumericalFailure) as exc:
+    except (ArithmeticError, SingularInputError, NumericalFailure) as exc:
+        # ArithmeticError: BranchFailureError and overflows of extreme inputs
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -56,6 +56,8 @@ class OracleConfig:
             raise ValueError("quad_points must be at least 4096")
         if self.mc_paths < 10**4:
             raise ValueError("mc_paths must be at least 10000")
+        if self.mc_seed < 0:
+            raise ValueError(f"mc_seed must be non-negative, got {self.mc_seed}")
 
 
 def _lattice_half_width(contract: OptionContract, model: LevyModel) -> float:
@@ -118,6 +120,7 @@ def quad_price(
     lattice.  Each date costs one real FFT pair over the live cells and
     the outputs kept, so its cost follows the width of the barrier band,
     not the lattice; a contract with no live cell is worth 0."""
+    contract.check_rates(model)
     cfg = cfg or OracleConfig()
     n = int(cfg.quad_points)
     half = _lattice_half_width(contract, model)
@@ -202,6 +205,7 @@ def mc_price(
     substream spawned deterministically from mc_seed, so the result
     depends on mc_seed and mc_paths only.
     """
+    contract.check_rates(model)
     cfg = cfg or OracleConfig()
     dt = contract.dt
     disc = math.exp(-contract.r * contract.T)

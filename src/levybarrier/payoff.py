@@ -105,6 +105,12 @@ class OptionContract:
         """Largest of |k|, |l| and |u| over the levels the contract has."""
         return max(abs(level) for _, level in self._levels)
 
+    def check_rates(self, model) -> None:
+        """Reject a model of other rates: its drift uses r - q, the pricers discount at r."""
+        ours, theirs = (self.r, self.q_div), (model.r, model.q_div)
+        if ours != theirs:
+            raise ValueError(f"contract rates (r, q) = {ours} differ from the model's {theirs}")
+
     def clipped_barriers(self, x_max: float) -> tuple[float, float]:
         """Log barriers (l, u) clipped to [-x_max, x_max]; absent ones sit on
         the edge.  A grid that does not reach past the strike and each

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import FilterSpec, filter_profile
+from .filters import DEFAULT_TAPER, Taper, filter_profile
 from .grid import GridSpec, build_grid, inverse_at_zero, read_only
 from .hilbert import (
     BarrierProjections,
@@ -116,7 +116,7 @@ class PricingResult:
     grid_m: int
     cpu_seconds: float
     method: Method
-    filter: FilterSpec | None
+    filter: Taper | None
     avg_iterations: float | None = None
     max_iter_hit: bool = False
     imag_residual: float = 0.0
@@ -454,17 +454,19 @@ def price(
     model: LevyModel,
     method: Method,
     grid: GridSpec,
-    filt: FilterSpec | None = None,
+    filt: Taper | None = None,
 ) -> PricingResult:
     """Price the contract by one method on the given grid.
 
     The method alone says whether the call is filtered: a filtered one
-    takes ``filt``, or the default exponential taper when None, and an
-    unfiltered one rejects a filter.  ``cpu_seconds`` includes the
-    per-call set-up (taper, kernel lookup or build)."""
+    takes ``filt``, or ``DEFAULT_TAPER`` when None, and an unfiltered
+    one rejects a filter.  The model must carry the contract's rates.
+    ``cpu_seconds`` includes the per-call set-up (taper, kernel lookup
+    or build)."""
     method = Method(method)
+    contract.check_rates(model)
     if method.filtered:
-        filt = filt or FilterSpec.exponential()
+        filt = filt or DEFAULT_TAPER
     elif filt is not None:
         raise ValueError(f"method {method.value} does not take a filter")
     start = time.perf_counter()

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from levybarrier import (
-    FilterSpec,
+    ExponentialFilter,
     OptionContract,
     OracleConfig,
     build_grid,
@@ -36,7 +36,7 @@ from levybarrier.pricers import reference_price
 from levybarrier.wiener_hopf import factorize_values
 from levybarrier.ztransform import contour_points, invert_euler, rho
 
-EXP = FilterSpec.exponential()
+EXP = ExponentialFilter()
 
 KOU_TABLE = {N: TABLE_PRICES["kou"][N] for N in (4, 52, 104, 252)}
 NIG_TABLE = {N: TABLE_PRICES["nig"][N] for N in (4, 52, 252)}

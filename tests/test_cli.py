@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from levybarrier import FilterSpec, OracleConfig, cli
+from levybarrier import ExponentialFilter, OracleConfig, cli
 from levybarrier.cases import MODELS, TABLE_PRICES
 from levybarrier.cli import load_config, main, model_key, read_cache
+from levybarrier.filters import DEFAULT_TAPER
 
 BASE_CONFIG = """
 model.kind = kou
@@ -271,25 +272,24 @@ def test_filter_keys_are_read_by_their_kind(tmp_path, capsys):
     unset = BASE_CONFIG.replace("filter.kind = exponential\n", "filter.p = 8\n")
     code, out = run(unset)
     assert code == 0 and "filter = exp(p=8)" in out.out.splitlines()
-    # a key the kind does not read is rejected by name
-    for kind, key, value in [
-        ("planck", "filter.p", "8"),
-        ("exponential", "filter.eps", "0.3"),
-        ("none", "filter.theta", "30"),
+    # a key the kind does not read is rejected by name; filter.theta is
+    # no key at all (the exponential filter's strength is a constant)
+    line = len(BASE_CONFIG.splitlines()) + 1  # of the appended key
+    for kind, key, value, message in [
+        ("planck", "filter.p", "8", "filter.p: not read by filter.kind = planck"),
+        ("exponential", "filter.eps", "0.3", "filter.eps: not read by filter.kind = exponential"),
+        ("none", "filter.theta", "30", f"line {line}: unknown key 'filter.theta'"),
     ]:
         text = BASE_CONFIG.replace("exponential", kind) + f"{key} = {value}\n"
         code, out = run(text)
         assert code == 2
-        assert out.err == f"config error: {key}: not read by filter.kind = {kind}\n"
+        assert out.err == f"config error: {message}\n"
 
 
-def test_filter_kind_none_takes_the_default_taper(tmp_path, capsys):
-    def price_line(text):
-        assert main(["price", "--config", write_config(tmp_path, text)]) == 0
-        return next(l for l in capsys.readouterr().out.splitlines() if l.startswith("price = "))
-
+def test_filter_kind_none_is_rejected(tmp_path, capsys):
     unset = BASE_CONFIG.replace("filter.kind = exponential", "filter.kind = none")
-    assert price_line(unset) == price_line(BASE_CONFIG)
+    assert main(["price", "--config", write_config(tmp_path, unset)]) == 2
+    assert capsys.readouterr().err == "config error: filter.kind: unknown filter 'none'\n"
 
 
 @pytest.mark.parametrize(
@@ -437,6 +437,33 @@ def test_oracle_writes_cache_and_price_reports_error(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["refs.txt", "run.cfg"]
 
 
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("price", "contract.r", "-800"),  # exp(-r T) overflows
+        ("oracle", "contract.r", "-800"),
+        ("price", "kou.sigma", "1e200"),  # the martingale drift overflows
+        ("price", "kou.eta2", "1e-300"),  # the variance divides by zero
+    ],
+)
+def test_arithmetic_error_is_numerical_failure(tmp_path, capsys, command, key, value):
+    text, count = re.subn(rf"^{re.escape(key)} = .*$", f"{key} = {value}", BASE_CONFIG, flags=re.M)
+    assert count == 1
+    assert main([command, "--config", write_config(tmp_path, text)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_negative_mc_seed_rejected_at_load(tmp_path, capsys, monkeypatch):
+    _refuse_pricing(monkeypatch)
+    cfg = write_config(tmp_path, BASE_CONFIG + "oracle.mc_seed = -1\n")
+    assert main(["oracle", "--config", cfg, "--mc"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: oracle: mc_seed ")
+    assert "quad_price" not in captured.out
+
+
 def test_converge_writes_csv_and_slope(tmp_path, capsys):
     cache = tmp_path / "refs.txt"
     out_csv = tmp_path / "conv.csv"
@@ -581,14 +608,14 @@ def test_minimal_config_takes_library_defaults(tmp_path):
     # BASE_CONFIG sets no oracle or filter-parameter key
     cfg = load_config(write_config(tmp_path, BASE_CONFIG))
     assert cfg.oracle == OracleConfig()
-    assert cfg.filt == FilterSpec.exponential()
+    assert cfg.filt == DEFAULT_TAPER
     assert cfg.model.params["lam"] == 3.0
 
 
 def test_settings_keys_reach_the_library(tmp_path, capsys):
     text = BASE_CONFIG + "filter.p = 8\noracle.mc_seed = 5\n"
     cfg = load_config(write_config(tmp_path, text))
-    assert cfg.filt == FilterSpec.exponential(p=8)
+    assert cfg.filt == ExponentialFilter(p=8)
     assert cfg.oracle == OracleConfig(mc_seed=5)
 
     bad = write_config(tmp_path, BASE_CONFIG + "oracle.quad_points = twelve\n", name="bad.cfg")

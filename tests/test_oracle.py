@@ -134,7 +134,9 @@ def test_band_window_equals_linear_convolution(kou):
 
 def test_no_live_cell_is_worthless_without_transforms(kou, monkeypatch):
     # both barriers round to the same log-price, so no cell survives
-    c = OptionContract(S0=1.0, K=1.0, T=1.0, N=4, L=1e-9, U=math.nextafter(1e-9, 1.0))
+    c = OptionContract(
+        S0=1.0, K=1.0, T=1.0, N=4, r=kou.r, q_div=kou.q_div, L=1e-9, U=math.nextafter(1e-9, 1.0)
+    )
     assert c.log_lower == c.log_upper
 
     def boom(*args, **kwargs):
@@ -204,3 +206,19 @@ def test_import_leaves_scipy_stats_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_every_entry_point_rejects_a_contract_with_other_rates(kou):
+    # every pricer discounts at the contract's r while the model's drift
+    # uses the model's r - q; kou fl at N=52, M=2^12 would price this
+    # down-and-out at 0.045426 against 0.043211 at the model's rates
+    c = down_and_out(52, r=0.0, q_div=0.0)
+    grid = default_grid(c, kou, 2**12)
+    message = r"contract rates \(r, q\) = \(0.0, 0.0\) differ from the model.s \(0.05, 0.02\)"
+    for call in (
+        lambda: price(c, kou, "fl", grid),
+        lambda: quad_price(c, kou),
+        lambda: mc_price(c, kou),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()

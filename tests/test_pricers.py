@@ -13,18 +13,19 @@ import pytest
 import levybarrier
 
 from levybarrier import (
-    FilterSpec,
+    ExponentialFilter,
     LevyModel,
     Method,
     OptionContract,
     OracleConfig,
+    PlanckTaper,
     build_grid,
     default_grid,
     price,
     quad_price,
 )
 from levybarrier import pricers, ztransform
-from levybarrier.filters import filter_profile
+from levybarrier.filters import DEFAULT_TAPER, filter_profile
 from levybarrier.hilbert import hilbert_kernel
 from levybarrier.cases import (
     NIG_252_CONVERGED, SHAPES, TABLE_PRICES, double_barrier, down_and_out, european, up_and_out,
@@ -33,7 +34,7 @@ from levybarrier.oracle import black_scholes_price
 from levybarrier.pricers import reference_price
 from levybarrier.wiener_hopf import BranchFailureError
 
-EXP = FilterSpec.exponential()
+EXP = ExponentialFilter()
 
 # reference prices for the benchmark double-barrier call, reproduced by
 # every pricer here and cross-checked against the quadrature oracle
@@ -259,8 +260,6 @@ def test_method_filter_dispatch(kou):
     g = default_grid(c, kou, 512)
     with pytest.raises(ValueError):
         price(c, kou, Method.FGM, g, EXP)
-    with pytest.raises(ValueError):
-        FilterSpec("none")
     res = price(c, kou, Method.FGM_F, g, EXP)
     assert res.method is Method.FGM_F
     res_fl = price(c, kou, Method.FL, g)
@@ -270,7 +269,7 @@ def test_method_filter_dispatch(kou):
     assert price(c, kou, Method.FGM, g).filter is None
     # filtered method without an explicit filter falls back to defaults
     res_def = price(c, kou, Method.FGM_F, g)
-    assert res_def.filter == FilterSpec.exponential()
+    assert res_def.filter == DEFAULT_TAPER
 
 
 def test_zero_tolerance_runs_every_sweep(kou, monkeypatch):
@@ -283,7 +282,7 @@ def test_zero_tolerance_runs_every_sweep(kou, monkeypatch):
     assert res.max_iter_hit
 
 
-FL_VARIANTS = [("fl", None), ("fl-f", EXP), ("fl-f", FilterSpec.planck())]
+FL_VARIANTS = [("fl", None), ("fl-f", EXP), ("fl-f", PlanckTaper())]
 
 
 def _abs_psi(contract, model, grid):

@@ -95,6 +95,7 @@ def test_tracer_keeps_prices_and_fires_spans(all_models):
         "payoff.damped_payoff_fourier",
         "hilbert.window_values",
         "hilbert.above_values",
+        "filters.filter_profile",
     ):
         assert name in fired, f"span {name} did not fire"
     notes = [span[5] for span in tracer.spans if span[0] == "ztransform.contour_points"]
