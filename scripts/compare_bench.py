@@ -1,18 +1,23 @@
 #!/usr/bin/env python3
-"""Compare the end-to-end metrics of two benchmark runs.
+"""Compare the end-to-end metrics of benchmark runs on two commits.
 
     python3 scripts/compare_bench.py parent.json change.json
+    python3 scripts/compare_bench.py --parent p1.json p2.json p3.json \\
+                                     --change c1.json c2.json c3.json
 
-Both files are ``bench/out/<workload>-seed<n>.json`` results written by
-``bench/run.py --trace 0``, e.g. one on each of two commits.  For each
-end-to-end metric named in ``BENCHMARK.json`` prints both values, the
-change/parent ratio and whether the change is better, worse or equal by
-that metric's ``better`` direction; then the failed share of each run.
+Each file is a ``bench/out/<workload>-seed<n>.json`` result written by
+``bench/run.py --trace 0``, e.g. alternated runs on each of two commits.
+For each end-to-end metric named in ``BENCHMARK.json`` prints each
+side's median, the change/parent ratio of the medians and whether the
+change is better, worse or equal by that metric's ``better`` direction;
+with more than one run on a side it adds each side's min-max range.
+Then the failed share of each run, side by side.
 Exit status: 0, or 2 when a file lacks one of the metrics.
 """
 
 import argparse
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -31,25 +36,49 @@ def verdict(parent, change, better):
     return "better" if (change > parent) == (better == "higher") else "worse"
 
 
-def main(argv=None):
+def _sides(argv):
+    """(parent files, change files) from either form of the command line."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent")
-    parser.add_argument("change")
+    parser.add_argument("pair", nargs="*", metavar="parent change")
+    parser.add_argument("--parent", nargs="+", default=[], metavar="FILE")
+    parser.add_argument("--change", nargs="+", default=[], metavar="FILE")
     args = parser.parse_args(argv)
-    runs = [json.loads(Path(p).read_text()) for p in (args.parent, args.change)]
-    print(f"{'metric':<16}{'parent':>12}{'change':>12}{'ratio':>8}  verdict")
+    if args.pair and (args.parent or args.change):
+        parser.error("give two files, or --parent and --change, not both")
+    if args.pair:
+        if len(args.pair) != 2:
+            parser.error("give one parent and one change file")
+        return [args.pair[0]], [args.pair[1]]
+    if not (args.parent and args.change):
+        parser.error("give both --parent and --change")
+    return args.parent, args.change
+
+
+def main(argv=None):
+    sides = _sides(argv)
+    runs = [[json.loads(Path(p).read_text()) for p in files] for files in sides]
+    ranges = any(len(side) > 1 for side in runs)
+    print(f"{'metric':<16}{'parent':>12}{'change':>12}{'ratio':>8}  verdict"
+          + (f"{'parent min-max':>22}{'change min-max':>22}" if ranges else ""))
     for name, better in end_to_end():
         try:
-            parent, change = (run["metrics"][name]["value"] for run in runs)
+            values = [[run["metrics"][name]["value"] for run in side] for side in runs]
         except KeyError:
             print(f"{name}: missing from a run", file=sys.stderr)
             return 2
+        parent, change = (statistics.median(side) for side in values)
         ratio = change / parent if parent else float("nan")
-        print(f"{name:<16}{parent:>12.4g}{change:>12.4g}{ratio:>8.3f}  "
-              f"{verdict(parent, change, better)}")
-    for side, run in zip(("parent", "change"), runs):
-        failed, attempted = run["failed"], run["attempted"]
-        print(f"failed share {side}: {failed}/{attempted} = {failed / attempted:.2%}")
+        line = (f"{name:<16}{parent:>12.4g}{change:>12.4g}{ratio:>8.3f}  "
+                f"{verdict(parent, change, better):<7}")
+        if ranges:
+            line += "".join(f"{f'{min(side):.4g}-{max(side):.4g}':>22}" for side in values)
+        print(line.rstrip())
+    for side, side_runs in zip(("parent", "change"), runs):
+        shares = ", ".join(
+            f"{run['failed']}/{run['attempted']} = {run['failed'] / run['attempted']:.2%}"
+            for run in side_runs
+        )
+        print(f"failed share {side}: {shares}")
     return 0
 
 

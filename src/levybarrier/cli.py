@@ -604,6 +604,11 @@ def main(argv: list[str] | None = None) -> int:
         # ConfigError, and the pricers' checks of the contract they are given
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # a grid.M too large to allocate; numpy raises ValueError instead
+        # for sizes beyond the address space
+        print(f"config error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

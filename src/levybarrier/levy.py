@@ -69,6 +69,9 @@ class LevyModel:
             )
         p = {k: float(v) for k, v in self.params.items()}
         object.__setattr__(self, "params", p)
+        for name, value in {**p, "r": self.r, "q_div": self.q_div}.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{kind.value}: {name} must be finite, got {value}")
         self._validate(p)
         # martingale condition: psi(-i) = r - q  =>  a = r - q - psi0(-i)
         psi0_at = self._psi0(np.array(-1j))

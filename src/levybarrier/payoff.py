@@ -49,6 +49,12 @@ class OptionContract:
     kind: str = "call"
 
     def __post_init__(self) -> None:
+        for name in ("S0", "K", "T", "r", "q_div"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if math.isnan(self.L) or math.isnan(self.U):
+            raise ValueError(f"barriers must not be NaN, got L={self.L}, U={self.U}")
         if self.S0 <= 0 or self.K <= 0:
             raise ValueError("spot and strike must be positive")
         if self.T <= 0:

@@ -263,7 +263,9 @@ def _band_solver(
 # handoffs between the ~60 numpy calls of one point.  Serial -> pooled
 # speed of fgm-f on the kou/nig/vg double barrier at N=52 and N=504,
 # median of 6 alternated calls on a noisy 2-core VM: M=2^10 0.57-0.67x,
-# 2^11 0.77-1.14x, 2^12 0.96-1.17x, 2^13 1.65-2.18x.
+# 2^11 0.77-1.14x, 2^12 0.96-1.17x, 2^13 1.65-2.18x.  Re-measured with
+# the transform buffers kept resident (hilbert._keep_transform_buffers):
+# 2^11 0.73-1.03x, 2^12 1.07-1.48x, so the threshold stays at 2^12.
 PARALLEL_MIN_M = 2**12
 # Only two workers have been measured (on a 2-core machine); past that
 # the Python between the transforms holds the GIL most of the time.

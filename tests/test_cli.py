@@ -204,6 +204,16 @@ def test_invalid_fixed_point_settings_name_their_key(tmp_path, capsys, key, valu
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["price", "filters-dump"])
+def test_grid_too_large_to_allocate_is_config_error(tmp_path, capsys, command):
+    # 2^59 points ask numpy for 4 EiB, beyond any 64-bit address space, so
+    # the allocation fails at once whatever the overcommit mode
+    assert main([command, "--config", _kou_double(tmp_path, {}), "--M", str(2**59)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: out of memory: ")
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("method", ["fgm-f", "fl"])
 @pytest.mark.parametrize("x_max", ["0.01", "0.0953"])
 def test_grid_inside_the_strike_rejected(tmp_path, capsys, method, x_max):

@@ -2,6 +2,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 METRICS = ("prices_per_s", "latency_ms_p50", "latency_ms_p90", "setup_s", "peak_rss_mb")
 
 
@@ -45,3 +47,28 @@ def test_missing_metric_rejected(tmp_path):
     parent = _run(tmp_path, "parent.json", [1.0] * 5)
     change = _run(tmp_path, "change.json", [1.0] * 4)
     assert _script().main([parent, change]) == 2
+
+
+def test_several_runs_per_side_compare_medians(tmp_path, capsys):
+    parents = [_run(tmp_path, f"p{i}.json", [v, 20.0, 70.0 + i, 0.3, 65.0], failed=15,
+                    attempted=618) for i, v in enumerate([30.0, 34.0, 33.0])]
+    changes = [_run(tmp_path, f"c{i}.json", [v, 20.0, 64.0 - i, 0.3, 65.0], failed=f,
+                    attempted=a) for i, (v, f, a) in enumerate([(35.0, 15, 618), (36.0, 18, 721)])]
+    assert _script().main(["--parent", *parents, "--change", *changes]) == 0
+    out = capsys.readouterr().out.splitlines()
+    lines = {line.split()[0]: line.split() for line in out}
+    # medians 33 and 35.5; min-max over each side's runs
+    assert lines["prices_per_s"][1:] == ["33", "35.5", "1.076", "better", "30-34", "35-36"]
+    assert lines["latency_ms_p90"][1:] == ["71", "63.5", "0.894", "better", "70-72", "63-64"]
+    assert lines["setup_s"][4:] == ["equal", "0.3-0.3", "0.3-0.3"]
+    assert "failed share parent: 15/618 = 2.43%, 15/618 = 2.43%, 15/618 = 2.43%" in out
+    assert "failed share change: 15/618 = 2.43%, 18/721 = 2.50%" in out
+
+
+def test_two_file_form_and_flags_do_not_mix(tmp_path):
+    parent = _run(tmp_path, "parent.json", [1.0] * 5)
+    change = _run(tmp_path, "change.json", [1.0] * 5)
+    for argv in ([parent, change, "--change", change], ["--parent", parent], [parent]):
+        with pytest.raises(SystemExit) as exit_info:
+            _script().main(argv)
+        assert exit_info.value.code == 2

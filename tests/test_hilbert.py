@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +12,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import toeplitz
 
-from levybarrier import price, pricers
+import levybarrier
+from levybarrier import hilbert, price, pricers
 from levybarrier.grid import build_grid, inverse_dft
 from levybarrier.hilbert import (
     BarrierProjections,
@@ -393,3 +399,68 @@ def test_pricers_build_only_the_barrier_data_they_use(monkeypatch, kou, method, 
     price(contract, kou, method, pricers.default_grid(contract, kou, 1024))
     assert len(made) == (1 if built else 0)
     assert all(set(vars(p)) - {"grid", "l", "u"} == built for p in made)
+
+
+def _on_glibc() -> bool:
+    try:
+        return os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.parametrize(
+    "libc, accepted, calls",
+    [
+        ("glibc 2.36", 1, [(-3, 32 << 20), (-1, 64 << 20)]),
+        ("glibc 2.36", 0, [(-3, 32 << 20)]),  # mmap refused: trim stays unset too
+        (ValueError, 1, []),  # no such confstr name on this platform
+        (None, 1, []),  # the name has no value on this C library
+    ],
+)
+def test_malloc_thresholds_set_together_on_glibc_only(monkeypatch, libc, accepted, calls):
+    made = []
+
+    def mallopt(param, value):
+        made.append((param, value))
+        return accepted
+
+    def confstr(name):
+        if libc is ValueError:
+            raise ValueError(name)
+        return libc
+
+    monkeypatch.setattr(hilbert.os, "confstr", confstr)
+    monkeypatch.setattr(hilbert.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    hilbert._keep_transform_buffers()
+    assert made == calls
+
+
+@pytest.mark.skipif(not _on_glibc(), reason="sets glibc's malloc thresholds only")
+def test_transform_buffers_stay_resident():
+    # Under glibc's default thresholds a repeated call faulted its 128 KiB
+    # and larger FFT buffers in again: about 6.4k minor faults per kou
+    # fgm-f call at M = 2^12 (contour points on the pool threads) and 13k
+    # per vg fl-f call at 2^14.  A fresh process, so no earlier test has
+    # moved glibc's dynamic thresholds.
+    code = """
+import resource
+from levybarrier import default_grid, price
+from levybarrier.cases import MODELS, double_barrier, down_and_out
+
+def second_call_faults(contract, model, method, M):
+    grid = default_grid(contract, model, M)
+    price(contract, model, method, grid)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    price(contract, model, method, grid)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+print(second_call_faults(double_barrier(52), MODELS["kou"], "fgm-f", 2**12),
+      second_call_faults(down_and_out(52), MODELS["vg"], "fl-f", 2**14))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(levybarrier.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    fgm_faults, fl_faults = map(int, out.stdout.split())
+    assert fgm_faults <= 500
+    assert fl_faults <= 500

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from levybarrier import LevyModel
+from levybarrier.cases import MODELS
 
 XI = np.linspace(-400.0, 400.0, 801)
 
@@ -96,6 +97,24 @@ def test_parameter_validation():
         LevyModel.vg(theta=4.0, sigma=0.2, nu=1.0)  # forward not integrable
     with pytest.raises(ValueError):
         LevyModel.gaussian(sigma=-0.2)
+
+
+# (model, field) for every parameter of every model kind, and the rates
+_MODEL_FIELDS = [
+    (name, field) for name, model in MODELS.items() for field in (*model.params, "r", "q_div")
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name, field", _MODEL_FIELDS)
+def test_non_finite_parameter_rejected_by_name(name, field, value):
+    """A NaN or infinite input used to give a model with drift nan, which
+    priced as nan on an explicit grid."""
+    model = MODELS[name]
+    params, rates = dict(model.params), {"r": model.r, "q_div": model.q_div}
+    (rates if field in rates else params)[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        LevyModel(model.kind, params, **rates)
 
 
 def test_variance_matches_sampled_moments(kou):

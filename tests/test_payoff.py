@@ -38,6 +38,22 @@ def test_contract_validation():
         OptionContract(S0=1.0, K=1.1, T=1.0, N=4, kind="straddle")
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        *((f, v, f"{f} must be finite") for f in ("S0", "K", "T", "r", "q_div")
+          for v in (math.nan, math.inf)),
+        ("L", math.nan, "must not be NaN"),
+        ("U", math.nan, "must not be NaN"),
+    ],
+)
+def test_non_finite_contract_term_rejected_by_name(field, value, message):
+    """A NaN spot used to fail only when a grid was sized for it."""
+    terms = dict(S0=1.0, K=1.1, T=1.0, N=4, L=0.8, U=1.2)
+    with pytest.raises(ValueError, match=message):
+        OptionContract(**{**terms, field: value})
+
+
 def test_derived_fields():
     c = OptionContract(S0=1.0, K=1.1, T=1.0, N=4, L=0.85, U=1.15)
     assert c.log_strike == pytest.approx(math.log(1.1))
