@@ -4,7 +4,7 @@ options under Levy processes, with spectral filtering."""
 from .filters import ExponentialFilter, PlanckTaper
 from .grid import GridSpec, build_grid
 from .hilbert import HilbertKernel, hilbert_kernel
-from .levy import LevyModel, ModelKind
+from .levy import LevyModel
 from .oracle import OracleConfig, mc_price, quad_price
 from .payoff import OptionContract, damped_payoff_fourier
 from .pricers import (
@@ -23,7 +23,6 @@ __all__ = [
     "HilbertKernel",
     "LevyModel",
     "Method",
-    "ModelKind",
     "OptionContract",
     "OracleConfig",
     "PlanckTaper",

@@ -32,14 +32,14 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .filters import DEFAULT_TAPER, ExponentialFilter, PlanckTaper, Taper, filter_profile
 from .grid import build_grid, inverse_dft
-from .levy import _REQUIRED_PARAMS, LevyModel
+from .levy import NIG, VG, Gaussian, Kou, LevyModel
 from .oracle import OracleConfig, mc_price, quad_price
 from .payoff import OptionContract
 from .pricers import (
@@ -74,10 +74,11 @@ class NumericalFailure(RuntimeError):
 _ARG_NAMES = {"lambda": "lam", "q": "q_div", "type": "kind"}
 _KEY_NAMES = {arg: key for key, arg in _ARG_NAMES.items()}
 
-# model kind -> its parameter keys, spelled as in the config
+# model.kind -> its law type; _MODEL_KEYS: the law's fields, spelled as config keys
+_LAWS = {law.name: law for law in (Kou, NIG, VG, Gaussian)}
 _MODEL_KEYS = {
-    kind.value: tuple(_KEY_NAMES.get(name, name) for name in names)
-    for kind, names in _REQUIRED_PARAMS.items()
+    kind: tuple(_KEY_NAMES.get(f.name, f.name) for f in fields(law))
+    for kind, law in _LAWS.items()
 }
 
 # filter.kind -> its taper type, whose fields are the filter keys it reads
@@ -234,7 +235,9 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Ru
     if kind is None:
         raise ConfigError("missing required key: model.kind")
     params = _build(values, kind, dict, _MODEL_KEYS[kind])
-    model = _build(values, "model", LevyModel, params=params, r=contract.r, q_div=contract.q_div)
+    # the law is built in the "model" section: its errors read "model: kou: ..."
+    model_of = lambda kind: LevyModel(_LAWS[kind](**params), contract.r, contract.q_div)
+    model = _build(values, "model", model_of)
     default = next(name for name, make in _TAPERS.items() if make is type(DEFAULT_TAPER))
     taper = values.pop("filter.kind", default)
     reads = inspect.signature(_TAPERS[taper]).parameters
@@ -263,12 +266,13 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Ru
 
 
 def model_key(model: LevyModel) -> str:
+    name = model.law.name
     blob = ",".join(
-        [model.kind.value]
-        + [f"{k}={model.params[k]:.12g}" for k in sorted(model.params)]
+        [name]
+        + [f"{k}={v:.12g}" for k, v in sorted(asdict(model.law).items())]
         + [f"r={model.r:.12g}", f"q={model.q_div:.12g}"]
     )
-    return f"{model.kind.value}:{hashlib.sha1(blob.encode()).hexdigest()[:8]}"
+    return f"{name}:{hashlib.sha1(blob.encode()).hexdigest()[:8]}"
 
 
 def contract_key(contract: OptionContract, model: LevyModel) -> str:

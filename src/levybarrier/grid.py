@@ -49,6 +49,8 @@ class GridSpec:
             raise ValueError(f"M must be even and >= 8, got {self.M}")
         if not (self.x_max > 0):
             raise ValueError(f"x_max must be positive, got {self.x_max}")
+        if not (np.isfinite(self.dx) and np.isfinite(self.dxi)):
+            raise ValueError(f"x_max = {self.x_max} gives a non-finite grid spacing")
 
     @property
     def dx(self) -> float:

@@ -6,229 +6,245 @@ is Psi(xi, t) = E[exp(i xi X(t))] = exp(psi(xi) t), where the exponent
 psi(xi) = i*a*xi + psi0(xi) carries a drift a fixed in closed form by the
 martingale condition Psi(-1j, t) = exp((r - q) t).
 
-Supported models and parameters (annualised):
-
-  gaussian  sigma
-  kou       sigma, lam, p, eta1, eta2   (double-exponential jumps; eta1 > 1)
-  nig       alpha, beta, delta          (|beta| < alpha, |beta + 1| < alpha)
-  vg        theta, sigma, nu            (1 - nu*theta - nu*sigma^2/2 > 0)
-
-The per-model frequency "strip of regularity" (the band of Im(xi) where
-Psi stays analytic) is tracked so damped evaluations Psi(xi + i*alpha, t)
-can be validated before use.  ``polynomial_decay`` tells the pricers
-whether |Psi| falls only polynomially in |xi| (vg) rather than
-exponentially (gaussian, kou, nig).
+One small type per family, its law (Gaussian, Kou, NIG, VG), holds the
+annualised parameters, their checks, the driftless exponent psi0, the
+"strip of regularity" (the band of Im(xi) where Psi is analytic, checked
+before a damped evaluation Psi(xi + i*alpha, t)), the second cumulant per
+unit time, the exact increment sampler of the Monte Carlo oracle, and two
+facts the pricers read: ``pure_jump`` (no diffusion part: nig, vg) and
+``polynomial_decay`` (|Psi| falls only polynomially in |xi|: vg).
+``LevyModel`` adds what no family owns: the rates, the martingale drift
+and Psi itself.
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 
-__all__ = ["ModelKind", "LevyModel"]
+__all__ = ["Gaussian", "Kou", "NIG", "VG", "Law", "LevyModel"]
 
 
-class ModelKind(str, enum.Enum):
-    KOU = "kou"
-    NIG = "nig"
-    VG = "vg"
-    GAUSSIAN = "gaussian"
+class _Law:
+    """Each parameter becomes a float and must be finite; then ``_check``."""
+
+    pure_jump: ClassVar[bool] = False
+    polynomial_decay: ClassVar[bool] = False
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = float(getattr(self, f.name))
+            if not math.isfinite(value):
+                raise ValueError(f"{self.name}: {f.name} must be finite, got {value}")
+            object.__setattr__(self, f.name, value)
+        self._check()
 
 
-_REQUIRED_PARAMS = {
-    ModelKind.KOU: ("sigma", "lam", "p", "eta1", "eta2"),
-    ModelKind.NIG: ("alpha", "beta", "delta"),
-    ModelKind.VG: ("theta", "sigma", "nu"),
-    ModelKind.GAUSSIAN: ("sigma",),
-}
+@dataclass(frozen=True)
+class Gaussian(_Law):
+    """Brownian motion of volatility sigma > 0."""
+
+    sigma: float
+    name: ClassVar[str] = "gaussian"
+    strip: ClassVar[tuple[float, float]] = (-math.inf, math.inf)
+
+    def _check(self) -> None:
+        if self.sigma <= 0:
+            raise ValueError("gaussian: sigma > 0 required")
+
+    def psi0(self, xi: np.ndarray) -> np.ndarray:
+        return -0.5 * self.sigma**2 * xi**2
+
+    @property
+    def cumulant2(self) -> float:
+        return self.sigma**2
+
+    def increments(self, drift: float, dt: float, size: int, rng) -> np.ndarray:
+        return drift + self.sigma * math.sqrt(dt) * rng.standard_normal(size)
+
+
+@dataclass(frozen=True)
+class Kou(_Law):
+    """Diffusion plus double-exponential jumps of rate lam, up w.p. p; eta1 > 1."""
+
+    sigma: float
+    lam: float
+    p: float
+    eta1: float
+    eta2: float
+    name: ClassVar[str] = "kou"
+
+    def _check(self) -> None:
+        if not (0.0 < self.p < 1.0):
+            raise ValueError("kou: p in (0,1) required")
+        if self.lam <= 0 or self.sigma <= 0:
+            raise ValueError("kou: lam > 0 and sigma > 0 required")
+        if self.eta1 <= 1.0:
+            raise ValueError("kou: eta1 > 1 required for a finite forward")
+        if self.eta2 <= 0:
+            raise ValueError("kou: eta2 > 0 required")
+
+    @property
+    def strip(self) -> tuple[float, float]:
+        """Simple poles at xi = -1j*eta1 and xi = 1j*eta2."""
+        return (-self.eta1, self.eta2)
+
+    def psi0(self, xi: np.ndarray) -> np.ndarray:
+        jump = ((1.0 - self.p) * self.eta2 / (self.eta2 + 1j * xi)
+                + self.p * self.eta1 / (self.eta1 - 1j * xi) - 1.0)
+        return -0.5 * self.sigma**2 * xi**2 + self.lam * jump
+
+    @property
+    def cumulant2(self) -> float:
+        jumps = 2.0 * self.p / self.eta1**2 + 2.0 * (1.0 - self.p) / self.eta2**2
+        return self.sigma**2 + self.lam * jumps
+
+    def increments(self, drift: float, dt: float, size: int, rng) -> np.ndarray:
+        out = drift + self.sigma * math.sqrt(dt) * rng.standard_normal(size)
+        counts = rng.poisson(self.lam * dt, size)
+        total = int(counts.sum())
+        if total:
+            up = rng.random(total) < self.p
+            mags = np.where(
+                up,
+                rng.exponential(1.0 / self.eta1, total),
+                -rng.exponential(1.0 / self.eta2, total),
+            )
+            np.add.at(out, np.repeat(np.arange(size), counts), mags)
+        return out
+
+
+@dataclass(frozen=True)
+class NIG(_Law):
+    """Normal inverse Gaussian; |beta| < alpha and |beta + 1| < alpha."""
+
+    alpha: float
+    beta: float
+    delta: float
+    name: ClassVar[str] = "nig"
+    pure_jump: ClassVar[bool] = True
+
+    def _check(self) -> None:
+        if self.alpha <= 0 or self.delta <= 0:
+            raise ValueError("nig: alpha > 0 and delta > 0 required")
+        if abs(self.beta) >= self.alpha:
+            raise ValueError("nig: |beta| < alpha required")
+        if abs(self.beta + 1.0) >= self.alpha:
+            raise ValueError("nig: |beta + 1| < alpha required for a finite forward")
+
+    @property
+    def strip(self) -> tuple[float, float]:
+        """Branch points at Im(xi) = beta -/+ alpha."""
+        return (self.beta - self.alpha, self.beta + self.alpha)
+
+    def psi0(self, xi: np.ndarray) -> np.ndarray:
+        gam = math.sqrt(self.alpha**2 - self.beta**2)
+        return -self.delta * (np.sqrt(self.alpha**2 - (self.beta + 1j * xi) ** 2) - gam)
+
+    @property
+    def cumulant2(self) -> float:
+        return self.delta * self.alpha**2 / (self.alpha**2 - self.beta**2) ** 1.5
+
+    def increments(self, drift: float, dt: float, size: int, rng) -> np.ndarray:
+        gam = math.sqrt(self.alpha**2 - self.beta**2)
+        # subordinator: inverse Gaussian with mean delta*dt/gam, shape (delta*dt)^2
+        tau = rng.wald(self.delta * dt / gam, (self.delta * dt) ** 2, size)
+        return drift + self.beta * tau + np.sqrt(tau) * rng.standard_normal(size)
+
+
+@dataclass(frozen=True)
+class VG(_Law):
+    """Variance gamma; 1 - nu*theta - nu*sigma^2/2 > 0."""
+
+    theta: float
+    sigma: float
+    nu: float
+    name: ClassVar[str] = "vg"
+    pure_jump: ClassVar[bool] = True
+    polynomial_decay: ClassVar[bool] = True  # |Psi(xi, t)| ~ |xi|^(-2t/nu)
+
+    def _check(self) -> None:
+        if self.sigma <= 0 or self.nu <= 0:
+            raise ValueError("vg: sigma > 0 and nu > 0 required")
+        if 1.0 - self.nu * self.theta - 0.5 * self.nu * self.sigma**2 <= 0:
+            raise ValueError("vg: 1 - nu*theta - nu*sigma^2/2 > 0 required")
+
+    @property
+    def strip(self) -> tuple[float, float]:
+        """Branch points at the real roots v of 1 + nu*theta*v - nu*sigma^2*v^2/2."""
+        disc = math.sqrt(self.theta**2 + 2.0 * self.sigma**2 / self.nu)
+        return ((self.theta - disc) / self.sigma**2, (self.theta + disc) / self.sigma**2)
+
+    def psi0(self, xi: np.ndarray) -> np.ndarray:
+        arg = 1.0 - 1j * self.nu * self.theta * xi + 0.5 * self.nu * self.sigma**2 * xi**2
+        return -np.log(arg) / self.nu
+
+    @property
+    def cumulant2(self) -> float:
+        return self.sigma**2 + self.nu * self.theta**2
+
+    def increments(self, drift: float, dt: float, size: int, rng) -> np.ndarray:
+        tau = rng.gamma(dt / self.nu, self.nu, size)
+        return drift + self.theta * tau + self.sigma * np.sqrt(tau) * rng.standard_normal(size)
+
+
+Law = Gaussian | Kou | NIG | VG
 
 
 @dataclass(frozen=True)
 class LevyModel:
-    """Immutable process descriptor; all evaluation methods are pure."""
+    """A law under the rates r and q_div; all evaluation methods are pure."""
 
-    kind: ModelKind
-    params: Mapping[str, float]
+    law: Law
     r: float = 0.0
     q_div: float = 0.0
     drift: float = field(init=False)
 
     def __post_init__(self) -> None:
-        kind = ModelKind(self.kind)
-        object.__setattr__(self, "kind", kind)
-        required = _REQUIRED_PARAMS[kind]
-        missing = [k for k in required if k not in self.params]
-        extra = [k for k in self.params if k not in required]
-        if missing or extra:
-            raise ValueError(
-                f"{kind.value} parameters: missing {missing}, unexpected {extra}"
-            )
-        p = {k: float(v) for k, v in self.params.items()}
-        object.__setattr__(self, "params", p)
-        for name, value in {**p, "r": self.r, "q_div": self.q_div}.items():
+        for name in ("r", "q_div"):
+            value = getattr(self, name)
             if not math.isfinite(value):
-                raise ValueError(f"{kind.value}: {name} must be finite, got {value}")
-        self._validate(p)
+                raise ValueError(f"{self.law.name}: {name} must be finite, got {value}")
         # martingale condition: psi(-i) = r - q  =>  a = r - q - psi0(-i)
-        psi0_at = self._psi0(np.array(-1j))
+        psi0_at = self.law.psi0(np.array(-1j))
         if abs(psi0_at.imag) > 1e-12:
             raise ValueError("psi0(-i) must be real; check parameter domain")
         object.__setattr__(self, "drift", self.r - self.q_div - psi0_at.real)
 
-    def _validate(self, p: Mapping[str, float]) -> None:
-        kind = self.kind
-        if kind is ModelKind.GAUSSIAN:
-            if p["sigma"] <= 0:
-                raise ValueError("gaussian: sigma > 0 required")
-        elif kind is ModelKind.KOU:
-            if not (0.0 < p["p"] < 1.0):
-                raise ValueError("kou: p in (0,1) required")
-            if p["lam"] <= 0 or p["sigma"] <= 0:
-                raise ValueError("kou: lam > 0 and sigma > 0 required")
-            if p["eta1"] <= 1.0:
-                raise ValueError("kou: eta1 > 1 required for a finite forward")
-            if p["eta2"] <= 0:
-                raise ValueError("kou: eta2 > 0 required")
-        elif kind is ModelKind.NIG:
-            if p["alpha"] <= 0 or p["delta"] <= 0:
-                raise ValueError("nig: alpha > 0 and delta > 0 required")
-            if abs(p["beta"]) >= p["alpha"]:
-                raise ValueError("nig: |beta| < alpha required")
-            if abs(p["beta"] + 1.0) >= p["alpha"]:
-                raise ValueError("nig: |beta + 1| < alpha required for a finite forward")
-        elif kind is ModelKind.VG:
-            if p["sigma"] <= 0 or p["nu"] <= 0:
-                raise ValueError("vg: sigma > 0 and nu > 0 required")
-            if 1.0 - p["nu"] * p["theta"] - 0.5 * p["nu"] * p["sigma"] ** 2 <= 0:
-                raise ValueError("vg: 1 - nu*theta - nu*sigma^2/2 > 0 required")
-
-    # -- constructors -------------------------------------------------
-
     @classmethod
     def gaussian(cls, sigma: float, r: float = 0.0, q_div: float = 0.0) -> "LevyModel":
-        return cls(ModelKind.GAUSSIAN, {"sigma": sigma}, r, q_div)
+        return cls(Gaussian(sigma), r, q_div)
 
     @classmethod
-    def kou(
-        cls,
-        sigma: float,
-        lam: float,
-        p: float,
-        eta1: float,
-        eta2: float,
-        r: float = 0.0,
-        q_div: float = 0.0,
-    ) -> "LevyModel":
-        return cls(
-            ModelKind.KOU,
-            {"sigma": sigma, "lam": lam, "p": p, "eta1": eta1, "eta2": eta2},
-            r,
-            q_div,
-        )
+    def kou(cls, sigma: float, lam: float, p: float, eta1: float, eta2: float,
+            r: float = 0.0, q_div: float = 0.0) -> "LevyModel":
+        return cls(Kou(sigma, lam, p, eta1, eta2), r, q_div)
 
     @classmethod
-    def nig(
-        cls, alpha: float, beta: float, delta: float, r: float = 0.0, q_div: float = 0.0
-    ) -> "LevyModel":
-        return cls(ModelKind.NIG, {"alpha": alpha, "beta": beta, "delta": delta}, r, q_div)
+    def nig(cls, alpha: float, beta: float, delta: float,
+            r: float = 0.0, q_div: float = 0.0) -> "LevyModel":
+        return cls(NIG(alpha, beta, delta), r, q_div)
 
     @classmethod
-    def vg(
-        cls, theta: float, sigma: float, nu: float, r: float = 0.0, q_div: float = 0.0
-    ) -> "LevyModel":
-        return cls(ModelKind.VG, {"theta": theta, "sigma": sigma, "nu": nu}, r, q_div)
-
-    # -- analytic structure -------------------------------------------
-
-    @property
-    def strip(self) -> tuple[float, float]:
-        """Open interval of Im(xi) where Psi(xi, t) is analytic.
-
-        The bounds come from the poles / branch points of the closed
-        forms: kou has simple poles at xi = -1j*eta1 and xi = 1j*eta2,
-        nig has branch points at Im(xi) = beta -/+ alpha, vg at the real
-        roots of 1 + nu*theta*v - nu*sigma^2*v^2/2 = 0.
-        """
-        p = self.params
-        if self.kind is ModelKind.GAUSSIAN:
-            return (-math.inf, math.inf)
-        if self.kind is ModelKind.KOU:
-            return (-p["eta1"], p["eta2"])
-        if self.kind is ModelKind.NIG:
-            return (p["beta"] - p["alpha"], p["beta"] + p["alpha"])
-        # vg: -(nu sigma^2/2) v^2 + nu theta v + 1 = 0
-        disc = math.sqrt(p["theta"] ** 2 + 2.0 * p["sigma"] ** 2 / p["nu"])
-        lo = (p["theta"] - disc) / p["sigma"] ** 2
-        hi = (p["theta"] + disc) / p["sigma"] ** 2
-        return (lo, hi)
-
-    @property
-    def polynomial_decay(self) -> bool:
-        """Whether |Psi(xi, t)| decays only polynomially as |xi| -> inf.
-
-        True for vg, whose characteristic function falls like
-        |xi|^(-2t/nu); every other supported model decays exponentially.
-        """
-        return self.kind is ModelKind.VG
-
-    def _psi0(self, xi: np.ndarray) -> np.ndarray:
-        """Characteristic exponent without drift (complex, vectorised)."""
-        p = self.params
-        xi = np.asarray(xi, dtype=complex)
-        if self.kind is ModelKind.GAUSSIAN:
-            return -0.5 * p["sigma"] ** 2 * xi**2
-        if self.kind is ModelKind.KOU:
-            jump = (
-                (1.0 - p["p"]) * p["eta2"] / (p["eta2"] + 1j * xi)
-                + p["p"] * p["eta1"] / (p["eta1"] - 1j * xi)
-                - 1.0
-            )
-            return -0.5 * p["sigma"] ** 2 * xi**2 + p["lam"] * jump
-        if self.kind is ModelKind.NIG:
-            gam = math.sqrt(p["alpha"] ** 2 - p["beta"] ** 2)
-            return -p["delta"] * (np.sqrt(p["alpha"] ** 2 - (p["beta"] + 1j * xi) ** 2) - gam)
-        # vg
-        arg = 1.0 - 1j * p["nu"] * p["theta"] * xi + 0.5 * p["nu"] * p["sigma"] ** 2 * xi**2
-        return -np.log(arg) / p["nu"]
-
-    def char_exponent(self, xi) -> np.ndarray:
-        """psi(xi) with the risk-neutral drift included."""
-        xi = np.asarray(xi, dtype=complex)
-        self._check_strip(xi)
-        return 1j * self.drift * xi + self._psi0(xi)
+    def vg(cls, theta: float, sigma: float, nu: float,
+           r: float = 0.0, q_div: float = 0.0) -> "LevyModel":
+        return cls(VG(theta, sigma, nu), r, q_div)
 
     def char_function(self, xi, t: float) -> np.ndarray:
-        """Psi(xi, t) = exp(psi(xi) t); requires t >= 0 and xi in the strip."""
+        """Psi(xi, t) = exp(psi(xi) t), for t >= 0 and Im(xi) inside the law's strip."""
         if t < 0:
             raise ValueError(f"time must be nonnegative, got {t}")
-        return np.exp(self.char_exponent(xi) * t)
-
-    def _check_strip(self, xi: np.ndarray) -> None:
-        im = np.imag(xi)
-        lo, hi = self.strip
-        im_min = float(np.min(im))
-        im_max = float(np.max(im))
+        xi = np.asarray(xi, dtype=complex)
+        im_min, im_max = float(np.min(xi.imag)), float(np.max(xi.imag))
+        lo, hi = self.law.strip
         if im_min <= lo or im_max >= hi:
-            raise ValueError(
-                f"Im(xi) range [{im_min:g}, {im_max:g}] outside the "
-                f"{self.kind.value} strip of regularity ({lo:g}, {hi:g})"
-            )
+            raise ValueError(f"Im(xi) range [{im_min:g}, {im_max:g}] outside the "
+                             f"{self.law.name} strip of regularity ({lo:g}, {hi:g})")
+        return np.exp((1j * self.drift * xi + self.law.psi0(xi)) * t)
 
     def variance(self, t: float) -> float:
         """Var[X(t)] from the second cumulant, used for grid sizing."""
-        p = self.params
-        if self.kind is ModelKind.GAUSSIAN:
-            c2 = p["sigma"] ** 2
-        elif self.kind is ModelKind.KOU:
-            c2 = p["sigma"] ** 2 + p["lam"] * (
-                2.0 * p["p"] / p["eta1"] ** 2 + 2.0 * (1.0 - p["p"]) / p["eta2"] ** 2
-            )
-        elif self.kind is ModelKind.NIG:
-            c2 = p["delta"] * p["alpha"] ** 2 / (p["alpha"] ** 2 - p["beta"] ** 2) ** 1.5
-        else:  # vg
-            c2 = p["sigma"] ** 2 + p["nu"] * p["theta"] ** 2
-        return c2 * t
+        return self.law.cumulant2 * t

@@ -23,21 +23,22 @@ below the kept window.  Its cost is set by the live cells, not by the
 lattice; a double barrier keeps about a tenth of it.  The transform of
 the needed lags is the same on every date and is computed once per call.
 
-``mc_price`` simulates the log-price at the monitoring dates with exact
-increment sampling per model (compound Poisson + diffusion for kou,
+``mc_price`` simulates the log-price at the monitoring dates with the
+law's exact ``increments`` (compound Poisson + diffusion for kou,
 inverse-Gaussian subordination for nig, gamma subordination for vg).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 
-from .levy import LevyModel, ModelKind
+from .levy import LevyModel
 from .payoff import OptionContract
 
 __all__ = ["OracleConfig", "quad_price", "mc_price", "black_scholes_price"]
@@ -52,6 +53,10 @@ class OracleConfig:
     mc_seed: int = 20170213
 
     def __post_init__(self) -> None:
+        for name in ("quad_points", "mc_paths", "mc_seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.quad_points < 2**12:
             raise ValueError("quad_points must be at least 4096")
         if self.mc_paths < 10**4:
@@ -161,36 +166,6 @@ def quad_price(
 # ---------------------------------------------------------------------------
 
 
-def _increments(
-    model: LevyModel, dt: float, size: int, rng: np.random.Generator
-) -> np.ndarray:
-    p = model.params
-    drift = model.drift * dt
-    if model.kind is ModelKind.GAUSSIAN:
-        return drift + p["sigma"] * math.sqrt(dt) * rng.standard_normal(size)
-    if model.kind is ModelKind.KOU:
-        out = drift + p["sigma"] * math.sqrt(dt) * rng.standard_normal(size)
-        counts = rng.poisson(p["lam"] * dt, size)
-        total = int(counts.sum())
-        if total:
-            up = rng.random(total) < p["p"]
-            mags = np.where(
-                up,
-                rng.exponential(1.0 / p["eta1"], total),
-                -rng.exponential(1.0 / p["eta2"], total),
-            )
-            np.add.at(out, np.repeat(np.arange(size), counts), mags)
-        return out
-    if model.kind is ModelKind.NIG:
-        gam = math.sqrt(p["alpha"] ** 2 - p["beta"] ** 2)
-        # subordinator: inverse Gaussian with mean delta*dt/gam, shape (delta*dt)^2
-        tau = rng.wald(p["delta"] * dt / gam, (p["delta"] * dt) ** 2, size)
-        return drift + p["beta"] * tau + np.sqrt(tau) * rng.standard_normal(size)
-    # vg: gamma-time-changed Brownian motion
-    tau = rng.gamma(dt / p["nu"], p["nu"], size)
-    return drift + p["theta"] * tau + p["sigma"] * np.sqrt(tau) * rng.standard_normal(size)
-
-
 # paths per simulation chunk; each chunk draws from its own substream,
 # so changing this changes the Monte Carlo result
 MC_CHUNK = 200_000
@@ -222,7 +197,7 @@ def mc_price(
         x = np.zeros(m)
         alive = np.ones(m, dtype=bool)
         for _ in range(contract.N):
-            x += _increments(model, dt, m, rng)
+            x += model.law.increments(model.drift * dt, dt, m, rng)
             if contract.has_lower:
                 alive &= x > l
             if contract.has_upper:

@@ -25,6 +25,7 @@ The transform is returned as a plain length-M array on the xi lattice.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,8 @@ class OptionContract:
             raise ValueError("spot and strike must be positive")
         if self.T <= 0:
             raise ValueError(f"maturity must be positive, got {self.T}")
+        if not isinstance(self.N, numbers.Integral):
+            raise ValueError(f"N must be an integer, got {self.N!r}")
         if self.N < 1:
             raise ValueError(f"monitoring count must be >= 1, got {self.N}")
         if self.L < 0:

@@ -70,7 +70,7 @@ from .hilbert import (
     hilbert_kernel,
     window_values,
 )
-from .levy import LevyModel, ModelKind
+from .levy import LevyModel
 from .payoff import OptionContract, damped_payoff_fourier
 from .wiener_hopf import factorize_values
 from .ztransform import contour_points, invert, rho
@@ -131,8 +131,8 @@ def default_x_max(contract: OptionContract, model: LevyModel) -> float:
     Open geometries (no barrier on one side) carry payoff mass toward
     the grid edge, so they get the full GRID_WIDTH_STDS standard
     deviations of X(T).  Band-confined (double-barrier) value functions
-    tolerate a slightly tighter range, and for pure-jump models the
-    margin scales with the one-step standard deviation instead: their
+    tolerate a slightly tighter range, and for a ``law.pure_jump`` model
+    the margin is capped at JUMP_WIDTH_STEP_STDS one-step deviations: its
     characteristic function decays only like exp(-c dt |xi|) (or
     polynomially), which makes the frequency range pi*M/(2 x_max) the
     scarce resource.  Models with a diffusion component decay like
@@ -141,7 +141,7 @@ def default_x_max(contract: OptionContract, model: LevyModel) -> float:
     std_T = math.sqrt(model.variance(contract.T))
     band_confined = contract.has_lower and contract.has_upper
     margin = (BAND_WIDTH_STDS if band_confined else GRID_WIDTH_STDS) * std_T
-    if band_confined and model.kind in (ModelKind.NIG, ModelKind.VG):
+    if band_confined and model.law.pure_jump:
         std_step = math.sqrt(model.variance(contract.dt))
         margin = min(margin, JUMP_WIDTH_STEP_STDS * std_step)
     return contract.log_anchor + margin
@@ -163,7 +163,7 @@ def payoff_tilt(contract: OptionContract, model: LevyModel) -> float:
     whose payoff grows like e^x up to the grid edge (Carr & Madan 1999; Lee
     2004), clipped to half the model's lower strip bound; 0 otherwise."""
     if contract.kind == "call" and not contract.has_upper:
-        return max(CALL_TILT, 0.5 * model.strip[0])
+        return max(CALL_TILT, 0.5 * model.law.strip[0])
     return 0.0
 
 
@@ -336,7 +336,7 @@ def _price_fgm(
         raise ValueError(msg)
     kernel = hilbert_kernel(grid)
     band = contract.has_upper
-    filter_fact = band and sigma is not None and model.polynomial_decay
+    filter_fact = band and sigma is not None and model.law.polynomial_decay
 
     psi = model.char_function(grid.xi + 1j * alpha, contract.dt)
     pay_psi = np.conj(damped_payoff_fourier(contract, grid, alpha)) * psi
@@ -495,5 +495,5 @@ def reference_price(
     The induction runs on the live band of Psi only (``_price_fl``), so
     exponentially decaying models pay for the band they need, not for
     REFERENCE_M; polynomially decaying ones keep the whole grid."""
-    method = Method.FL_F if model.polynomial_decay else Method.FL
+    method = Method.FL_F if model.law.polynomial_decay else Method.FL
     return price(contract, model, method, default_grid(contract, model, REFERENCE_M, x_max)).price

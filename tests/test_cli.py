@@ -60,6 +60,12 @@ def test_missing_required_key_names_it(tmp_path, capsys):
     assert "contract.K" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["sigma", "lambda", "p", "eta1", "eta2"])
+def test_missing_model_parameter_names_it(tmp_path, capsys, name):
+    assert main(["price", "--config", _kou_double(tmp_path, {f"kou.{name}": None})]) == 2
+    assert capsys.readouterr().err == f"config error: missing required key: kou.{name}\n"
+
+
 def test_duplicate_and_malformed_keys(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE_CONFIG + "\nmethod = fl\n")
     assert main(["price", "--config", cfg]) == 2
@@ -221,6 +227,16 @@ def test_grid_inside_the_strike_rejected(tmp_path, capsys, method, x_max):
     cfg = _kou_double(tmp_path, {"grid.x_max": x_max})
     assert main(["price", "--config", cfg, "--method", method]) == 2
     assert capsys.readouterr().err.startswith("config error: log-strike k = 0.0953102 lies ")
+
+
+@pytest.mark.parametrize("method", ["fgm-f", "fl"])
+def test_grid_spacing_overflow_rejected(tmp_path, capsys, method):
+    # 2 x_max overflows to inf: fl used to price 0.0 and fgm-f 7.4e-309
+    cfg = _kou_double(tmp_path, {"grid.x_max": "1e308"})
+    assert main(["price", "--config", cfg, "--method", method]) == 2
+    assert capsys.readouterr().err == (
+        "config error: x_max = 1e+308 gives a non-finite grid spacing\n"
+    )
 
 
 def test_band_clipped_past_itself_rejected(tmp_path, capsys):
@@ -602,14 +618,21 @@ def test_model_key_distinguishes_parameters():
     from levybarrier import LevyModel
 
     a = MODELS["kou"]
-    b = LevyModel("kou", {**a.params, "eta2": 12.5}, a.r, a.q_div)
+    b = LevyModel(replace(a.law, eta2=12.5), a.r, a.q_div)
     assert model_key(a) != model_key(b)
+
+
+def test_model_keys_of_the_cases_are_unchanged():
+    # cached references (refs.txt) are looked up by these keys
+    keys = {name: model_key(model) for name, model in MODELS.items()}
+    assert keys == {"kou": "kou:d7e29a07", "nig": "nig:6c76ab44", "vg": "vg:596b73bd",
+                    "gaussian": "gaussian:b9dcdd37"}
 
 
 def test_load_config_round_trip(tmp_path):
     cfg = load_config(write_config(tmp_path, BASE_CONFIG))
     assert cfg.contract.N == 4
-    assert cfg.model.kind.value == "kou"
+    assert cfg.model.law.name == "kou"
     assert cfg.m_list == [512]
     assert cfg.methods[0].value == "fgm-f"
 
@@ -619,7 +642,7 @@ def test_minimal_config_takes_library_defaults(tmp_path):
     cfg = load_config(write_config(tmp_path, BASE_CONFIG))
     assert cfg.oracle == OracleConfig()
     assert cfg.filt == DEFAULT_TAPER
-    assert cfg.model.params["lam"] == 3.0
+    assert cfg.model.law.lam == 3.0
 
 
 def test_settings_keys_reach_the_library(tmp_path, capsys):

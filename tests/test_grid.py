@@ -26,7 +26,9 @@ def test_index_ranges():
     assert g.eta[-1] == pytest.approx(1.0 - 2.0 / g.M)
 
 
-@pytest.mark.parametrize("M,x_max", [(7, 1.0), (4, 1.0), (16, 0.0), (16, -2.0)])
+@pytest.mark.parametrize(
+    "M,x_max", [(7, 1.0), (4, 1.0), (16, 0.0), (16, -2.0), (1024, math.inf), (1024, 1e308)]
+)
 def test_invalid_grid_rejected(M, x_max):
     with pytest.raises(ValueError):
         build_grid(M, x_max)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -51,23 +52,23 @@ def test_vg_polynomial_tail_slope(vg):
     v1 = abs(complex(vg.char_function(xi1, t)))
     v2 = abs(complex(vg.char_function(xi2, t)))
     slope = (math.log(v2) - math.log(v1)) / (math.log(xi2) - math.log(xi1))
-    assert slope == pytest.approx(-2.0 * t / vg.params["nu"], rel=1e-3)
+    assert slope == pytest.approx(-2.0 * t / vg.law.nu, rel=1e-3)
 
 
 def test_decay_classification(all_models):
-    assert not all_models["kou"].polynomial_decay
-    assert not all_models["nig"].polynomial_decay
-    assert not all_models["gaussian"].polynomial_decay
-    assert all_models["vg"].polynomial_decay
+    assert not all_models["kou"].law.polynomial_decay
+    assert not all_models["nig"].law.polynomial_decay
+    assert not all_models["gaussian"].law.polynomial_decay
+    assert all_models["vg"].law.polynomial_decay
 
 
 def test_strip_of_regularity(kou, nig, vg, gaussian):
-    assert kou.strip == (-40.0, 12.0)
-    assert nig.strip == (-20.0, 10.0)
-    lo, hi = vg.strip
+    assert kou.law.strip == (-40.0, 12.0)
+    assert nig.law.strip == (-20.0, 10.0)
+    lo, hi = vg.law.strip
     assert lo == pytest.approx(-12.0, rel=1e-12)
     assert hi == pytest.approx(18.0, rel=1e-12)
-    assert gaussian.strip == (-math.inf, math.inf)
+    assert gaussian.law.strip == (-math.inf, math.inf)
 
 
 def test_damped_argument_outside_strip_rejected(kou):
@@ -99,9 +100,10 @@ def test_parameter_validation():
         LevyModel.gaussian(sigma=-0.2)
 
 
-# (model, field) for every parameter of every model kind, and the rates
+# (model, field) for every parameter of every law, and the rates
 _MODEL_FIELDS = [
-    (name, field) for name, model in MODELS.items() for field in (*model.params, "r", "q_div")
+    (name, field) for name, model in MODELS.items()
+    for field in (*(f.name for f in fields(model.law)), "r", "q_div")
 ]
 
 
@@ -111,10 +113,10 @@ def test_non_finite_parameter_rejected_by_name(name, field, value):
     """A NaN or infinite input used to give a model with drift nan, which
     priced as nan on an explicit grid."""
     model = MODELS[name]
-    params, rates = dict(model.params), {"r": model.r, "q_div": model.q_div}
+    params, rates = asdict(model.law), {"r": model.r, "q_div": model.q_div}
     (rates if field in rates else params)[field] = value
     with pytest.raises(ValueError, match=f"{field} must be finite"):
-        LevyModel(model.kind, params, **rates)
+        LevyModel(type(model.law)(**params), **rates)
 
 
 def test_variance_matches_sampled_moments(kou):

@@ -59,6 +59,24 @@ def test_config_validation():
         OracleConfig(mc_paths=100)
 
 
+@pytest.mark.parametrize(
+    "make, field, value",
+    [
+        (double_barrier, "N", 2.5),
+        (double_barrier, "N", math.nan),
+        (OracleConfig, "mc_paths", 10000.5),
+        (OracleConfig, "mc_seed", 1.5),
+        (OracleConfig, "quad_points", 4096.5),
+    ],
+)
+def test_non_integral_count_rejected_by_name(make, field, value):
+    """N = 2.5 used to fail inside fl with a TypeError, N = nan passed
+    N >= 1, and quad_points = 4096.5 was truncated to 4096."""
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value}"):
+        make(**{field: value})
+    make(**{field: np.int64(2**12 if field == "quad_points" else 10**4)})
+
+
 def test_gaussian_european_black_scholes(gaussian):
     c = european(N=1)
     val = quad_price(c, gaussian, OracleConfig(quad_points=2**15))
@@ -165,6 +183,23 @@ def test_mc_deterministic_under_seed(kou):
     b = mc_price(c, kou, cfg)
     assert a == b
     assert a[0] >= 0.0
+
+
+# mc_price(double_barrier(4), model, 4e4 paths, seed 7) as float.hex:
+# pins every law's sampler and the order it draws in
+MC_PINNED = {
+    "kou": "0x1.e14d158e3c2fap-8",
+    "nig": "0x1.66c16da9de96bp-8",
+    "vg": "0x1.eb5204487ef57p-9",
+    "gaussian": "0x1.1164d59be7948p-8",
+}
+
+
+@pytest.mark.parametrize("model_name", sorted(MC_PINNED))
+def test_mc_price_is_pinned(all_models, model_name):
+    cfg = OracleConfig(mc_paths=40_000, mc_seed=7)
+    value, _ = mc_price(double_barrier(4), all_models[model_name], cfg)
+    assert value.hex() == MC_PINNED[model_name]
 
 
 def test_mc_stderr_scaling(kou):

@@ -229,6 +229,42 @@ def test_down_and_out_matches_the_wide_reference(model_name, N, all_models):
         assert price(c, model, "fgm", g).price == pytest.approx(ref, abs=1e-10)
 
 
+# default_x_max as float.hex per (model, geometry): one value for every N
+# in DEFAULT_X_MAX_N, or one per N where the pure-jump cap binds (nig and vg
+# double barriers); a diffusion law (gaussian, kou) never takes the cap
+DEFAULT_X_MAX_N = (4, 52, 504)
+DEFAULT_X_MAX = {
+    ("kou", "double"): "0x1.03cd046e91b0cp+1",
+    ("kou", "down"): "0x1.50e15dfb8eb85p+1",
+    ("kou", "up"): "0x1.4ba7b645d8b4ap+1",
+    ("nig", "double"): {
+        4: "0x1.025010dd0cd88p+1",
+        52: "0x1.462b9248834f0p+0",
+        504: "0x1.1f16afe1370c8p-1",
+    },
+    ("nig", "down"): "0x1.4ee56e8edd97ep+1",
+    ("nig", "up"): "0x1.49abc6d927943p+1",
+    ("vg", "double"): {
+        4: "0x1.035151eaa569cp+1",
+        52: "0x1.4758d31d6e17dp+0",
+        504: "0x1.1fd8378aad75ep-1",
+    },
+    ("vg", "down"): "0x1.503c6ff653aefp+1",
+    ("vg", "up"): "0x1.4b02c8409dab4p+1",
+    ("gaussian", "double"): "0x1.02f65e2e01008p+1",
+    ("gaussian", "down"): "0x1.4fc32afacdcd6p+1",
+    ("gaussian", "up"): "0x1.4a89834517c9bp+1",
+}
+
+
+@pytest.mark.parametrize("model_name, shape", sorted(DEFAULT_X_MAX))
+def test_default_x_max_is_pinned(all_models, model_name, shape):
+    want = DEFAULT_X_MAX[model_name, shape]
+    for N in DEFAULT_X_MAX_N:
+        got = pricers.default_x_max(SHAPES[shape](N), all_models[model_name]).hex()
+        assert got == (want if isinstance(want, str) else want[N]), N
+
+
 @pytest.mark.parametrize("method", ["fgm", "fgm-f", "fl", "fl-f"])
 def test_band_clipped_past_itself_rejected(kou, method):
     # x_max = 0.03 clips u = log 1.2 to 0.03, below l = log 1.05 = 0.049
