@@ -2,13 +2,13 @@
 
 Subcommands:
 
-  price         one pricing run; prints the price, timing and, when a
-                cached reference exists, the absolute error
+  price         one pricing run; prints the price and its timing
   converge      M-sweep per method; writes a CSV of convergence rows and
                 prints the fitted log2 error slope per method
   gibbs-demo    rectangular-pulse recovery study (truncated-transform
                 ringing): CSV of x, recovered, error per grid size
-  oracle        brute-force reference generation into the cache file
+  oracle        brute-force reference prices: quadrature, and Monte Carlo
+                with --mc; writes no file
   filters-dump  taper profile samples on the scaled frequency lattice
 
 Configuration is a plain-text file of dotted `key = value` lines
@@ -26,13 +26,10 @@ header row and %.12e numbers.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import inspect
 import math
-import os
 import sys
-import tempfile
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -46,8 +43,6 @@ from .pricers import (
     Method,
     PricingResult,
     default_grid,
-    default_x_max,
-    payoff_tilt,
     price as run_pricer,
     reference_price,
 )
@@ -168,7 +163,6 @@ _KEYS = {
     "oracle.mc_paths": _int,
     "oracle.mc_seed": _int,
     "output.csv": lambda key, value: value,
-    "output.cache": lambda key, value: value,
 }
 
 
@@ -217,7 +211,6 @@ class RunConfig:
     x_max: float | None = None
     oracle: OracleConfig = OracleConfig()
     csv_path: str | None = None
-    cache_path: str | None = None
 
 
 def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> RunConfig:
@@ -253,91 +246,10 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Ru
         x_max=values.pop("grid.x_max", None),
         oracle=_build(values, "oracle", OracleConfig),
         csv_path=values.pop("output.csv", None),
-        cache_path=values.pop("output.cache", None),
     )
     if values:  # only parameters of another model kind are left
         raise ConfigError(f"{next(iter(values))}: not read by model.kind = {kind}")
     return cfg
-
-
-# ---------------------------------------------------------------------------
-# reference cache
-# ---------------------------------------------------------------------------
-
-
-def model_key(model: LevyModel) -> str:
-    name = model.law.name
-    blob = ",".join(
-        [name]
-        + [f"{k}={v:.12g}" for k, v in sorted(asdict(model.law).items())]
-        + [f"r={model.r:.12g}", f"q={model.q_div:.12g}"]
-    )
-    return f"{name}:{hashlib.sha1(blob.encode()).hexdigest()[:8]}"
-
-
-def contract_key(contract: OptionContract, model: LevyModel) -> str:
-    blob = (
-        f"{contract.S0:.12g},{contract.K:.12g},{contract.L:.12g},{contract.U:.12g},"
-        f"{contract.r:.12g},{contract.q_div:.12g},{contract.T:.12g},"
-        f"{contract.kind},{payoff_tilt(contract, model):.12g}"
-    )
-    return hashlib.sha1(blob.encode()).hexdigest()[:12]
-
-
-def read_cache(path: str | Path) -> dict[tuple[str, str, int, str], float]:
-    out: dict[tuple[str, str, int, str], float] = {}
-    p = Path(path)
-    if not p.exists():
-        return out
-    for raw in p.read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        mkey, ckey, n, tag, value = line.split()
-        out[(mkey, ckey, int(n), tag)] = float(value)
-    return out
-
-
-def write_cache_entry(
-    path: str | Path, model: LevyModel, contract: OptionContract, tag: str, value: float
-) -> None:
-    # an untagged fl-ref line predates the x_max tag, and no lookup reads it
-    entries = {key: v for key, v in read_cache(path).items() if key[3] != "fl-ref"}
-    entries[(model_key(model), contract_key(contract, model), contract.N, tag)] = value
-    lines = ["# model contract_hash N tag price"]
-    for (mkey, ckey, n, etag), price in sorted(entries.items()):
-        lines.append(f"{mkey} {ckey} {n} {etag} {NUM_FMT % price}")
-    # write a sibling file and rename it over the cache, so a reader never
-    # sees a partial file
-    target = Path(path)
-    try:
-        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
-            os.replace(tmp, target)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
-
-
-def _reference_tag(cfg: RunConfig) -> str:
-    """Cache tag of the backward-induction reference, which moves with x_max."""
-    x_max = default_x_max(cfg.contract, cfg.model) if cfg.x_max is None else cfg.x_max
-    return f"fl-ref@{x_max:.12g}"
-
-
-def lookup_reference(cfg: RunConfig) -> float | None:
-    if not cfg.cache_path:
-        return None
-    entries = read_cache(cfg.cache_path)
-    key = (model_key(cfg.model), contract_key(cfg.contract, cfg.model), cfg.contract.N)
-    for tag in (_reference_tag(cfg), "quad"):
-        if (*key, tag) in entries:
-            return entries[(*key, tag)]
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +294,6 @@ def cmd_price(cfg: RunConfig) -> int:
     print(f"cpu_seconds = {NUM_FMT % result.cpu_seconds}")
     if result.avg_iterations is not None:
         print(f"avg_iterations = {result.avg_iterations:.3f}")
-    reference = lookup_reference(cfg)
-    if reference is not None:
-        print(f"reference = {NUM_FMT % reference}")
-        print(f"abs_error = {NUM_FMT % abs(result.price - reference)}")
     if result.max_iter_hit:
         print("warning = fixed point hit max_iter", file=sys.stderr)
     if cfg.csv_path:
@@ -409,12 +317,7 @@ def fit_slope(ms: list[int], errors: list[float]) -> float:
 def cmd_converge(cfg: RunConfig) -> int:
     if len(cfg.m_list) < 2:
         raise ConfigError("grid.M: converge needs an increasing sweep list")
-    reference = lookup_reference(cfg)
-    if reference is None:
-        reference = reference_price(cfg.contract, cfg.model, cfg.x_max)
-        if cfg.cache_path:
-            tag = _reference_tag(cfg)
-            write_cache_entry(cfg.cache_path, cfg.model, cfg.contract, tag, reference)
+    reference = reference_price(cfg.contract, cfg.model, cfg.x_max)
     rows = []
     slopes = []
     for method in cfg.methods:
@@ -491,9 +394,6 @@ def cmd_gibbs(cfg_m_list: list[int], csv_path: str | None) -> int:
 def cmd_oracle(cfg: RunConfig, with_mc: bool) -> int:
     value = quad_price(cfg.contract, cfg.model, cfg.oracle)
     print(f"quad_price = {NUM_FMT % value}")
-    if cfg.cache_path:
-        write_cache_entry(cfg.cache_path, cfg.model, cfg.contract, "quad", value)
-        print(f"cache = {cfg.cache_path}")
     if with_mc:
         mc_val, stderr = mc_price(cfg.contract, cfg.model, cfg.oracle)
         print(f"mc_price = {NUM_FMT % mc_val}")
@@ -549,13 +449,12 @@ _FLAG_KEYS = {
     "--out": "output.csv",
     "--seed": "oracle.mc_seed",
 }
-# config subcommand -> (the flags it reads, the RunConfig output paths it
-# writes); price only reads the cache
+# config subcommand -> the flags it reads
 _COMMANDS = {
-    "price": (("--method", "--filter", "--M", "--out"), ("csv_path",)),
-    "converge": (("--method", "--filter", "--M", "--out"), ("csv_path", "cache_path")),
-    "oracle": (("--seed",), ("cache_path",)),
-    "filters-dump": (("--filter", "--M", "--out"), ("csv_path",)),
+    "price": ("--method", "--filter", "--M", "--out"),
+    "converge": ("--method", "--filter", "--M", "--out"),
+    "oracle": ("--seed",),
+    "filters-dump": ("--filter", "--M", "--out"),
 }
 
 
@@ -564,7 +463,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="levybarrier", description="barrier-option pricing benchmarks"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (flags, _) in _COMMANDS.items():
+    for name, flags in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         for flag in flags:
@@ -577,22 +476,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_output_dirs(*paths: str | None) -> None:
-    """Fail before any pricing when an output's directory is missing."""
-    for path in paths:
-        if path and not Path(path).parent.is_dir():
-            raise ConfigError(f"cannot write {path}: no directory {Path(path).parent}")
+def _check_output_dir(path: str | None) -> None:
+    """Fail before any pricing when the output's directory is missing."""
+    if path and not Path(path).parent.is_dir():
+        raise ConfigError(f"cannot write {path}: no directory {Path(path).parent}")
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "gibbs-demo":
-            _check_output_dirs(args.out)
+            _check_output_dir(args.out)
             return cmd_gibbs(_sizes("grid.M", args.M), args.out)
         flags = {k: v for k, v in vars(args).items() if k in _KEYS and v is not None}
         cfg = load_config(args.config, flags)
-        _check_output_dirs(*(getattr(cfg, name) for name in _COMMANDS[args.command][1]))
+        if "--out" in _COMMANDS[args.command]:
+            _check_output_dir(cfg.csv_path)
         if args.command == "price":
             return cmd_price(cfg)
         if args.command == "converge":

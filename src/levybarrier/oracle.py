@@ -124,7 +124,8 @@ def quad_price(
     """Discounted price by backward induction on a ``cfg.quad_points``
     lattice.  Each date costs one real FFT pair over the live cells and
     the outputs kept, so its cost follows the width of the barrier band,
-    not the lattice; a contract with no live cell is worth 0."""
+    not the lattice; a contract with no live cell is worth 0.  A price
+    that is not finite raises FloatingPointError."""
     contract.check_rates(model)
     cfg = cfg or OracleConfig()
     n = int(cfg.quad_points)
@@ -158,7 +159,10 @@ def quad_price(
     for _ in range(contract.N):
         v = h * _convolution_window(weights * live_v, lags_fft, b, size)
         live_v = v[s - o0 : e - o0]
-    return math.exp(-contract.r * contract.T) * float(v[c - o0])
+    value = math.exp(-contract.r * contract.T) * float(v[c - o0])
+    if not math.isfinite(value):
+        raise FloatingPointError(f"non-finite quadrature price {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +182,8 @@ def mc_price(
 
     Paths are simulated in chunks of MC_CHUNK, each from its own
     substream spawned deterministically from mc_seed, so the result
-    depends on mc_seed and mc_paths only.
+    depends on mc_seed and mc_paths only.  A mean that is not finite
+    raises FloatingPointError.
     """
     contract.check_rates(model)
     cfg = cfg or OracleConfig()
@@ -207,6 +212,8 @@ def mc_price(
         acc += float(pay.sum())
         acc2 += float((pay**2).sum())
     mean = acc / total
+    if not math.isfinite(mean):
+        raise FloatingPointError(f"non-finite Monte Carlo price {mean}")
     var = max(acc2 / total - mean**2, 0.0)
     stderr = math.sqrt(var / total)
     return mean, stderr

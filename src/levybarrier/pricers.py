@@ -464,7 +464,8 @@ def price(
     takes ``filt``, or ``DEFAULT_TAPER`` when None, and an unfiltered
     one rejects a filter.  The model must carry the contract's rates.
     ``cpu_seconds`` includes the per-call set-up (taper, kernel lookup
-    or build)."""
+    or build).  A price or imaginary residual that is not finite raises
+    FloatingPointError."""
     method = Method(method)
     contract.check_rates(model)
     if method.filtered:
@@ -478,6 +479,10 @@ def price(
         value, extras = _price_fl(contract, model, grid, sigma, alpha)
     else:
         value, extras = _price_fgm(contract, model, grid, sigma, alpha)
+    if not (math.isfinite(value) and math.isfinite(extras["imag_residual"])):
+        raise FloatingPointError(
+            f"non-finite price {value} (imaginary residual {extras['imag_residual']})"
+        )
     return PricingResult(value, grid.M, time.perf_counter() - start, method, filt, **extras)
 
 

@@ -1,13 +1,17 @@
+import io
 import math
 import re
-from dataclasses import replace
+from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levybarrier import ExponentialFilter, OracleConfig, cli
-from levybarrier.cases import MODELS, TABLE_PRICES
-from levybarrier.cli import load_config, main, model_key, read_cache
+from levybarrier.cases import TABLE_PRICES
+from levybarrier.cli import load_config, main
 from levybarrier.filters import DEFAULT_TAPER
 
 BASE_CONFIG = """
@@ -118,12 +122,13 @@ def test_tilt_breaking_the_premise_is_config_error(tmp_path, capsys):
 # keys that are gone are rejected as unknown, by name, before their value
 # is read: grid.width and zt.accelerated (grid.x_max is the one knob for
 # the grid range; the inversion picks Euler from the target index), the
-# z-inversion and fixed-point settings, which are library constants, and
-# contract.alpha (the pricer works out the payoff tilt)
+# z-inversion and fixed-point settings, which are library constants,
+# contract.alpha (the pricer works out the payoff tilt) and output.cache
+# (converge prices its reference on every run)
 RETIRED_KEYS = (
     "grid.width", "zt.accelerated",
     "zt.gamma", "zt.ne", "zt.me", "fixpoint.tol", "fixpoint.max_iter",
-    "contract.alpha",
+    "contract.alpha", "output.cache",
 )
 
 
@@ -377,50 +382,14 @@ def test_single_valued_command_rejects_a_list(tmp_path, capsys, monkeypatch, com
 
 @pytest.mark.parametrize("command, sizes", [("price", "1000"), ("converge", "1024,4097")])
 def test_grid_sizes_are_powers_of_two(tmp_path, capsys, monkeypatch, command, sizes):
-    # checked when the config is loaded: nothing is priced or cached
-    cache = tmp_path / "refs.txt"
-    cfg = write_config(tmp_path, BASE_CONFIG + f"output.cache = {cache}\n")
+    # checked when the config is loaded: nothing is priced
+    cfg = write_config(tmp_path, BASE_CONFIG)
     _refuse_pricing(monkeypatch)
     assert main([command, "--config", cfg, "--M", sizes]) == 2
     bad = sizes.split(",")[-1]
     assert capsys.readouterr().err == f"config error: grid.M: {bad} is not a power of two >= 8\n"
-    assert not cache.exists()
     assert main(["gibbs-demo", "--M", f"64,{bad}"]) == 2
     assert capsys.readouterr().err == f"config error: grid.M: {bad} is not a power of two >= 8\n"
-
-
-def test_converge_reference_is_cached_per_grid_range(tmp_path, capsys, monkeypatch):
-    # the backward-induction reference moves with grid.x_max, so a run
-    # must not take the one cached for another range
-    def fake_reference(contract, model, x_max=None):
-        return 1e-3 if x_max is None else 1e-3 * x_max
-
-    monkeypatch.setattr(cli, "reference_price", fake_reference)
-    cache = tmp_path / "refs.txt"
-    text = BASE_CONFIG + f"output.cache = {cache}\n"
-    auto = write_config(tmp_path, text, name="auto.cfg")
-    wide = write_config(tmp_path, text + "grid.x_max = 1.4\n", name="wide.cfg")
-    # an untagged entry of an older cache is ignored, and dropped on the
-    # next write; the entries of other contracts stay
-    loaded = load_config(auto)
-    cli.write_cache_entry(cache, loaded.model, loaded.contract, "fl-ref", 9.0)
-    other = replace(loaded.contract, N=8)
-    cli.write_cache_entry(cache, loaded.model, other, "quad", 8.0)
-    cli.write_cache_entry(cache, loaded.model, other, "fl-ref@2", 7.0)
-
-    def reference(cfg):
-        assert main(["converge", "--config", cfg, "--method", "fl", "--M", "256,512"]) == 0
-        return capsys.readouterr().out.splitlines()[0]
-
-    assert reference(auto) == "reference = 1.000000000000e-03"
-    entries = {(n, tag): value for (_, _, n, tag), value in read_cache(cache).items()}
-    assert "fl-ref" not in {tag for _, tag in entries}
-    assert entries[(8, "quad")] == 8.0 and entries[(8, "fl-ref@2")] == 7.0
-    assert len(entries) == 3
-    assert reference(wide) == "reference = 1.400000000000e-03"
-    monkeypatch.setattr(cli, "reference_price", None)  # both are cached now
-    assert reference(auto) == "reference = 1.000000000000e-03"
-    assert reference(wide) == "reference = 1.400000000000e-03"
 
 
 SHIPPED_CONFIGS = sorted(KOU_DOUBLE_CFG.parent.glob("*.cfg"))
@@ -428,7 +397,7 @@ SHIPPED_CONFIGS = sorted(KOU_DOUBLE_CFG.parent.glob("*.cfg"))
 
 @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=[p.name for p in SHIPPED_CONFIGS])
 def test_shipped_config_prices(tmp_path, monkeypatch, capsys, path):
-    # the configs name a relative cache file; run where it cannot touch the repo
+    # a run writes no file: nothing appears in the working directory
     monkeypatch.chdir(tmp_path)
     load_config(path)
     assert main(["price", "--config", str(path)]) == 0
@@ -436,31 +405,19 @@ def test_shipped_config_prices(tmp_path, monkeypatch, capsys, path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_oracle_writes_cache_and_price_reports_error(tmp_path, capsys):
-    cache = tmp_path / "refs.txt"
-    cfg = write_config(
-        tmp_path,
-        BASE_CONFIG + f"\noracle.quad_points = 8192\noutput.cache = {cache}\n",
-    )
-    assert main(["oracle", "--config", cfg]) == 0
-    capsys.readouterr()
-    assert cache.exists()
-    entries = read_cache(cache)
-    assert len(entries) == 1
-    ((mk, ck, n, tag),) = entries.keys()
-    assert n == 4 and tag == "quad" and mk.startswith("kou:")
+def test_oracle_prints_quad_price_and_writes_no_file(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE_CONFIG + "\noracle.quad_points = 8192\n")
 
-    # regenerating reproduces the stored value exactly
-    first = next(iter(entries.values()))
-    assert main(["oracle", "--config", cfg]) == 0
-    capsys.readouterr()
-    assert next(iter(read_cache(cache).values())) == pytest.approx(first, abs=1e-10)
+    def quad():
+        assert main(["oracle", "--config", cfg]) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith("quad_price = ")
+        return float(line.split("=")[1])
 
-    assert main(["price", "--config", cfg]) == 0
-    out = capsys.readouterr().out
-    assert "reference = " in out and "abs_error = " in out
-    # the cache is replaced whole: no temporary file stays behind
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["refs.txt", "run.cfg"]
+    first = quad()
+    assert first == pytest.approx(TABLE_PRICES["kou"][4], abs=1e-6)
+    assert quad() == first
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
 @pytest.mark.parametrize(
@@ -481,6 +438,83 @@ def test_arithmetic_error_is_numerical_failure(tmp_path, capsys, command, key, v
     assert len(err.splitlines()) == 1
 
 
+# down-and-out runs (L = 0.9) whose price overflows to nan
+NON_FINITE_RUNS = {
+    # a jump rate of 1e6 sets the drift to 4.6e4: Psi overflows
+    **{
+        f"jumpy-{method}-{M}": {"kou.lambda": "1e6", "contract.N": "1", "method": method,
+                                "grid.M": M}
+        for method in ("fl", "fl-f")
+        for M in ("16", "1024")
+    },
+    # the value transform overflows over 52 dates
+    "steep-fl-256": {"kou.sigma": "2", "contract.r": "700", "contract.N": "52", "method": "fl",
+                     "grid.M": "256", "grid.x_max": "1e3"},
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("run", sorted(NON_FINITE_RUNS))
+def test_non_finite_price_is_numerical_failure(tmp_path, capsys, run):
+    changes = {"contract.L": "0.9", "contract.U": None, **NON_FINITE_RUNS[run]}
+    cfg = _kou_double(tmp_path, changes)
+    assert main(["price", "--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure: non-finite price nan ")
+    assert len(captured.err.splitlines()) == 1
+    assert "price" not in captured.out
+
+
+# the float keys of kou_double.cfg, and the extreme values the exit-code
+# test sets them to
+FLOAT_KEYS = (
+    "kou.sigma", "kou.lambda", "kou.p", "kou.eta1", "kou.eta2", "contract.S0", "contract.K",
+    "contract.T", "contract.r", "contract.q", "contract.L", "contract.U",
+)
+EXTREMES = ("0", "1e300", "-1e300", "5e-324", "700", "-700", "1e15", "1e-8")
+
+
+@st.composite
+def price_overrides(draw):
+    """kou_double.cfg changes: 1-3 float keys at extreme values, the
+    method, N, M, x_max, sometimes an open side and sometimes a put."""
+    changes = {
+        key: draw(st.sampled_from(EXTREMES))
+        for key in draw(st.lists(st.sampled_from(FLOAT_KEYS), min_size=1, max_size=3, unique=True))
+    }
+    changes["method"] = draw(st.sampled_from(["fgm", "fgm-f", "fl", "fl-f"]))
+    changes["contract.N"] = str(draw(st.sampled_from([1, 2, 3, 4, 52, 253])))
+    changes["grid.M"] = str(2 ** draw(st.integers(3, 10)))
+    changes["grid.x_max"] = draw(st.sampled_from(["auto", "0.3", "5", "1e3"]))
+    side = draw(st.sampled_from([None, "contract.L", "contract.U"]))
+    if side is not None:
+        changes.setdefault(side, "0" if side == "contract.L" else "inf")
+    if draw(st.booleans()):
+        changes["contract.type"] = "put"
+    return changes
+
+
+# extreme inputs overflow on their way to the verdict this test checks
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, derandomize=True, deadline=timedelta(seconds=2))
+@given(changes=price_overrides())
+def test_price_exit_codes_hold_for_extreme_configs(tmp_path_factory, changes):
+    # exit 0 prints a finite price; exit 2 or 3 prints one line that names
+    # the failure, and no traceback
+    cfg = _kou_double(tmp_path_factory.mktemp("cfg"), changes)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["price", "--config", cfg])
+    assert code in (0, 2, 3)
+    if code == 0:
+        line = next(l for l in out.getvalue().splitlines() if l.startswith("price = "))
+        assert math.isfinite(float(line.split("=")[1]))
+    else:
+        prefix = "config error: " if code == 2 else "numerical failure: "
+        assert err.getvalue().startswith(prefix)
+        assert len(err.getvalue().splitlines()) == 1
+
+
 def test_negative_mc_seed_rejected_at_load(tmp_path, capsys, monkeypatch):
     _refuse_pricing(monkeypatch)
     cfg = write_config(tmp_path, BASE_CONFIG + "oracle.mc_seed = -1\n")
@@ -491,11 +525,10 @@ def test_negative_mc_seed_rejected_at_load(tmp_path, capsys, monkeypatch):
 
 
 def test_converge_writes_csv_and_slope(tmp_path, capsys):
-    cache = tmp_path / "refs.txt"
     out_csv = tmp_path / "conv.csv"
     text = BASE_CONFIG.replace("grid.M = 512", "grid.M = 256,512,1024").replace(
         "method = fgm-f", "method = fgm,fgm-f"
-    ) + f"\noutput.cache = {cache}\noutput.csv = {out_csv}\n"
+    ) + f"\noutput.csv = {out_csv}\n"
     cfg = write_config(tmp_path, text, name="conv.cfg")
     assert main(["converge", "--config", cfg]) == 0
     out = capsys.readouterr().out
@@ -503,11 +536,8 @@ def test_converge_writes_csv_and_slope(tmp_path, capsys):
     lines = out_csv.read_text().splitlines()
     assert lines[0] == "M,price,abs_error,cpu_seconds,avg_iterations,method,filter"
     assert len(lines) == 1 + 6  # two methods, three grid sizes
-    # cache now holds the backward-induction reference
-    assert any(tag.startswith("fl-ref@") for (_, _, _, tag) in read_cache(cache))
 
-    # determinism apart from the timing column (warm cache: the stored
-    # reference is what both runs price against)
+    # determinism apart from the timing column
     def stripped(path):
         rows = []
         for line in Path(path).read_text().splitlines()[1:]:
@@ -542,38 +572,20 @@ def test_gibbs_failure_is_numerical_failure(tmp_path, capsys):
 
 
 def test_missing_output_directory_fails_before_pricing(tmp_path, capsys, monkeypatch):
-    missing = tmp_path / "missing"
-    cache_cfg = write_config(
-        tmp_path, BASE_CONFIG + f"\noutput.cache = {missing / 'refs.txt'}\n", name="cache.cfg"
-    )
-    # price only reads the cache, so a missing cache directory is harmless
-    assert main(["price", "--config", cache_cfg]) == 0
-    capsys.readouterr()
-
     _refuse_pricing(monkeypatch)
-    out_csv = missing / "c.csv"
+    out_csv = tmp_path / "missing" / "c.csv"
     cfg = write_config(tmp_path, BASE_CONFIG)
-    assert main(["converge", "--config", cfg, "--M", "256,512", "--out", str(out_csv)]) == 2
-    assert capsys.readouterr().err.startswith(f"config error: cannot write {out_csv}: ")
-    for command in (["converge", "--M", "256,512"], ["oracle"]):
-        assert main([*command, "--config", cache_cfg]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: cannot write {missing / 'refs.txt'}: ")
+    for command in (["price"], ["converge", "--M", "256,512"], ["filters-dump"]):
+        assert main([*command, "--config", cfg, "--out", str(out_csv)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: cannot write {out_csv}: no directory {out_csv.parent}\n"
+        )
 
 
 def test_unwritable_csv_is_config_error(tmp_path, capsys):
     out_csv = tmp_path / "missing" / "gibbs.csv"
     assert main(["gibbs-demo", "--M", "256,512", "--out", str(out_csv)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: cannot write {out_csv}: ")
-
-
-def test_unwritable_cache_is_config_error(tmp_path, capsys):
-    cache = tmp_path / "missing" / "refs.txt"
-    cfg = write_config(
-        tmp_path, BASE_CONFIG + f"\noracle.quad_points = 8192\noutput.cache = {cache}\n"
-    )
-    assert main(["oracle", "--config", cfg]) == 2
-    assert capsys.readouterr().err.startswith(f"config error: cannot write {cache}: ")
 
 
 def test_filters_dump(tmp_path):
@@ -612,21 +624,6 @@ def test_readme_lists_the_config_keys():
                 break
             listed.append(token)
     assert sorted(listed) == sorted(cli._KEYS)
-
-
-def test_model_key_distinguishes_parameters():
-    from levybarrier import LevyModel
-
-    a = MODELS["kou"]
-    b = LevyModel(replace(a.law, eta2=12.5), a.r, a.q_div)
-    assert model_key(a) != model_key(b)
-
-
-def test_model_keys_of_the_cases_are_unchanged():
-    # cached references (refs.txt) are looked up by these keys
-    keys = {name: model_key(model) for name, model in MODELS.items()}
-    assert keys == {"kou": "kou:d7e29a07", "nig": "nig:6c76ab44", "vg": "vg:596b73bd",
-                    "gaussian": "gaussian:b9dcdd37"}
 
 
 def test_load_config_round_trip(tmp_path):

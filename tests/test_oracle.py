@@ -10,7 +10,9 @@ import scipy.fft
 from scipy.signal import fftconvolve
 
 import levybarrier
-from levybarrier import OptionContract, OracleConfig, default_grid, mc_price, price, quad_price
+from levybarrier import (
+    LevyModel, OptionContract, OracleConfig, default_grid, mc_price, price, quad_price,
+)
 from levybarrier.oracle import (
     _convolution_window,
     _lattice_half_width,
@@ -200,6 +202,19 @@ def test_mc_price_is_pinned(all_models, model_name):
     cfg = OracleConfig(mc_paths=40_000, mc_seed=7)
     value, _ = mc_price(double_barrier(4), all_models[model_name], cfg)
     assert value.hex() == MC_PINNED[model_name]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_price_raises():
+    # a jump rate of 1e6 overflows Psi, and so the transition density; a
+    # rate of 800 discounts by exp(-800) = 0 a payoff of exp(800) = inf.
+    # mc_price never runs on the first: it samples 1e6 jumps per path per date
+    jumpy = LevyModel.kou(sigma=0.1, lam=1e6, p=0.3, eta1=40.0, eta2=12.0, r=0.05, q_div=0.02)
+    with pytest.raises(FloatingPointError, match=r"^non-finite quadrature price nan$"):
+        quad_price(down_and_out(1, L=0.9), jumpy)
+    steep = LevyModel.gaussian(sigma=0.1, r=800.0, q_div=0.0)
+    with pytest.raises(FloatingPointError, match=r"^non-finite Monte Carlo price nan$"):
+        mc_price(european(1, r=800.0, q_div=0.0), steep, OracleConfig(mc_paths=10**4))
 
 
 def test_mc_stderr_scaling(kou):

@@ -167,6 +167,30 @@ def test_euler_parameters_sit_on_stability_plateau(kou, monkeypatch):
     assert max(abs(v - base) for v in prices.values()) < 1e-9
 
 
+# Two contracts whose price overflows to nan.  A jump rate of 1e6 sets
+# the martingale drift to 4.6e4, so Psi overflows on every grid; a rate of
+# 700 with sigma = 2 on a half-range of 1e3 overflows the value transform
+# over 52 dates.
+JUMPY = LevyModel.kou(sigma=0.1, lam=1e6, p=0.3, eta1=40.0, eta2=12.0, r=0.05, q_div=0.02)
+STEEP = LevyModel.kou(sigma=2.0, lam=3.0, p=0.3, eta1=40.0, eta2=12.0, r=700.0, q_div=0.02)
+NON_FINITE_CASES = {
+    **{
+        f"jumpy-{method}-{M}": (JUMPY, down_and_out(1, L=0.9), method, M, None)
+        for method in ("fl", "fl-f")
+        for M in (16, 1024)
+    },
+    "steep-fl-256": (STEEP, down_and_out(52, L=0.9, r=700.0), "fl", 256, 1e3),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(NON_FINITE_CASES))
+def test_non_finite_price_raises(case):
+    model, contract, method, M, x_max = NON_FINITE_CASES[case]
+    with pytest.raises(FloatingPointError, match=r"^non-finite price nan "):
+        price(contract, model, method, default_grid(contract, model, M, x_max))
+
+
 def test_geometry_validation(kou):
     with pytest.raises(ValueError):
         price(european(4), kou, "fgm", default_grid(european(4), kou, 256))
