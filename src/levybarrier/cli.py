@@ -485,20 +485,22 @@ def _check_output_dir(path: str | None) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "gibbs-demo":
-            _check_output_dir(args.out)
-            return cmd_gibbs(_sizes("grid.M", args.M), args.out)
-        flags = {k: v for k, v in vars(args).items() if k in _KEYS and v is not None}
-        cfg = load_config(args.config, flags)
-        if "--out" in _COMMANDS[args.command]:
-            _check_output_dir(cfg.csv_path)
-        if args.command == "price":
-            return cmd_price(cfg)
-        if args.command == "converge":
-            return cmd_converge(cfg)
-        if args.command == "oracle":
-            return cmd_oracle(cfg, with_mc=args.mc)
-        return cmd_filters_dump(cfg)
+        # numpy's warnings of extreme inputs stay off stderr: the verdict is the output
+        with np.errstate(all="ignore"):
+            if args.command == "gibbs-demo":
+                _check_output_dir(args.out)
+                return cmd_gibbs(_sizes("grid.M", args.M), args.out)
+            flags = {k: v for k, v in vars(args).items() if k in _KEYS and v is not None}
+            cfg = load_config(args.config, flags)
+            if "--out" in _COMMANDS[args.command]:
+                _check_output_dir(cfg.csv_path)
+            if args.command == "price":
+                return cmd_price(cfg)
+            if args.command == "converge":
+                return cmd_converge(cfg)
+            if args.command == "oracle":
+                return cmd_oracle(cfg, with_mc=args.mc)
+            return cmd_filters_dump(cfg)
     except (ArithmeticError, SingularInputError, NumericalFailure) as exc:
         # ArithmeticError: BranchFailureError and overflows of extreme inputs
         print(f"numerical failure: {exc}", file=sys.stderr)

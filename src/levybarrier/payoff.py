@@ -16,7 +16,7 @@ barrier is truncated at the grid edge x_max, matching the finite
 computational domain.  A grid that does not reach past the strike and
 each barrier the contract has (x_max <= |k|, |l| or |u|) would price 0
 or move a barrier onto its edge; it is rejected in one place,
-``clipped_barriers``, so every method refuses it.  The removable
+``log_barriers``, so every method refuses it.  The removable
 singularities at i*xi + alpha = 0 and 1 + i*xi + alpha = 0 are evaluated
 by their limits.
 The transform is returned as a plain length-M array on the xi lattice.
@@ -120,9 +120,9 @@ class OptionContract:
         if ours != theirs:
             raise ValueError(f"contract rates (r, q) = {ours} differ from the model's {theirs}")
 
-    def clipped_barriers(self, x_max: float) -> tuple[float, float]:
-        """Log barriers (l, u) clipped to [-x_max, x_max]; absent ones sit on
-        the edge.  A grid that does not reach past the strike and each
+    def log_barriers(self, x_max: float) -> tuple[float | None, float | None]:
+        """Log barriers (l, u) on a grid of half-width x_max; None for an
+        absent one.  A grid that does not reach past the strike and each
         barrier the contract has (x_max <= log_anchor) is rejected with a
         ValueError that names the level: it would price 0, or price a
         barrier moved onto the grid edge."""
@@ -131,17 +131,19 @@ class OptionContract:
                 raise ValueError(
                     f"{name} = {level:.6g} lies outside the grid, x_max = {x_max:.6g}"
                 )
-        return max(self.log_lower, -x_max), min(self.log_upper, x_max)
+        return (self.log_lower if self.has_lower else None,
+                self.log_upper if self.has_upper else None)
 
     def support(self, x_max: float) -> tuple[float, float]:
         """Transform integration limits (a, b) on a grid of half-width
         x_max: a = u, b = max(k, l) for a call, a = l, b = min(k, u) for
-        a put.  The payoff support is empty when theta * (a - b) <= 0."""
+        a put, an absent barrier sitting on the grid edge.  The payoff
+        support is empty when theta * (a - b) <= 0."""
         k = self.log_strike
-        l_eff, u_eff = self.clipped_barriers(x_max)
+        l, u = self.log_barriers(x_max)
         if self.kind == "call":
-            return u_eff, max(k, l_eff)
-        return l_eff, min(k, u_eff)
+            return (x_max if u is None else u), (k if l is None else max(k, l))
+        return (-x_max if l is None else l), (k if u is None else min(k, u))
 
 
 def _phase_ratio(s: np.ndarray, a: float, b: float) -> np.ndarray:

@@ -10,10 +10,11 @@ the ``PricingResult``.  The private algorithms take sigma or None, and alpha:
   barrier-constrained transition law in the combined Fourier/z-transform
   domain.  Per contour point q the kernel Phi = 1 - q Psi is factorised
   (Wiener-Hopf) and the barrier terms are isolated with half-line
-  projections.  A down-and-out contract is solved directly; the
-  double-barrier coupling is resolved by a small fixed-point iteration
-  that stops at the tolerance SWEEP_TOL or after MAX_SWEEPS sweeps.
-  Up-and-out contracts are not supported.  Two monitoring dates are
+  projections.  One solver (``_solver``) serves every geometry: a lone
+  barrier is one half-sweep, the exact one-barrier identity; the
+  double-barrier coupling is resolved by iterating the sweep, which
+  stops at the tolerance SWEEP_TOL or after MAX_SWEEPS sweeps; with no
+  barrier the solve is the European price.  Two monitoring dates are
   withheld from the z-index and restored as explicit Psi factors, which
   smooths both ends of the scheme, so the inversion targets index N - 2.
   Cost is independent of N once the contour inversion uses Euler
@@ -28,7 +29,7 @@ the ``PricingResult``.  The private algorithms take sigma or None, and alpha:
 Everything that does not change within a pricing call is computed once
 per call: Psi, the conjugated payoff, the taper and the barrier data,
 which each algorithm holds in its own form.  ``_price_fgm`` looks up the
-grid's Hilbert kernel (cached per grid); its solvers form the phase
+grid's Hilbert kernel (cached per grid); its solver forms the phase
 vectors e^{-+i b xi} and the q-invariant products (phase-shifted Psi,
 payoff * Psi, sigma * Psi, e^{i(u-l) xi}) once, as read-only arrays
 shared by all contour points.  ``_price_fl`` first cuts Psi, its step
@@ -177,74 +178,76 @@ SWEEP_TOL = 1e-8
 MAX_SWEEPS = 5
 
 
-def _down_out_solver(
+def _barrier_term(p: np.ndarray, phi_side: np.ndarray, sigma: np.ndarray | None,
+                  kernel: HilbertKernel, upper: bool) -> np.ndarray:
+    """One barrier's half-sweep j = P[sigma p / phi_side] phi_side, with P
+    the half-line projection (v + i H v) / 2 for the upper barrier and
+    (v - i H v) / 2 for the lower."""
+    p = p / phi_side
+    if sigma is not None:
+        p = sigma * p
+    ih = 1j * kernel.apply(p)
+    return 0.5 * (p + ih if upper else p - ih) * phi_side
+
+
+def _solver(
     psi: np.ndarray,
     pay_psi: np.ndarray,
     kernel: HilbertKernel,
-    l: float,
-    sigma: np.ndarray | None,
-) -> Callable[[complex], tuple[np.ndarray, int]]:
-    """Direct solve per contour point, lower barrier l only; the phase
-    vectors e^{-+i l xi} and the q-invariant products are formed once
-    here.  ``solve`` may run on several threads at once, so it reads only
-    the read-only arrays built here and writes no shared state."""
-    xi = kernel.grid.xi
-    psi_f = read_only(psi if sigma is None else sigma * psi)
-    shifted = read_only(np.exp(-1j * l * xi) * psi_f)  # lower barrier shifted to the origin
-    pay_up = read_only(pay_psi * np.exp(1j * l * xi))
-
-    def solve(q: complex) -> tuple[np.ndarray, int]:
-        phi_plus, phi_minus = factorize_values(1.0 - q * psi_f, kernel)
-        p_in = shifted / phi_minus
-        p_plus = 0.5 * (p_in + 1j * kernel.apply(p_in))
-        return pay_up * p_plus / phi_plus, 1
-
-    return solve
-
-
-def _band_solver(
-    psi: np.ndarray,
-    pay_psi: np.ndarray,
-    kernel: HilbertKernel,
-    l: float,
-    u: float,
+    l: float | None,
+    u: float | None,
     sigma: np.ndarray | None,
     filter_factorization: bool,
 ) -> Callable[[complex], tuple[np.ndarray, int]]:
-    """Fixed-point solve of the coupled barrier terms per contour point,
-    returning the spectrum and the number of sweeps; the phase vectors
-    e^{-+i b xi} of both barriers and the q-invariant products are formed
-    once here.  ``solve`` may run on several threads at once, so it reads
-    only the read-only arrays built here and writes no shared state."""
+    """Solve per contour point for f = pay_psi / Phi * (Psi - e^{i l xi}
+    j_minus - e^{i u xi} j_plus), returning f and the number of sweeps.  A
+    sweep finds the lower barrier's term j_minus from e^{-i l xi} Psi and
+    j_plus, then the upper barrier's j_plus from e^{-i u xi} Psi and
+    j_minus.  An absent barrier (None) has no term, so one barrier takes
+    one half-sweep, the exact one-barrier identity, and none leaves the
+    European f; a band sweeps until SWEEP_TOL or MAX_SWEEPS.  Without a
+    band the half-sweep's input is q-invariant up to 1 / Phi_-+, so its
+    taper is applied here, and f is assembled from the products pay_psi
+    Psi and pay_psi e^{i b xi}.  The phase vectors and the q-invariant
+    products are built here, read-only: ``solve`` may run on several
+    threads at once and writes no shared state."""
     psi, pay_psi = read_only(psi), read_only(pay_psi)
     sigma = None if sigma is None else read_only(sigma)
     psi_fact = read_only(psi if not filter_factorization else sigma * psi)
     xi = kernel.grid.xi
-    e_ul = read_only(np.exp(1j * (u - l) * xi))
-    e_lu = read_only(np.conj(e_ul))
-    psi_l = read_only(np.exp(-1j * l * xi) * psi)
-    psi_u = read_only(np.exp(-1j * u * xi) * psi)
-    up_l, up_u = read_only(np.exp(1j * l * xi)), read_only(np.exp(1j * u * xi))
-    zeros = read_only(np.zeros(kernel.grid.M, dtype=complex))
+    band = l is not None and u is not None
+    source = psi if band or sigma is None else sigma * psi
+    up_l = psi_l = up_u = psi_u = e_ul = e_lu = pay_psi_psi = pay_l = pay_u = None
+    if l is not None:
+        up_l, psi_l = read_only(np.exp(1j * l * xi)), read_only(np.exp(-1j * l * xi) * source)
+    if u is not None:
+        up_u, psi_u = read_only(np.exp(1j * u * xi)), read_only(np.exp(-1j * u * xi) * source)
+    if band:
+        e_ul = read_only(np.exp(1j * (u - l) * xi))
+        e_lu = read_only(np.conj(e_ul))
+    else:
+        pay_psi_psi = read_only(pay_psi * psi)
+        pay_l = None if l is None else read_only(pay_psi * up_l)
+        pay_u = None if u is None else read_only(pay_psi * up_u)
 
     def solve(q: complex) -> tuple[np.ndarray, int]:
         phi = 1.0 - q * psi_fact
         phi_plus, phi_minus = factorize_values(phi, kernel)
+        if not band:
+            f = pay_psi_psi
+            if l is not None:
+                f = f - pay_l * _barrier_term(psi_l, phi_minus, None, kernel, False)
+            if u is not None:
+                f = f - pay_u * _barrier_term(psi_u, phi_plus, None, kernel, True)
+            return f / phi, 1
         pay_phi = pay_psi / phi
-        j_plus = zeros
+        j_plus = None  # not yet solved: the first sweep subtracts nothing
         f_old: np.ndarray | None = None
         iterations = 0
         while True:
-            p = (psi_l - e_ul * j_plus) / phi_minus
-            if sigma is not None:
-                p = sigma * p
-            p_minus = 0.5 * (p - 1j * kernel.apply(p))
-            j_minus = p_minus * phi_minus
-            qq = (psi_u - e_lu * j_minus) / phi_plus
-            if sigma is not None:
-                qq = sigma * qq
-            q_plus = 0.5 * (qq + 1j * kernel.apply(qq))
-            j_plus = q_plus * phi_plus
+            p = psi_l if j_plus is None else psi_l - e_ul * j_plus
+            j_minus = _barrier_term(p, phi_minus, sigma, kernel, False)
+            j_plus = _barrier_term(psi_u - e_lu * j_minus, phi_plus, sigma, kernel, True)
             f = pay_phi * (psi - up_l * j_minus - up_u * j_plus)
             iterations += 1
             if f_old is not None and np.max(np.abs(f - f_old)) <= SWEEP_TOL:
@@ -315,18 +318,16 @@ def _price_fgm(
     contract: OptionContract, model: LevyModel, grid: GridSpec,
     sigma: np.ndarray | None, alpha: float,
 ) -> tuple[float, dict]:
-    """Down-and-out or double-barrier price in the z-domain.
+    """Knock-out price in the z-domain, for any barrier geometry.
 
-    A lower barrier alone is solved by the direct identity; with an
-    upper barrier as well the coupled barrier terms are solved by the
-    fixed-point iteration, whose average sweep count is reported.  With
-    a taper sigma the projection inputs are tapered; the
-    factorisation input is tapered for a single barrier, and for a band
-    only when the characteristic function decays polynomially.
-    Requires a lower barrier, N >= 3 and rho max|Psi(xi + i alpha)| < 1
+    A lone barrier is solved by one half-sweep and a contract without
+    barriers by none; with both barriers the coupled barrier terms are
+    solved by the fixed-point iteration, whose average sweep count is
+    reported.  With a taper sigma the projection inputs are tapered; the
+    factorisation input is tapered unless the contract is a band, and
+    for a band only when the characteristic function decays
+    polynomially.  Requires N >= 3 and rho max|Psi(xi + i alpha)| < 1
     (the maximum over real xi is Psi(i alpha) = E[e^{-alpha X_dt}])."""
-    if not contract.has_lower:
-        raise ValueError("z-domain pricer requires a lower barrier; use fl for up-and-out")
     if contract.N < 3:
         raise ValueError("z-domain pricers require N >= 3")
     n = contract.N - 2
@@ -335,16 +336,13 @@ def _price_fgm(
         msg = f"payoff tilt alpha = {alpha:g}: rho max|Psi(xi + i alpha)| = {peak:.6g}, not < 1"
         raise ValueError(msg)
     kernel = hilbert_kernel(grid)
-    band = contract.has_upper
-    filter_fact = band and sigma is not None and model.law.polynomial_decay
+    band = contract.has_lower and contract.has_upper
+    filter_fact = sigma is not None and (not band or model.law.polynomial_decay)
 
     psi = model.char_function(grid.xi + 1j * alpha, contract.dt)
     pay_psi = np.conj(damped_payoff_fourier(contract, grid, alpha)) * psi
-    l, u = contract.clipped_barriers(grid.x_max)
-    if band:
-        solve = _band_solver(psi, pay_psi, kernel, l, u, sigma, filter_fact)
-    else:
-        solve = _down_out_solver(psi, pay_psi, kernel, l, sigma)
+    l, u = contract.log_barriers(grid.x_max)
+    solve = _solver(psi, pay_psi, kernel, l, u, sigma, filter_fact)
     pts = contour_points(n).points
 
     def at(q: complex) -> tuple[complex, int]:
@@ -431,10 +429,7 @@ def _price_fl(
         live = slice((grid.M - m) // 2, (grid.M + m) // 2)
         vhat, psi, step = vhat[live], psi[live], step[live]
         grid = build_grid(m, grid.x_max)
-    l, u = contract.clipped_barriers(grid.x_max)
-    projections = BarrierProjections(
-        grid, l if contract.has_lower else None, u if contract.has_upper else None
-    )
+    projections = BarrierProjections(grid, *contract.log_barriers(grid.x_max))
     if contract.has_lower and contract.has_upper:
         project = lambda v: window_values(v, projections)
     elif contract.has_lower:

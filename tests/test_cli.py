@@ -1,6 +1,9 @@
 import io
 import math
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
 from pathlib import Path
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import levybarrier
 from levybarrier import ExponentialFilter, OracleConfig, cli
 from levybarrier.cases import TABLE_PRICES
 from levybarrier.cli import load_config, main
@@ -87,7 +91,6 @@ KOU_DOUBLE_CFG = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "
     [
         ("contract.N", "2"),  # the z-domain pricers need N >= 3
         ("contract.alpha", "50"),  # retired: the pricer picks the payoff tilt
-        ("contract.L", "0"),  # up-and-out: fgm needs a lower barrier
     ],
 )
 def test_pricer_rejection_is_config_error(tmp_path, capsys, key, value):
@@ -105,6 +108,17 @@ def test_pricer_rejection_is_config_error(tmp_path, capsys, key, value):
     if key in RETIRED_KEYS:
         assert err.endswith(f": unknown key '{key}'\n")
     assert len(err.splitlines()) == 1
+
+
+def test_up_and_out_prices_by_every_method(tmp_path, capsys):
+    # kou_double.cfg without its lower barrier: fgm-f agrees with fl-f
+    prices = {}
+    for method in ("fgm-f", "fl-f"):
+        cfg = _kou_double(tmp_path, {"contract.L": "0", "method": method})
+        assert main(["price", "--config", cfg]) == 0
+        line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("price = "))
+        prices[method] = float(line.split("=")[1])
+    assert prices["fgm-f"] == pytest.approx(prices["fl-f"], abs=1e-9)
 
 
 def test_tilt_breaking_the_premise_is_config_error(tmp_path, capsys):
@@ -251,7 +265,7 @@ def test_band_clipped_past_itself_rejected(tmp_path, capsys):
     cases = [
         ({**base}, "lower barrier"),
         ({**base, "contract.U": "inf"}, "lower barrier"),
-        ({**base, "contract.L": "0", "contract.U": "0.95", "contract.type": "put", "method": "fl"},
+        ({**base, "contract.L": "0", "contract.U": "0.95", "contract.type": "put"},
          "upper barrier"),
         # a grid inside the strike prices 0; one inside the near barrier
         # l = log 0.7 = -0.357 would move it onto the edge -0.2
@@ -463,6 +477,23 @@ def test_non_finite_price_is_numerical_failure(tmp_path, capsys, run):
     assert captured.err.startswith("numerical failure: non-finite price nan ")
     assert len(captured.err.splitlines()) == 1
     assert "price" not in captured.out
+
+
+def test_overflow_warnings_stay_off_stderr(tmp_path):
+    # Psi overflows under a jump rate of 1e6; numpy's RuntimeWarnings once
+    # reached stderr ahead of the verdict.  A fresh interpreter runs it, so
+    # no warning filter of the test session hides them.
+    changes = {"kou.lambda": "1e6", "contract.L": "0.9", "contract.U": "inf",
+               "contract.N": "1", "method": "fl", "grid.M": "16"}
+    env = {**os.environ, "PYTHONPATH": str(Path(levybarrier.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-m", "levybarrier", "price", "--config", _kou_double(tmp_path, changes)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert run.returncode == 3
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("numerical failure:")
 
 
 # the float keys of kou_double.cfg, and the extreme values the exit-code

@@ -383,6 +383,7 @@ def test_projection_is_one_single_row_apply_of_one_kernel(monkeypatch):
         ("fl", double_barrier, {"window"}),
         ("fl-f", down_and_out, {"above"}),
         ("fl", up_and_out, {"below"}),
+        ("fgm", up_and_out, set()),
     ],
 )
 def test_pricers_build_only_the_barrier_data_they_use(monkeypatch, kou, method, shape, built):

@@ -192,12 +192,36 @@ def test_non_finite_price_raises(case):
 
 
 def test_geometry_validation(kou):
-    with pytest.raises(ValueError):
-        price(european(4), kou, "fgm", default_grid(european(4), kou, 256))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="N >= 3"):
         price(down_and_out(2), kou, "fgm", default_grid(down_and_out(2), kou, 256))
-    with pytest.raises(ValueError):
-        price(up_and_out(4), kou, "fgm", default_grid(up_and_out(4), kou, 256))
+
+
+@pytest.mark.parametrize("model_name, N", [("kou", 52), ("kou", 252), ("nig", 52)])
+def test_up_and_out_matches_the_wide_reference(model_name, N, all_models):
+    # a lone upper barrier is one half-sweep of the band solve
+    model, c = all_models[model_name], up_and_out(N)
+    ref = reference_price(c, model, 1.5 * pricers.default_x_max(c, model))
+    g = default_grid(c, model, 2**12)
+    for method in ("fgm", "fgm-f"):
+        assert price(c, model, method, g).price == pytest.approx(ref, abs=2e-12), method
+
+
+def test_up_and_out_nig_252_agrees_with_backward_induction(nig):
+    c = up_and_out(252)
+    g = default_grid(c, nig, 2**12)
+    assert price(c, nig, "fgm-f", g).price == pytest.approx(price(c, nig, "fl-f", g).price,
+                                                            abs=2e-9)
+
+
+@pytest.mark.parametrize("kind", ["call", "put"])
+@pytest.mark.parametrize("N", [3, 52])
+def test_fgm_barrierless_is_black_scholes(gaussian, N, kind):
+    # with no barrier the solve is the European pay_psi Psi / Phi
+    c = european(N, kind=kind)
+    exact = black_scholes_price(c, 0.2)
+    g = default_grid(c, gaussian, 2**12)
+    for method in ("fgm", "fgm-f"):
+        assert price(c, gaussian, method, g).price == pytest.approx(exact, abs=5e-11), method
 
 
 # barrier geometry name -> contract builder, with the barrierless call
@@ -298,9 +322,10 @@ def test_band_clipped_past_itself_rejected(kou, method):
         price(c, kou, method, g)
     # a lone barrier outside the grid knocks every node out: l = log 1.05
     # >= x_max, and u = log 0.95 <= -x_max for an up-and-out put
-    lone = [(replace(c, U=math.inf), "lower barrier")]
-    if Method(method).recursive:  # the z-domain pricers take no up-and-out
-        lone.append((replace(c, L=0.0, U=0.95, kind="put"), "upper barrier"))
+    lone = [
+        (replace(c, U=math.inf), "lower barrier"),
+        (replace(c, L=0.0, U=0.95, kind="put"), "upper barrier"),
+    ]
     for contract, name in lone:
         with pytest.raises(ValueError, match=f"{name} .* outside the grid"):
             price(contract, kou, method, g)
@@ -473,12 +498,11 @@ def test_solver_closures_hold_only_read_only_arrays(kou):
     kernel = hilbert_kernel(g)
     psi = kou.char_function(g.xi, c.dt)
     sigma = filter_profile(EXP, g)
-    l, u = c.clipped_barriers(g.x_max)
+    l, u = c.log_barriers(g.x_max)
     solvers = [
-        pricers._down_out_solver(psi.copy(), psi.copy(), kernel, l, None),
-        pricers._down_out_solver(psi.copy(), psi.copy(), kernel, l, sigma.copy()),
-        pricers._band_solver(psi.copy(), psi.copy(), kernel, l, u, None, False),
-        pricers._band_solver(psi.copy(), psi.copy(), kernel, l, u, sigma.copy(), True),
+        pricers._solver(psi.copy(), psi.copy(), kernel, lo, up, taper, taper is not None)
+        for lo, up in ((l, None), (None, u), (l, u))
+        for taper in (None, sigma.copy())
     ]
     for solve in solvers:
         arrays = [cell.cell_contents for cell in solve.__closure__
