@@ -11,14 +11,20 @@ For each end-to-end metric named in ``BENCHMARK.json`` prints each
 side's median, the change/parent ratio of the medians and whether the
 change is better, worse or equal by that metric's ``better`` direction;
 with more than one run on a side it adds each side's min-max range.
-Then the failed share of each run, side by side.
+Then the failed share of each run, side by side.  Last, run by run (the
+i-th parent file against the i-th change file), each file's failed and
+attempted counts with its failures per reason (when the file holds
+them), and whether the two shares differ: runs of different pass counts
+fail in equal shares when no call changed status.
 Exit status: 0, or 2 when a file lacks one of the metrics.
 """
 
 import argparse
+import itertools
 import json
 import statistics
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
@@ -34,6 +40,20 @@ def verdict(parent, change, better):
     if change == parent:
         return "equal"
     return "better" if (change > parent) == (better == "higher") else "worse"
+
+
+def share_note(parent, change):
+    """Whether two runs' failed shares differ.  A pass prices every call
+    once, so runs of different pass counts fail in equal shares when no
+    call changed status; only a different share can mean one did."""
+    def share(run):
+        return Fraction(run["failed"], run["attempted"])
+
+    if share(parent) != share(change):
+        return "share differs"
+    if parent["attempted"] != change["attempted"]:
+        return "same share: pass count differs, no status change"
+    return "same share, same counts"
 
 
 def _sides(argv):
@@ -79,6 +99,14 @@ def main(argv=None):
             for run in side_runs
         )
         print(f"failed share {side}: {shares}")
+    for i, pair in enumerate(itertools.zip_longest(*runs), start=1):
+        for side, run in zip(("parent", "change"), pair):
+            if run is not None:
+                reasons = "".join(f", {n} x {reason}"
+                                  for reason, n in sorted(run.get("failures", {}).items()))
+                print(f"run {i} {side}: failed {run['failed']}, attempted {run['attempted']}{reasons}")
+        if None not in pair:
+            print(f"run {i}: {share_note(*pair)}")
     return 0
 
 

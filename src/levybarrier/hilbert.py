@@ -19,12 +19,12 @@ executes the same pocketfft arithmetic as ``numpy.fft`` (results are
 bit-identical) with less per-call overhead, and transforms the padding
 buffer in place.
 
-Each apply still allocates a 2M-point padding buffer, and pocketfft a
-2M-point scratch: 128 KiB to 2 MiB for M = 2^12 .. 2^16.  So that glibc
-keeps such blocks mapped for reuse, rather than faulting their pages in
-again on every transform, importing this module sets glibc's malloc
-thresholds once for the process (``_keep_transform_buffers``).  Prices
-do not change.
+Each apply allocates a padding buffer of 2M points, (2, M) for a
+projection, and pocketfft a scratch: 128 KiB to 2 MiB for M = 2^12 ..
+2^16.  So that glibc keeps such blocks mapped for reuse, rather than
+faulting their pages in again on every transform, importing this module
+sets glibc's malloc thresholds once for the process
+(``_keep_transform_buffers``).  Prices do not change.
 
 The projections ``above_values``, ``below_values`` and ``window_values``
 split a spectrum into the transforms of the x > l and x < u restrictions
@@ -40,10 +40,22 @@ unshifted input:
     below:   g(m) = delta(m)/2 - (i/2) h(m) e^{i u dxi m}
     window:  g(m) = (i/2) h(m) (e^{i l dxi m} - e^{i u dxi m})
 
-g(-m) = conj(g(m)), so the transform of g is real and comes from one
-Hermitian FFT of the lags 0 .. M.  ``BarrierProjections`` holds the
-barriers of one backward-induction call and builds each folded kernel
-once, on first use, so a date costs one single-row FFT pair.  (The
+Like h, g vanishes on the even lags but 0, so the product splits by
+parity into two half-size Toeplitz products, with g(-m) = conj(g(m)):
+
+    (T w)_{2s}   = g(0) w_{2s}   + sum_r A(s - r) w_{2r+1},  A(t) = g(2t - 1)
+    (T w)_{2s+1} = g(0) w_{2s+1} + sum_r B(s - r) w_{2r},    B(t) = g(2t + 1)
+
+with |s - r| <= M/2 - 1, so each embeds at length M without a wrap
+reaching the kept outputs.  A folded kernel holds g(0) and the
+transforms of A and B as one (2, M) array, and its apply runs one
+batched FFT pair over the odd and even samples: pocketfft transforms
+two rows of M points faster than one of 2M.  The plain kernel keeps the
+length-2M path for its z-domain users, whose prices the parity form
+would move by a few 1e-12; that branch goes once they move onto it.
+``BarrierProjections`` holds the barriers of one backward-induction
+call and builds each folded kernel once, on first use, so a date costs
+one batched FFT pair.  (The
 z-domain pricer shifts its own inputs by the phase vectors e^{-+i b xi}
 and applies the plain Hilbert kernel; see ``pricers``.)  The projections
 take and return raw length-M sample arrays on the projections' grid.
@@ -125,11 +137,15 @@ _keep_transform_buffers()
 @dataclass(frozen=True)
 class HilbertKernel:
     """Precomputed frequency representation of a Toeplitz kernel on a
-    grid: the Hilbert kernel h (``for_grid``) or a folded projection
-    kernel (``BarrierProjections``)."""
+    grid: the Hilbert kernel h (``for_grid``), as the length-2M transform
+    of its circular embedding, or a folded projection kernel g
+    (``BarrierProjections``) in parity form: ``diagonal`` g(0) and, as
+    rows of a (2, M) array, the length-M transforms of A (odd inputs to
+    even outputs) and B (even inputs to odd outputs)."""
 
     grid: GridSpec
     kernel_fft: np.ndarray = field(repr=False)
+    diagonal: float = 0.0
 
     @classmethod
     def for_grid(cls, grid: GridSpec) -> "HilbertKernel":
@@ -139,18 +155,34 @@ class HilbertKernel:
         """Toeplitz product of centred sample vectors: ``values`` has shape
         (..., M), e.g. one vector (M,) or a stack of rows (k, M), and each
         row along the last axis is transformed independently, bit for bit
-        as if applied alone."""
+        as if applied alone.  The kernel picks the path: the plain one pads
+        each row to 2M points, a folded one its odd and even samples to two
+        rows of M (module docstring)."""
         M = self.grid.M
-        padded = np.zeros(np.shape(values)[:-1] + (2 * M,), dtype=complex)
-        padded[..., :M] = values
-        # Both transforms run in the padding buffer: a fresh 2M-point
-        # array per stage would raise the peak memory of large grids.
-        # The buffer is freed on return but stays mapped for the next
-        # apply (_keep_transform_buffers); unmapped, its pages and
-        # pocketfft's scratch faulted in again on every call.
+        if self.kernel_fft.ndim == 1:
+            padded = np.zeros(np.shape(values)[:-1] + (2 * M,), dtype=complex)
+            padded[..., :M] = values
+            return self._convolve(padded)[..., :M]
+        rows = np.zeros(values.shape[:-1] + (2, M), dtype=complex)
+        rows[..., 0, : M // 2] = values[..., 1::2]
+        rows[..., 1, : M // 2] = values[..., 0::2]
+        rows = self._convolve(rows)
+        out = np.empty(values.shape, dtype=complex)
+        out[..., 0::2] = rows[..., 0, : M // 2]
+        out[..., 1::2] = rows[..., 1, : M // 2]
+        if self.diagonal:
+            out += self.diagonal * values
+        return out
+
+    def _convolve(self, padded: np.ndarray) -> np.ndarray:
+        # Both transforms run in the padding buffer: a fresh array per
+        # stage would raise the peak memory of large grids.  The buffer is
+        # freed on return but stays mapped for the next apply
+        # (_keep_transform_buffers); unmapped, its pages and pocketfft's
+        # scratch faulted in again on every call.
         padded = scipy.fft.fft(padded, overwrite_x=True)
         padded *= self.kernel_fft
-        return scipy.fft.ifft(padded, overwrite_x=True)[..., :M]
+        return scipy.fft.ifft(padded, overwrite_x=True)
 
 
 @lru_cache(maxsize=16)
@@ -180,17 +212,24 @@ def hilbert_kernel(grid: GridSpec) -> HilbertKernel:
 def _projection_kernel(grid: GridSpec, l: float | None, u: float | None) -> HilbertKernel:
     """Folded kernel of the projection onto l < x < u, None marking an
     open side: g = (s_l - s_u) / 2, where s_b(m) = i h(m) e^{i b dxi m}
-    is the shifted sign transform, s_{-inf} = delta and s_{+inf} = -delta."""
+    is the shifted sign transform, s_{-inf} = delta and s_{+inf} = -delta.
+    Built in the parity form ``HilbertKernel.apply`` reads."""
     lags, h = _odd_lags(grid.M)
     signs = np.zeros(len(lags), dtype=complex)
     if l is not None:
         signs += np.exp(1j * (l * grid.dxi) * lags)
     if u is not None:
         signs -= np.exp(1j * (u * grid.dxi) * lags)
-    half = np.zeros(grid.M + 1, dtype=complex)  # g on the lags 0 .. M
-    half[0] = 0.5 * ((l is None) + (u is None))
-    half[1::2] = 0.5j * h * signs
-    return HilbertKernel(grid, read_only(scipy.fft.hfft(half, 2 * grid.M)))
+    g = 0.5j * h * signs  # g on the lags 1, 3, .., M-1; g(-m) = conj(g(m))
+    odd = np.concatenate((np.conj(g[::-1]), g))  # lags 1-M, 3-M, .., M-1
+    half = grid.M // 2
+    # A(t) = odd[t + half - 1], B(t) = odd[t + half]; circular embedding
+    # at length M: slot t holds lag t, slot M - t lag -t, slot M/2 is 0
+    rows = np.zeros((2, grid.M), dtype=complex)
+    rows[:, :half] = (odd[half - 1 : -1], odd[half:])
+    rows[:, half + 1 :] = (odd[: half - 1], odd[1:half])
+    diagonal = 0.5 * ((l is None) + (u is None))
+    return HilbertKernel(grid, read_only(scipy.fft.fft(rows)), diagonal)
 
 
 @dataclass(frozen=True, eq=False)

@@ -36,7 +36,7 @@ shared by all contour points.  ``_price_fl`` first cuts Psi, its step
 and the payoff to the live band, the central frequencies where |Psi| is
 not negligible, and builds ``BarrierProjections`` on that narrower grid:
 the barriers fold into one projection kernel (above, below or window),
-so each monitoring date costs one single-row FFT pair on the live band.
+so each monitoring date costs one batched FFT pair on the live band.
 Only q-dependent work runs per contour point or per monitoring date.
 
 The filtered variants multiply the inputs of the Hilbert-transform
@@ -198,9 +198,10 @@ def _solver(
     u: float | None,
     sigma: np.ndarray | None,
     filter_factorization: bool,
-) -> Callable[[complex], tuple[np.ndarray, int]]:
+) -> Callable[[complex], tuple[np.ndarray, int, bool]]:
     """Solve per contour point for f = pay_psi / Phi * (Psi - e^{i l xi}
-    j_minus - e^{i u xi} j_plus), returning f and the number of sweeps.  A
+    j_minus - e^{i u xi} j_plus), returning f, the number of sweeps and
+    whether a band stopped before a sweep met SWEEP_TOL.  A
     sweep finds the lower barrier's term j_minus from e^{-i l xi} Psi and
     j_plus, then the upper barrier's j_plus from e^{-i u xi} Psi and
     j_minus.  An absent barrier (None) has no term, so one barrier takes
@@ -230,7 +231,7 @@ def _solver(
         pay_l = None if l is None else read_only(pay_psi * up_l)
         pay_u = None if u is None else read_only(pay_psi * up_u)
 
-    def solve(q: complex) -> tuple[np.ndarray, int]:
+    def solve(q: complex) -> tuple[np.ndarray, int, bool]:
         phi = 1.0 - q * psi_fact
         phi_plus, phi_minus = factorize_values(phi, kernel)
         if not band:
@@ -239,7 +240,7 @@ def _solver(
                 f = f - pay_l * _barrier_term(psi_l, phi_minus, None, kernel, False)
             if u is not None:
                 f = f - pay_u * _barrier_term(psi_u, phi_plus, None, kernel, True)
-            return f / phi, 1
+            return f / phi, 1, False
         pay_phi = pay_psi / phi
         j_plus = None  # not yet solved: the first sweep subtracts nothing
         f_old: np.ndarray | None = None
@@ -251,11 +252,10 @@ def _solver(
             f = pay_phi * (psi - up_l * j_minus - up_u * j_plus)
             iterations += 1
             if f_old is not None and np.max(np.abs(f - f_old)) <= SWEEP_TOL:
-                break
+                return f, iterations, False
             if iterations >= MAX_SWEEPS:
-                break
+                return f, iterations, True
             f_old = f
-        return f, iterations
 
     return solve
 
@@ -345,17 +345,17 @@ def _price_fgm(
     solve = _solver(psi, pay_psi, kernel, l, u, sigma, filter_fact)
     pts = contour_points(n).points
 
-    def at(q: complex) -> tuple[complex, int]:
-        f, sweeps = solve(q)
-        return inverse_at_zero(f, grid), sweeps
+    def at(q: complex) -> tuple[complex, int, bool]:
+        f, sweeps, short = solve(q)
+        return inverse_at_zero(f, grid), sweeps, short
 
     results = _map_contour(at, pts, grid.M)
-    vals = np.array([v for v, _ in results])
-    iters = np.array([k for _, k in results])
+    vals = np.array([v for v, _, _ in results])
+    iters = np.array([k for _, k, _ in results])
     price_val = math.exp(-contract.r * contract.T) * invert(vals, n)
     return price_val, {
         "avg_iterations": float(np.mean(iters)) if band else None,
-        "max_iter_hit": band and bool(np.max(iters) >= MAX_SWEEPS),
+        "max_iter_hit": any(short for _, _, short in results),
         "imag_residual": float(abs(vals[0].imag)),  # q on the real axis must price real
     }
 

@@ -15,10 +15,13 @@ def _script():
     return module
 
 
-def _run(tmp_path, name, values, failed=0, attempted=100):
+def _run(tmp_path, name, values, failed=0, attempted=100, failures=None):
     path = tmp_path / name
     metrics = {m: {"value": v, "unit": "x"} for m, v in zip(METRICS, values)}
-    path.write_text(json.dumps({"metrics": metrics, "failed": failed, "attempted": attempted}))
+    run = {"metrics": metrics, "failed": failed, "attempted": attempted}
+    if failures is not None:
+        run["failures"] = failures
+    path.write_text(json.dumps(run))
     return str(path)
 
 
@@ -41,6 +44,34 @@ def test_failed_share_of_both_runs(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "failed share parent: 132/618 = 21.36%" in out
     assert "failed share change: 154/721 = 21.36%" in out
+    assert out.splitlines()[-1] == "run 1: same share: pass count differs, no status change"
+
+
+def test_pass_count_flip_is_no_status_change(tmp_path, capsys):
+    # 7 and 8 passes of a book that fails 15 calls per pass
+    parent = _run(tmp_path, "parent.json", [1.0] * 5, failed=105, attempted=721,
+                  failures={"price outside [0, S0]": 42, "fixed point hit max_iter": 63})
+    change = _run(tmp_path, "change.json", [1.0] * 5, failed=120, attempted=824,
+                  failures={"price outside [0, S0]": 48, "fixed point hit max_iter": 72})
+    assert _script().main([parent, change]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-3:] == [
+        "run 1 parent: failed 105, attempted 721, 63 x fixed point hit max_iter, "
+        "42 x price outside [0, S0]",
+        "run 1 change: failed 120, attempted 824, 72 x fixed point hit max_iter, "
+        "48 x price outside [0, S0]",
+        "run 1: same share: pass count differs, no status change",
+    ]
+
+
+def test_share_change_is_reported(tmp_path, capsys):
+    # no per-reason counts in these files: the run lines carry the counts only
+    parent = _run(tmp_path, "parent.json", [1.0] * 5, failed=0, attempted=720)
+    change = _run(tmp_path, "change.json", [1.0] * 5, failed=5, attempted=720)
+    assert _script().main([parent, change]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-3:] == ["run 1 parent: failed 0, attempted 720",
+                        "run 1 change: failed 5, attempted 720", "run 1: share differs"]
 
 
 def test_missing_metric_rejected(tmp_path):
@@ -63,6 +94,14 @@ def test_several_runs_per_side_compare_medians(tmp_path, capsys):
     assert lines["setup_s"][4:] == ["equal", "0.3-0.3", "0.3-0.3"]
     assert "failed share parent: 15/618 = 2.43%, 15/618 = 2.43%, 15/618 = 2.43%" in out
     assert "failed share change: 15/618 = 2.43%, 18/721 = 2.50%" in out
+    # runs pair up in order; the third parent run has no change run
+    assert out[-7:] == [
+        "run 1 parent: failed 15, attempted 618", "run 1 change: failed 15, attempted 618",
+        "run 1: same share, same counts",
+        "run 2 parent: failed 15, attempted 618", "run 2 change: failed 18, attempted 721",
+        "run 2: share differs",
+        "run 3 parent: failed 15, attempted 618",
+    ]
 
 
 def test_two_file_form_and_flags_do_not_mix(tmp_path):

@@ -367,6 +367,22 @@ def test_zero_tolerance_runs_every_sweep(kou, monkeypatch):
     assert res.max_iter_hit
 
 
+def test_max_iter_hit_only_when_a_point_stops_above_tolerance(kou, monkeypatch):
+    # every contour point meets SWEEP_TOL at its second sweep: the cap is
+    # reached, but no point stops short of the tolerance
+    c = double_barrier(4)
+    g = default_grid(c, kou, 1024)
+    monkeypatch.setattr(pricers, "MAX_SWEEPS", 2)
+    res = price(c, kou, "fgm-f", g)
+    assert res.avg_iterations == 2.0
+    assert not res.max_iter_hit
+    # a single sweep is never checked against the tolerance
+    monkeypatch.setattr(pricers, "MAX_SWEEPS", 1)
+    res = price(c, kou, "fgm-f", g)
+    assert res.avg_iterations == 1.0
+    assert res.max_iter_hit
+
+
 FL_VARIANTS = [("fl", None), ("fl-f", EXP), ("fl-f", PlanckTaper())]
 
 

@@ -95,8 +95,13 @@ def test_tracer_keeps_prices_and_fires_spans(all_models):
         "payoff.damped_payoff_fourier",
         "hilbert.window_values",
         "hilbert.above_values",
+        "hilbert.apply",
         "filters.filter_profile",
     ):
         assert name in fired, f"span {name} did not fire"
+    # the backward-induction projections run through the one traced apply
+    parents = {tracer.spans[span[3]][0] for span in tracer.spans
+               if span[0] == "hilbert.apply" and span[3] >= 0}
+    assert {"hilbert.window_values", "hilbert.above_values"} <= parents
     notes = [span[5] for span in tracer.spans if span[0] == "ztransform.contour_points"]
     assert notes == [33]
