@@ -11,11 +11,15 @@ For each end-to-end metric named in ``BENCHMARK.json`` prints each
 side's median, the change/parent ratio of the medians and whether the
 change is better, worse or equal by that metric's ``better`` direction;
 with more than one run on a side it adds each side's min-max range.
-Then the failed share of each run, side by side.  Last, run by run (the
-i-th parent file against the i-th change file), each file's failed and
-attempted counts with its failures per reason (when the file holds
-them), and whether the two shares differ: runs of different pass counts
-fail in equal shares when no call changed status.
+Then the failed share of each run, side by side, and each side's pooled
+share, its summed failed over its summed attempted calls.  Seeds fail in
+different shares, so pooled shares differ when the seeds' pass counts
+do, even if no call changed status; when every run pair has the same
+share, the pooled line says so.  Last, run by run (the i-th parent file
+against the i-th change file), each file's failed and attempted counts
+with its failures per reason (when the file holds them), and whether the
+two shares differ: runs of different pass counts fail in equal shares
+when no call changed status.
 Exit status: 0, or 2 when a file lacks one of the metrics.
 """
 
@@ -42,18 +46,37 @@ def verdict(parent, change, better):
     return "better" if (change > parent) == (better == "higher") else "worse"
 
 
+def share(run):
+    return Fraction(run["failed"], run["attempted"])
+
+
 def share_note(parent, change):
     """Whether two runs' failed shares differ.  A pass prices every call
     once, so runs of different pass counts fail in equal shares when no
     call changed status; only a different share can mean one did."""
-    def share(run):
-        return Fraction(run["failed"], run["attempted"])
-
     if share(parent) != share(change):
         return "share differs"
     if parent["attempted"] != change["attempted"]:
         return "same share: pass count differs, no status change"
     return "same share, same counts"
+
+
+def pooled(side_runs):
+    """(summed failed, summed attempted) over one side's runs"""
+    return sum(run["failed"] for run in side_runs), sum(run["attempted"] for run in side_runs)
+
+
+def pooled_note(parent_runs, change_runs):
+    """Whether the two sides' pooled shares differ, and why when every run
+    pair has the same share: the seeds' pass counts then weight their
+    different shares differently, and no call changed status."""
+    if Fraction(*pooled(parent_runs)) == Fraction(*pooled(change_runs)):
+        return "pooled shares equal"
+    if len(parent_runs) == len(change_runs) and all(
+        share(p) == share(c) for p, c in zip(parent_runs, change_runs)
+    ):
+        return "pooled shares differ: every run pair has the same share, so pass counts across seeds caused it"
+    return "pooled shares differ"
 
 
 def _sides(argv):
@@ -99,6 +122,10 @@ def main(argv=None):
             for run in side_runs
         )
         print(f"failed share {side}: {shares}")
+    for side, side_runs in zip(("parent", "change"), runs):
+        failed, attempted = pooled(side_runs)
+        print(f"pooled failed share {side}: {failed}/{attempted} = {failed / attempted:.2%}")
+    print(f"pooled: {pooled_note(*runs)}")
     for i, pair in enumerate(itertools.zip_longest(*runs), start=1):
         for side, run in zip(("parent", "change"), pair):
             if run is not None:

@@ -83,8 +83,8 @@ def build_grid(M: int, x_max: float) -> GridSpec:
 
 
 def _check_length(values: np.ndarray, grid: GridSpec) -> None:
-    if len(values) != grid.M:
-        raise ValueError(f"expected {grid.M} samples, got {len(values)}")
+    if np.shape(values)[-1] != grid.M:
+        raise ValueError(f"expected {grid.M} samples, got {np.shape(values)[-1]}")
 
 
 def forward_dft(values: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -99,7 +99,9 @@ def inverse_dft(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     return (grid.dxi / (2.0 * np.pi)) * np.fft.fftshift(np.fft.fft(np.fft.ifftshift(values)))
 
 
-def inverse_at_zero(values: np.ndarray, grid: GridSpec) -> complex:
-    """Inverse transform evaluated at x = 0 only: a single O(M) sum."""
+def inverse_at_zero(values: np.ndarray, grid: GridSpec) -> complex | np.ndarray:
+    """Inverse transform evaluated at x = 0 only: one O(M) sum per row of
+    ``values`` (shape (..., M)), a complex for one length-M vector."""
     _check_length(values, grid)
-    return complex(grid.dxi / (2.0 * np.pi) * np.sum(values))
+    total = grid.dxi / (2.0 * np.pi) * np.sum(values, axis=-1)
+    return complex(total) if np.ndim(total) == 0 else total

@@ -18,9 +18,12 @@ the ``PricingResult``.  The private algorithms take sigma or None, and alpha:
   withheld from the z-index and restored as explicit Psi factors, which
   smooths both ends of the scheme, so the inversion targets index N - 2.
   Cost is independent of N once the contour inversion uses Euler
-  acceleration.  The contour points are independent; on grids of
-  M >= 2^12 they run on two threads (``_map_contour``) and are put back
-  in contour order, so prices are the same as from the serial loop.
+  acceleration.  The contour points are independent, so they are solved
+  in blocks of up to BLOCK_SAMPLES // M points, each block a stack of
+  rows through one numpy call or batched transform per step; every row
+  is bit for bit its point's solve alone.  On grids of M >= 2^12 the
+  blocks run on two threads (``_map_contour``) and are put back in
+  contour order, so prices are the same as from the serial loop.
 
 * ``_price_fl`` walks the value-function transform backwards date by
   date, applying the barrier window between propagation steps; cost is
@@ -37,7 +40,8 @@ and the payoff to the live band, the central frequencies where |Psi| is
 not negligible, and builds ``BarrierProjections`` on that narrower grid:
 the barriers fold into one projection kernel (above, below or window),
 so each monitoring date costs one batched FFT pair on the live band.
-Only q-dependent work runs per contour point or per monitoring date.
+Only q-dependent work runs per block of contour points or per
+monitoring date.
 
 The filtered variants multiply the inputs of the Hilbert-transform
 stages by a spectral taper sigma(xi/xi_max), which restores exponential
@@ -198,20 +202,23 @@ def _solver(
     u: float | None,
     sigma: np.ndarray | None,
     filter_factorization: bool,
-) -> Callable[[complex], tuple[np.ndarray, int, bool]]:
-    """Solve per contour point for f = pay_psi / Phi * (Psi - e^{i l xi}
-    j_minus - e^{i u xi} j_plus), returning f, the number of sweeps and
-    whether a band stopped before a sweep met SWEEP_TOL.  A
-    sweep finds the lower barrier's term j_minus from e^{-i l xi} Psi and
-    j_plus, then the upper barrier's j_plus from e^{-i u xi} Psi and
-    j_minus.  An absent barrier (None) has no term, so one barrier takes
-    one half-sweep, the exact one-barrier identity, and none leaves the
-    European f; a band sweeps until SWEEP_TOL or MAX_SWEEPS.  Without a
-    band the half-sweep's input is q-invariant up to 1 / Phi_-+, so its
-    taper is applied here, and f is assembled from the products pay_psi
-    Psi and pay_psi e^{i b xi}.  The phase vectors and the q-invariant
-    products are built here, read-only: ``solve`` may run on several
-    threads at once and writes no shared state."""
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Solve a block of contour points qs (1-D) for the rows of f = pay_psi
+    / Phi * (Psi - e^{i l xi} j_minus - e^{i u xi} j_plus), returning f as
+    a (len(qs), M) array, each row's number of sweeps and whether a band
+    row stopped before a sweep met SWEEP_TOL.  A sweep finds the lower
+    barrier's term j_minus from e^{-i l xi} Psi and j_plus, then the upper
+    barrier's j_plus from e^{-i u xi} Psi and j_minus.  An absent barrier
+    (None) has no term, so one barrier takes one half-sweep, the exact
+    one-barrier identity, and none leaves the European f; a band sweeps
+    until SWEEP_TOL or MAX_SWEEPS, row by row: a row that stops leaves
+    the block and the others sweep on, so each row is bit for bit the
+    one-point solve of its q.  Without a band the half-sweep's input is
+    q-invariant up to 1 / Phi_-+, so its taper is applied here, and f is
+    assembled from the products pay_psi Psi and pay_psi e^{i b xi}.  The
+    phase vectors and the q-invariant products are built here,
+    read-only: ``solve`` may run on several threads at once and writes
+    no shared state."""
     psi, pay_psi = read_only(psi), read_only(pay_psi)
     sigma = None if sigma is None else read_only(sigma)
     psi_fact = read_only(psi if not filter_factorization else sigma * psi)
@@ -231,8 +238,9 @@ def _solver(
         pay_l = None if l is None else read_only(pay_psi * up_l)
         pay_u = None if u is None else read_only(pay_psi * up_u)
 
-    def solve(q: complex) -> tuple[np.ndarray, int, bool]:
-        phi = 1.0 - q * psi_fact
+    def solve(qs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        k = len(qs)
+        phi = 1.0 - qs[:, None] * psi_fact
         phi_plus, phi_minus = factorize_values(phi, kernel)
         if not band:
             f = pay_psi_psi
@@ -240,25 +248,42 @@ def _solver(
                 f = f - pay_l * _barrier_term(psi_l, phi_minus, None, kernel, False)
             if u is not None:
                 f = f - pay_u * _barrier_term(psi_u, phi_plus, None, kernel, True)
-            return f / phi, 1, False
+            return f / phi, np.ones(k, int), np.zeros(k, bool)
         pay_phi = pay_psi / phi
-        j_plus = None  # not yet solved: the first sweep subtracts nothing
-        f_old: np.ndarray | None = None
+        f, sweeps, short = np.empty_like(phi), np.zeros(k, int), np.zeros(k, bool)
+        live = np.arange(k)  # the rows still sweeping
+        j_plus = f_old = None  # not yet solved: the first sweep subtracts nothing
         iterations = 0
-        while True:
+        while live.size:
             p = psi_l if j_plus is None else psi_l - e_ul * j_plus
             j_minus = _barrier_term(p, phi_minus, sigma, kernel, False)
             j_plus = _barrier_term(psi_u - e_lu * j_minus, phi_plus, sigma, kernel, True)
-            f = pay_phi * (psi - up_l * j_minus - up_u * j_plus)
+            f_new = pay_phi * (psi - up_l * j_minus - up_u * j_plus)
             iterations += 1
-            if f_old is not None and np.max(np.abs(f - f_old)) <= SWEEP_TOL:
-                return f, iterations, False
-            if iterations >= MAX_SWEEPS:
-                return f, iterations, True
-            f_old = f
+            met = (np.zeros(live.size, bool) if f_old is None
+                   else np.max(np.abs(f_new - f_old), axis=-1) <= SWEEP_TOL)
+            done = met | (iterations >= MAX_SWEEPS)
+            f_old = f_new
+            if done.any():
+                rows, keep = live[done], ~done
+                f[rows], sweeps[rows], short[rows] = f_new[done], iterations, ~met[done]
+                live, f_old, j_plus, phi_plus, phi_minus, pay_phi = (
+                    a[keep] for a in (live, f_new, j_plus, phi_plus, phi_minus, pay_phi))
+        return f, sweeps, short
 
     return solve
 
+
+# Samples per block of contour points: ``_price_fgm`` solves up to
+# max(1, BLOCK_SAMPLES // M) points as one (k, M) stack, 8 at M = 2^10,
+# 2 at 2^12, 1 from 2^13.  zdomain_book at 26 s, seeds 11 and 12, on a
+# 2-core VM: 2^12 36-38 prices/s and 66 MB peak RSS, 2^13 46-47 /s and
+# 69 MB, 2^14 47-49 /s and 75 MB.  A stack must stay under numpy's
+# 256 KiB temporary-elision threshold (2^14 complex samples): from there
+# numpy evaluates a * (b - c) in the buffer of b - c, as (b - c) * a,
+# whose fused multiply-add rounds differently, and a row would no longer
+# be bit for bit its point's solve alone.
+BLOCK_SAMPLES = 2**13
 
 # Smallest grid whose contour points run on the thread pool.  pocketfft
 # (scipy.fft) and numpy's ufunc loops release the GIL, so two points
@@ -298,20 +323,26 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_pool)
 
 
-def _map_contour(at: Callable, pts: np.ndarray, M: int) -> list:
-    """[at(q) for q in pts], on a pool of up to MAX_CONTOUR_WORKERS
+def _map_contour(at: Callable, blocks: list, M: int) -> list:
+    """[at(qs) for qs in blocks], on a pool of up to MAX_CONTOUR_WORKERS
     threads (created on first use) when M >= PARALLEL_MIN_M and the
     process may use two CPUs.  Results come back in contour order, and
-    the first failing point in that order raises, as in the serial loop."""
+    the first failing block in that order raises, as in the serial loop."""
     global _pool
     cpus = _cpu_count() if M >= PARALLEL_MIN_M else 1
     if cpus < 2:
-        return [at(q) for q in pts]
+        return [at(qs) for qs in blocks]
     with _pool_lock:
         if _pool is None:
             _pool = ThreadPoolExecutor(min(MAX_CONTOUR_WORKERS, cpus))
         pool = _pool
-    return list(pool.map(at, pts))
+    return list(pool.map(at, blocks))
+
+
+def _blocks(pts: np.ndarray, M: int) -> list[np.ndarray]:
+    """The contour points in contour order, cut into balanced, never empty
+    blocks of at most max(1, BLOCK_SAMPLES // M) points."""
+    return np.array_split(pts, -(-len(pts) // max(1, BLOCK_SAMPLES // M)))
 
 
 def _price_fgm(
@@ -343,19 +374,17 @@ def _price_fgm(
     pay_psi = np.conj(damped_payoff_fourier(contract, grid, alpha)) * psi
     l, u = contract.log_barriers(grid.x_max)
     solve = _solver(psi, pay_psi, kernel, l, u, sigma, filter_fact)
-    pts = contour_points(n).points
+    blocks = _blocks(contour_points(n).points, grid.M)
 
-    def at(q: complex) -> tuple[complex, int, bool]:
-        f, sweeps, short = solve(q)
+    def at(qs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        f, sweeps, short = solve(qs)
         return inverse_at_zero(f, grid), sweeps, short
 
-    results = _map_contour(at, pts, grid.M)
-    vals = np.array([v for v, _, _ in results])
-    iters = np.array([k for _, k, _ in results])
+    vals, iters, short = map(np.concatenate, zip(*_map_contour(at, blocks, grid.M)))
     price_val = math.exp(-contract.r * contract.T) * invert(vals, n)
     return price_val, {
         "avg_iterations": float(np.mean(iters)) if band else None,
-        "max_iter_hit": any(short for _, _, short in results),
+        "max_iter_hit": bool(short.any()),
         "imag_residual": float(abs(vals[0].imag)),  # q on the real axis must price real
     }
 

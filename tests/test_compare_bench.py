@@ -104,6 +104,37 @@ def test_several_runs_per_side_compare_medians(tmp_path, capsys):
     ]
 
 
+def test_pooled_shares_differ_through_pass_counts(tmp_path, capsys):
+    # seed A fails 12 of 103 calls per pass, seed B 16 of 103; each run
+    # keeps its seed's share, but the change ran more passes of seed B
+    parents = [_run(tmp_path, "pa.json", [1.0] * 5, failed=96, attempted=824),
+               _run(tmp_path, "pb.json", [1.0] * 5, failed=112, attempted=721)]
+    changes = [_run(tmp_path, "ca.json", [1.0] * 5, failed=96, attempted=824),
+               _run(tmp_path, "cb.json", [1.0] * 5, failed=144, attempted=927)]
+    assert _script().main(["--parent", *parents, "--change", *changes]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "pooled failed share parent: 208/1545 = 13.46%" in out
+    assert "pooled failed share change: 240/1751 = 13.71%" in out
+    assert ("pooled: pooled shares differ: every run pair has the same share, "
+            "so pass counts across seeds caused it") in out
+    assert out[-1] == "run 2: same share: pass count differs, no status change"
+
+
+def test_pooled_shares_differ_with_a_run_share(tmp_path, capsys):
+    parents = [_run(tmp_path, f"p{i}.json", [1.0] * 5, failed=15, attempted=618) for i in range(2)]
+    changes = [_run(tmp_path, "c0.json", [1.0] * 5, failed=15, attempted=618),
+               _run(tmp_path, "c1.json", [1.0] * 5, failed=16, attempted=618)]
+    assert _script().main(["--parent", *parents, "--change", *changes]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "pooled failed share parent: 30/1236 = 2.43%" in out
+    assert "pooled failed share change: 31/1236 = 2.51%" in out
+    assert "pooled: pooled shares differ" in out
+    assert out[-1] == "run 2: share differs"
+    # equal pooled shares say so
+    assert _script().main(["--parent", *parents, "--change", *parents]) == 0
+    assert "pooled: pooled shares equal" in capsys.readouterr().out.splitlines()
+
+
 def test_two_file_form_and_flags_do_not_mix(tmp_path):
     parent = _run(tmp_path, "parent.json", [1.0] * 5)
     change = _run(tmp_path, "change.json", [1.0] * 5)

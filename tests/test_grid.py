@@ -98,6 +98,17 @@ def test_inverse_at_zero():
     assert inverse_at_zero(spec, g) == pytest.approx(direct, abs=1e-14 * np.max(np.abs(spec)))
 
 
+def test_inverse_at_zero_of_a_stack_sums_each_row():
+    g = build_grid(512, 4.0)
+    rng = np.random.default_rng(4)
+    stack = rng.standard_normal((3, 512)) + 1j * rng.standard_normal((3, 512))
+    values = inverse_at_zero(stack, g)
+    assert values.shape == (3,)
+    assert [complex(v) for v in values] == [inverse_at_zero(row, g) for row in stack]
+    with pytest.raises(ValueError):
+        inverse_at_zero(stack[:, 1:], g)
+
+
 def test_inverse_at_zero_gaussian_density():
     sigma = 0.2
     g = build_grid(4096, 8.0)

@@ -476,7 +476,9 @@ def test_pooled_contour_prices_bit_identical(model_name, shape, N, method, all_m
 
 
 @pytest.mark.parametrize("model_name, shape, N, method",
-                         [("kou", "double", 52, "fgm-f"), ("nig", "down", 504, "fgm")])
+                         [("kou", "double", 52, "fgm-f"), ("nig", "down", 504, "fgm"),
+                          # 2 and 3 contour points: no split may leave a block empty
+                          ("kou", "double", 3, "fgm-f"), ("vg", "down", 4, "fgm")])
 def test_pooled_contour_at_the_threshold(model_name, shape, N, method, all_models, monkeypatch):
     model, contract = all_models[model_name], SHAPES[shape](N)
     (serial, _), (pooled, on_pool) = _serial_and_pooled(
@@ -491,11 +493,13 @@ def test_pooled_contour_raises_the_first_failing_point(kou, monkeypatch):
     n, factorize = c.N - 2, pricers.factorize_values
 
     def failing(values, kernel):
-        # values = 1 - q Psi, and Psi is real and positive at xi = 0, so the
-        # phase there is that of q_j = rho e^{i pi j / n}
-        j = round(np.angle(1.0 - values[len(values) // 2]) * n / np.pi)
-        if j in (5, 20):
-            raise BranchFailureError(f"contour point {j}")
+        # each row is 1 - q Psi, and Psi is real and positive at xi = 0, so
+        # the phase there is that of q_j = rho e^{i pi j / n}; the first
+        # failing row of a block raises
+        for row in values:
+            j = round(np.angle(1.0 - row[len(row) // 2]) * n / np.pi)
+            if j in (5, 20):
+                raise BranchFailureError(f"contour point {j}")
         return factorize(values, kernel)
 
     monkeypatch.setattr(pricers, "factorize_values", failing)
@@ -504,6 +508,57 @@ def test_pooled_contour_raises_the_first_failing_point(kou, monkeypatch):
         monkeypatch.setattr(pricers, "_cpu_count", lambda: cpus)
         with pytest.raises(BranchFailureError, match=r"^contour point 5$"):
             price(c, kou, "fgm-f", default_grid(c, kou, 1024))
+
+
+def _solver_of(monkeypatch, contract, model, method, M):
+    """The solver ``price`` builds for this call, and its contour points."""
+    solver, made = pricers._solver, []
+    monkeypatch.setattr(pricers, "_solver", lambda *args: made.append(solver(*args)) or made[-1])
+    price(contract, model, method, default_grid(contract, model, M))
+    return made[0], ztransform.contour_points(contract.N - 2).points
+
+
+def _blocks_against_rows(solve, pts, M):
+    """Solve the blocks ``_price_fgm`` cuts pts into and each point alone;
+    assert each row of a block is bit for bit its one-point solve, with
+    the same sweep count and flag, and return each block's sweep counts
+    and flags."""
+    out = []
+    for qs in pricers._blocks(pts, M):
+        f, sweeps, short = solve(qs)
+        assert f.shape == (len(qs), M)
+        for i, q in enumerate(qs):
+            row, row_sweeps, row_short = solve(np.array([q]))
+            assert f[i].tobytes() == row[0].tobytes(), q
+            assert (sweeps[i], short[i]) == (row_sweeps[0], row_short[0]), q
+        out.append((sweeps, short))
+    return out
+
+
+@pytest.mark.parametrize("M", [256, 2**12])
+@pytest.mark.parametrize("method", ["fgm", "fgm-f"])
+@pytest.mark.parametrize("shape", ["double", "down", "up", "none"])
+def test_a_block_solves_as_its_rows(shape, method, M, vg, monkeypatch):
+    contract = european(504) if shape == "none" else SHAPES[shape](504)
+    solve, pts = _solver_of(monkeypatch, contract, vg, method, M)
+    blocks = _blocks_against_rows(solve, pts, M)
+    assert any(len(sweeps) > 1 for sweeps, _ in blocks)
+    if shape == "double" and method == "fgm-f":
+        # the rows of a block stop at different sweeps
+        assert any(len(set(sweeps)) > 1 for sweeps, _ in blocks)
+    elif shape != "double":
+        assert all(set(sweeps) == {1} and not short.any() for sweeps, short in blocks)
+
+
+@pytest.mark.parametrize("M", [256, 2**12])
+def test_a_block_row_stops_short_as_alone(M, kou, monkeypatch):
+    # with two sweeps at most, most rows meet the tolerance at their second
+    # sweep and the rest stop short of it
+    monkeypatch.setattr(pricers, "MAX_SWEEPS", 2)
+    solve, pts = _solver_of(monkeypatch, double_barrier(52), kou, "fgm-f", M)
+    blocks = _blocks_against_rows(solve, pts, M)
+    assert all(set(sweeps) == {2} for sweeps, _ in blocks)
+    assert any(0 < short.sum() < len(short) for _, short in blocks)
 
 
 def test_solver_closures_hold_only_read_only_arrays(kou):

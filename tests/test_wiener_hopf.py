@@ -109,3 +109,31 @@ def test_phase_winding_detected():
     winding = np.exp(1j * 2.0 * np.pi * g.eta)
     with pytest.raises(BranchFailureError):
         factorize_values(winding.astype(complex), hilbert_kernel(g))
+
+
+def test_a_stack_factorises_as_its_rows(kou):
+    g = build_grid(1024, 1.5)
+    kern = hilbert_kernel(g)
+    phi = 1.0 - contour()[:, None] * kou.char_function(g.xi, 1.0 / 52.0)
+    plus, minus = factorize_values(phi, kern)
+    for row, row_plus, row_minus in zip(phi, plus, minus):
+        one_plus, one_minus = factorize_values(row, kern)
+        assert row_plus.tobytes() == one_plus.tobytes()
+        assert row_minus.tobytes() == one_minus.tobytes()
+
+
+def test_a_stack_raises_its_first_failing_row():
+    g = build_grid(256, 1.0)
+    kern = hilbert_kernel(g)
+    rows = np.ones((4, 256), dtype=complex)
+    rows[1, 10], rows[2, 20] = 3e-15, 1e-15  # both singular, each its own minimum
+    rows[3] = np.exp(1j * 2.0 * np.pi * g.eta)  # winding, after them
+    with pytest.raises(SingularInputError) as one_row:
+        factorize_values(rows[1], kern)
+    with pytest.raises(SingularInputError) as stack:
+        factorize_values(rows, kern)
+    assert str(stack.value) == str(one_row.value)
+    assert "3.000e-15" in str(stack.value)
+    # a winding row ahead of the singular ones raises first
+    with pytest.raises(BranchFailureError):
+        factorize_values(rows[[0, 3, 1]], kern)
