@@ -290,6 +290,7 @@ def cmd_price(cfg: RunConfig) -> int:
     row = _row(result)
     for name in ("method", "filter", "M"):
         print(f"{name} = {row[name]}")
+    print(f"x_rule = {result.plan.x_rule}\nlive_m = {result.plan.m}")
     print(f"price = {NUM_FMT % result.price}")
     print(f"cpu_seconds = {NUM_FMT % result.cpu_seconds}")
     if result.avg_iterations is not None:

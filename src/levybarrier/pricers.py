@@ -2,9 +2,9 @@
 
 ``price`` is the one entry point.  It prices the t = 0 value of a discretely
 monitored knock-out option with N dates by one of four methods (``Method``),
-two algorithms each with and without a spectral filter; it samples a filtered
-method's taper sigma, picks the payoff tilt alpha, times the call and returns
-the ``PricingResult``.  The private algorithms take sigma or None, and alpha:
+two algorithms each with and without a spectral filter; it picks the payoff
+tilt alpha, plans the grid, times the call and returns the ``PricingResult``.
+The private algorithms take the grid, Psi and sigma (or None) on it, and alpha:
 
 * ``_price_fgm`` solves the fluctuation identities for the
   barrier-constrained transition law in the combined Fourier/z-transform
@@ -29,19 +29,18 @@ the ``PricingResult``.  The private algorithms take sigma or None, and alpha:
   date, applying the barrier window between propagation steps; cost is
   linear in N.
 
-Everything that does not change within a pricing call is computed once
-per call: Psi, the conjugated payoff, the taper and the barrier data,
-which each algorithm holds in its own form.  ``_price_fgm`` looks up the
-grid's Hilbert kernel (cached per grid); its solver forms the phase
-vectors e^{-+i b xi} and the q-invariant products (phase-shifted Psi,
-payoff * Psi, sigma * Psi, e^{i(u-l) xi}) once, as read-only arrays
-shared by all contour points.  ``_price_fl`` first cuts Psi, its step
-and the payoff to the live band, the central frequencies where |Psi| is
-not negligible, and builds ``BarrierProjections`` on that narrower grid:
-the barriers fold into one projection kernel (above, below or window),
-so each monitoring date costs one batched FFT pair on the live band.
-Only q-dependent work runs per block of contour points or per
-monitoring date.
+``price`` samples Psi(xi + i alpha; dt) once on the requested grid, and
+``plan_grid`` decides the grid the algorithm runs on: the live band of
+|Psi| for ``_price_fl``, the whole grid for ``_price_fgm``.  Both get that
+grid with Psi and sigma cut to it; the rest of what does not change
+within a call is computed once per call, in each algorithm's own form.
+``_price_fgm`` looks up the grid's Hilbert kernel (cached per grid); its
+solver forms the phase vectors e^{-+i b xi} and the q-invariant products
+(phase-shifted Psi, payoff * Psi, sigma * Psi, e^{i(u-l) xi}) once, as
+read-only arrays shared by all contour points.  ``_price_fl`` folds the
+barriers into one projection kernel (above, below or window), so each
+monitoring date costs one batched FFT pair.  Only q-dependent work runs
+per block of contour points or per monitoring date.
 
 The filtered variants multiply the inputs of the Hilbert-transform
 stages by a spectral taper sigma(xi/xi_max), which restores exponential
@@ -82,9 +81,11 @@ from .ztransform import contour_points, invert, rho
 
 __all__ = [
     "Method",
+    "GridPlan",
     "PricingResult",
     "default_x_max",
     "default_grid",
+    "plan_grid",
     "price",
     "reference_price",
     "REFERENCE_M",
@@ -111,14 +112,14 @@ class Method(str, enum.Enum):
 
 @dataclass(frozen=True)
 class PricingResult:
-    """One price and how it was obtained.  ``cpu_seconds`` is wall-clock
+    """One price and how it was obtained: ``grid_m`` is the requested M,
+    ``plan.m`` the width that ran.  ``cpu_seconds`` is wall-clock
     ``time.perf_counter`` time of the whole ``price`` call after its
-    argument checks (not process CPU time, and a z-domain call on a
-    large grid may use two threads); the name is kept because CLI CSV
-    headers carry it."""
+    argument checks (not process CPU time; a z-domain call on a large
+    grid may use two threads); the name is kept for the CLI CSV headers."""
 
     price: float
-    grid_m: int
+    plan: GridPlan
     cpu_seconds: float
     method: Method
     filter: Taper | None
@@ -126,30 +127,40 @@ class PricingResult:
     max_iter_hit: bool = False
     imag_residual: float = 0.0
 
+    @property
+    def grid_m(self) -> int:
+        return self.plan.grid.M
+
 
 JUMP_WIDTH_STEP_STDS = 38.0
 
 
-def default_x_max(contract: OptionContract, model: LevyModel) -> float:
-    """Grid half-range: the payoff geometry plus a truncation margin.
+def _x_rule(contract: OptionContract, model: LevyModel) -> tuple[float, str]:
+    """Default grid half-range, payoff geometry plus a margin, and its rule.
 
     Open geometries (no barrier on one side) carry payoff mass toward
     the grid edge, so they get the full GRID_WIDTH_STDS standard
-    deviations of X(T).  Band-confined (double-barrier) value functions
-    tolerate a slightly tighter range, and for a ``law.pure_jump`` model
-    the margin is capped at JUMP_WIDTH_STEP_STDS one-step deviations: its
-    characteristic function decays only like exp(-c dt |xi|) (or
-    polynomially), which makes the frequency range pi*M/(2 x_max) the
-    scarce resource.  Models with a diffusion component decay like
-    exp(-s^2 dt xi^2 / 2), so a generous log-price range costs them
-    nothing."""
+    deviations of X(T) ("open").  Band-confined (double-barrier) value
+    functions tolerate a slightly tighter range ("band"), and for a
+    ``law.pure_jump`` model the margin is capped at JUMP_WIDTH_STEP_STDS
+    one-step deviations ("jump" where the cap binds): its characteristic
+    function decays only like exp(-c dt |xi|) (or polynomially), which
+    makes the frequency range pi*M/(2 x_max) the scarce resource.
+    Models with a diffusion component decay like exp(-s^2 dt xi^2 / 2),
+    so a generous log-price range costs them nothing."""
     std_T = math.sqrt(model.variance(contract.T))
-    band_confined = contract.has_lower and contract.has_upper
-    margin = (BAND_WIDTH_STDS if band_confined else GRID_WIDTH_STDS) * std_T
-    if band_confined and model.law.pure_jump:
-        std_step = math.sqrt(model.variance(contract.dt))
-        margin = min(margin, JUMP_WIDTH_STEP_STDS * std_step)
-    return contract.log_anchor + margin
+    if not (contract.has_lower and contract.has_upper):
+        return contract.log_anchor + GRID_WIDTH_STDS * std_T, "open"
+    margin = BAND_WIDTH_STDS * std_T
+    cap = JUMP_WIDTH_STEP_STDS * math.sqrt(model.variance(contract.dt))
+    if model.law.pure_jump and cap < margin:
+        return contract.log_anchor + cap, "jump"
+    return contract.log_anchor + margin, "band"
+
+
+def default_x_max(contract: OptionContract, model: LevyModel) -> float:
+    """Grid half-range by ``_x_rule``."""
+    return _x_rule(contract, model)[0]
 
 
 def default_grid(
@@ -158,6 +169,69 @@ def default_grid(
     if x_max is None:
         x_max = default_x_max(contract, model)
     return build_grid(M, x_max)
+
+
+# share of the peak of |Psi|, times 1 / (N M), below which a frequency
+# carries nothing the backward induction can resolve
+LIVE_BAND_TOL = 1e-14
+MIN_LIVE_BAND = 16
+
+
+def _live_band(psi_abs: np.ndarray, N: int) -> int:
+    """Smallest power-of-two central width m >= MIN_LIVE_BAND of the
+    M samples of |Psi| outside which every sample is at most
+    tau max|Psi|, tau = LIVE_BAND_TOL / (N M); M itself when no such
+    width is narrower or the peak is infinite.  A NaN sample counts as
+    live, so a non-finite Psi prices on the whole grid.
+
+    The mass backward induction drops on the m-point grid is estimated,
+    not bounded: each dropped sample of step * vhat at the first date is
+    at most tau max|Psi| |vhat|_inf, so over N dates and fewer than M
+    samples LIVE_BAND_TOL max|Psi| |vhat|_inf, about 1e-14 to 1e-13
+    (|vhat|_inf is at most about 10 for an open down-and-out call).
+    Later dates drop samples of the projected value-function transform,
+    which the payoff does not bound; ``test_live_band_changes_no_price``
+    checks the estimate at 1e-13 against the full band."""
+    M = len(psi_abs)
+    tau = LIVE_BAND_TOL / (N * M)
+    live = np.flatnonzero(~(psi_abs <= tau * psi_abs.max()))
+    if live.size == 0:
+        return M
+    half = max(M // 2 - live[0], live[-1] - M // 2 + 1)
+    m = max(MIN_LIVE_BAND, 1 << (2 * int(half) - 1).bit_length())
+    return min(m, M)
+
+
+@dataclass(frozen=True)
+class GridPlan:
+    """The grids of one pricing call: the requested ``grid``, the
+    ``x_rule`` that set its x_max (``_x_rule``'s "open", "band" or
+    "jump", or "given" when x_max is not the default) and the width
+    ``m`` of the ``live`` grid the algorithm runs on.  dxi = pi / x_max
+    does not depend on M, so its xi are the central ``cut`` of grid.xi
+    and its projection kernels the central Toeplitz blocks of the full ones."""
+
+    grid: GridSpec
+    x_rule: str
+    m: int
+
+    @property
+    def live(self) -> GridSpec:
+        return self.grid if self.m == self.grid.M else build_grid(self.m, self.grid.x_max)
+
+    def cut(self, samples: np.ndarray) -> np.ndarray:
+        return samples[(self.grid.M - self.m) // 2 : (self.grid.M + self.m) // 2]
+
+
+def plan_grid(
+    contract: OptionContract, model: LevyModel, grid: GridSpec, psi: np.ndarray, method: Method
+) -> GridPlan:
+    """The plan of one pricing call on ``grid``, given Psi(xi + i alpha;
+    dt) sampled on it: backward induction (``fl``, ``fl-f``) runs on the
+    ``_live_band`` of |Psi|, the z-domain methods on all M points."""
+    x_max, rule = _x_rule(contract, model)
+    m = _live_band(np.abs(psi), contract.N) if Method(method).recursive else grid.M
+    return GridPlan(grid, rule if grid.x_max == x_max else "given", m)
 
 
 CALL_TILT = -2.0
@@ -346,7 +420,7 @@ def _blocks(pts: np.ndarray, M: int) -> list[np.ndarray]:
 
 
 def _price_fgm(
-    contract: OptionContract, model: LevyModel, grid: GridSpec,
+    contract: OptionContract, model: LevyModel, grid: GridSpec, psi: np.ndarray,
     sigma: np.ndarray | None, alpha: float,
 ) -> tuple[float, dict]:
     """Knock-out price in the z-domain, for any barrier geometry.
@@ -370,7 +444,6 @@ def _price_fgm(
     band = contract.has_lower and contract.has_upper
     filter_fact = sigma is not None and (not band or model.law.polynomial_decay)
 
-    psi = model.char_function(grid.xi + 1j * alpha, contract.dt)
     pay_psi = np.conj(damped_payoff_fourier(contract, grid, alpha)) * psi
     l, u = contract.log_barriers(grid.x_max)
     solve = _solver(psi, pay_psi, kernel, l, u, sigma, filter_fact)
@@ -394,30 +467,8 @@ def _price_fgm(
 # ---------------------------------------------------------------------------
 
 
-# share of the peak of |Psi|, times 1 / (N M), below which a frequency
-# carries nothing the backward induction can resolve
-LIVE_BAND_TOL = 1e-14
-MIN_LIVE_BAND = 16
-
-
-def _live_band(psi_abs: np.ndarray, N: int) -> int:
-    """Smallest power-of-two central width m >= MIN_LIVE_BAND of the
-    M samples of |Psi| outside which every sample is at most
-    tau max|Psi|, tau = LIVE_BAND_TOL / (N M); M itself when no such
-    width is narrower or the peak is infinite.  A NaN sample counts as
-    live, so a non-finite Psi prices on the whole grid as before."""
-    M = len(psi_abs)
-    tau = LIVE_BAND_TOL / (N * M)
-    live = np.flatnonzero(~(psi_abs <= tau * psi_abs.max()))
-    if live.size == 0:
-        return M
-    half = max(M // 2 - live[0], live[-1] - M // 2 + 1)
-    m = max(MIN_LIVE_BAND, 1 << (2 * int(half) - 1).bit_length())
-    return min(m, M)
-
-
 def _price_fl(
-    contract: OptionContract, model: LevyModel, grid: GridSpec,
+    contract: OptionContract, grid: GridSpec, psi: np.ndarray,
     sigma: np.ndarray | None, alpha: float,
 ) -> tuple[float, dict]:
     """Backward induction over the N monitoring dates in the frequency
@@ -429,35 +480,10 @@ def _price_fl(
     transform itself; the matching propagator is conj(Psi(xi + i alpha)).
     The asymmetric-model European limit fixes this orientation uniquely.
     alpha is ``payoff_tilt``'s: negative for a call with no upper barrier,
-    so the carrier decays toward the grid edge instead of jumping there.
-
-    The induction runs on the live band only: Psi, the (filtered) step
-    and the payoff transform are sampled on the requested grid, then cut
-    to the central ``_live_band`` width m, and the dates run on the grid
-    of m points with the same x_max.  dxi = pi / x_max does not depend
-    on M, so that grid's xi is the central slice of the full lattice and
-    its projection kernels are the central Toeplitz blocks of the full
-    ones; only the dropped samples and the FFT rounding at length m
-    differ.  The dropped mass is estimated, not bounded: at the first
-    date every dropped sample of step * vhat is at most
-    tau max|Psi| |vhat|_inf with tau = 1e-14 / (N M), so over N dates and
-    fewer than M samples the estimate is 1e-14 max|Psi| |vhat|_inf, about
-    1e-14 to 1e-13 absolute (max|Psi| about 1, |vhat|_inf at most about
-    10 for an open down-and-out call).  At later dates the dropped
-    samples come from the projected value-function transform, whose sup
-    norm the payoff's does not bound, and the truncated projection
-    spreads mass across the band edge; ``test_live_band_changes_no_price``
-    checks the estimate at 1e-13 against the full band.  A slowly
-    decaying Psi (vg) keeps every sample and prices exactly as on the
-    full grid."""
+    so the carrier decays toward the grid edge instead of jumping there."""
     vhat = damped_payoff_fourier(contract, grid, alpha)
-    psi = np.conj(model.char_function(grid.xi + 1j * alpha, contract.dt))
+    psi = np.conj(psi)
     step = psi if sigma is None else sigma * psi
-    m = _live_band(np.abs(psi), contract.N)
-    if m < grid.M:
-        live = slice((grid.M - m) // 2, (grid.M + m) // 2)
-        vhat, psi, step = vhat[live], psi[live], step[live]
-        grid = build_grid(m, grid.x_max)
     projections = BarrierProjections(grid, *contract.log_barriers(grid.x_max))
     if contract.has_lower and contract.has_upper:
         project = lambda v: window_values(v, projections)
@@ -497,17 +523,19 @@ def price(
     elif filt is not None:
         raise ValueError(f"method {method.value} does not take a filter")
     start = time.perf_counter()
-    sigma = filter_profile(filt, grid) if filt else None
     alpha = payoff_tilt(contract, model)
+    psi = model.char_function(grid.xi + 1j * alpha, contract.dt)
+    plan = plan_grid(contract, model, grid, psi, method)
+    sigma = plan.cut(filter_profile(filt, grid)) if filt else None
     if method.recursive:
-        value, extras = _price_fl(contract, model, grid, sigma, alpha)
+        value, extras = _price_fl(contract, plan.live, plan.cut(psi), sigma, alpha)
     else:
-        value, extras = _price_fgm(contract, model, grid, sigma, alpha)
+        value, extras = _price_fgm(contract, model, plan.live, plan.cut(psi), sigma, alpha)
     if not (math.isfinite(value) and math.isfinite(extras["imag_residual"])):
         raise FloatingPointError(
             f"non-finite price {value} (imaginary residual {extras['imag_residual']})"
         )
-    return PricingResult(value, grid.M, time.perf_counter() - start, method, filt, **extras)
+    return PricingResult(value, plan, time.perf_counter() - start, method, filt, **extras)
 
 
 # grid size of the backward-induction reference the convergence studies
@@ -521,7 +549,7 @@ def reference_price(
     """Backward-induction reference on the default grid of REFERENCE_M
     points (half-range ``x_max`` when given): unfiltered for
     exponentially decaying characteristic functions, filtered otherwise.
-    The induction runs on the live band of Psi only (``_price_fl``), so
+    The induction runs on the live band of Psi only (``plan_grid``), so
     exponentially decaying models pay for the band they need, not for
     REFERENCE_M; polynomially decaying ones keep the whole grid."""
     method = Method.FL_F if model.law.polynomial_decay else Method.FL

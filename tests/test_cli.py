@@ -299,6 +299,8 @@ def test_flag_overrides(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "method = fl" in out
     assert "M = 256" in out
+    assert "x_rule = band" in out.splitlines()
+    assert "live_m = 256" in out.splitlines()
 
 
 def test_unfiltered_method_reports_no_filter(tmp_path, capsys):

@@ -20,6 +20,7 @@ from levybarrier import (
     OracleConfig,
     PlanckTaper,
     build_grid,
+    damped_payoff_fourier,
     default_grid,
     price,
     quad_price,
@@ -431,6 +432,60 @@ def test_live_band_of_the_kou_reference(kou):
     c = double_barrier(52)
     grid = default_grid(c, kou, 2**16)
     assert pricers._live_band(_abs_psi(c, kou, grid), 52) <= 2**11
+    # the result reports the requested M and the width that ran
+    res = price(c, kou, "fl", grid)
+    assert res.grid_m == 2**16
+    assert res.plan.m == 2**10
+
+
+# plan_grid per (model, geometry), one entry per N in PLAN_N: the x rule,
+# then log2 of the fl width m at each M in PLAN_M; taken from the branches
+# of default_x_max and from _live_band before the plan existed
+PLAN_N, PLAN_M = (4, 52, 252, 504), (2**10, 2**12, 2**16)
+PLAN = {
+    ("kou", "double"): "band 8 8 8, band 10 10 10, band 10 11 11, band 10 12 12",
+    ("kou", "down"): "open 9 9 9, open 10 11 11, open 10 12 12, open 10 12 12",
+    ("kou", "up"): "open 9 9 9, open 10 11 11, open 10 12 12, open 10 12 12",
+    ("kou", "none"): "open 9 9 9, open 10 11 11, open 10 12 12, open 10 12 12",
+    ("nig", "double"): "band 9 9 9, jump 10 12 12, jump 10 12 14, jump 10 12 15",
+    ("nig", "down"): "open 10 10 10, open 10 12 14, open 10 12 16, open 10 12 16",
+    ("nig", "up"): "open 10 10 10, open 10 12 13, open 10 12 16, open 10 12 16",
+    ("nig", "none"): "open 10 10 10, open 10 12 13, open 10 12 16, open 10 12 16",
+    ("vg", "double"): "band 10 12 16, jump 10 12 16, jump 10 12 16, jump 10 12 16",
+    ("vg", "down"): "open 10 12 16, open 10 12 16, open 10 12 16, open 10 12 16",
+    ("vg", "up"): "open 10 12 16, open 10 12 16, open 10 12 16, open 10 12 16",
+    ("vg", "none"): "open 10 12 16, open 10 12 16, open 10 12 16, open 10 12 16",
+    ("gaussian", "double"): "band 7 7 7, band 9 9 9, band 10 10 10, band 10 11 11",
+    ("gaussian", "down"): "open 8 8 8, open 10 10 10, open 10 11 11, open 10 11 11",
+    ("gaussian", "up"): "open 8 8 8, open 10 10 10, open 10 11 11, open 10 11 11",
+    ("gaussian", "none"): "open 8 8 8, open 10 10 10, open 10 11 11, open 10 11 11",
+}
+
+
+@pytest.mark.parametrize("model_name, shape", sorted(PLAN))
+def test_grid_plan_is_pinned(all_models, model_name, shape):
+    model, make = all_models[model_name], dict(SHAPES, none=european)[shape]
+    for N, want in zip(PLAN_N, PLAN[model_name, shape].split(", ")):
+        rule, *log2_m = want.split()
+        c = make(N)
+        alpha = pricers.payoff_tilt(c, model)
+
+        def plan(grid, method):
+            psi = model.char_function(grid.xi + 1j * alpha, c.dt)
+            return pricers.plan_grid(c, model, grid, psi, method)
+
+        for M, k in zip(PLAN_M, map(int, log2_m)):
+            grid = default_grid(c, model, M)
+            fl, fgm = plan(grid, "fl"), plan(grid, "fgm")
+            assert (fl.x_rule, fl.m) == (rule, 2**k), (N, M)
+            assert (fgm.x_rule, fgm.m) == (rule, M), (N, M)
+            # the live grid's lattice is the central cut of the requested
+            # one, so the payoff transform fl samples on it is the cut too
+            assert np.array_equal(fl.live.xi, fl.cut(grid.xi))
+            payoff = damped_payoff_fourier(c, fl.live, alpha)
+            assert np.array_equal(payoff, fl.cut(damped_payoff_fourier(c, grid, alpha)))
+        # an x_max that is not the default is reported as given
+        assert plan(default_grid(c, model, 2**10, x_max=1e3), "fl").x_rule == "given"
 
 
 # -- contour points on the thread pool --------------------------------------
