@@ -15,17 +15,22 @@ Then the failed share of each run, side by side, and each side's pooled
 share, its summed failed over its summed attempted calls.  Seeds fail in
 different shares, so pooled shares differ when the seeds' pass counts
 do, even if no call changed status; when every run pair has the same
-share, the pooled line says so.  Last, run by run (the i-th parent file
-against the i-th change file), each file's failed and attempted counts
-with its failures per reason (when the file holds them), and whether the
-two shares differ: runs of different pass counts fail in equal shares
-when no call changed status.
-Exit status: 0, or 2 when a file lacks one of the metrics.
+share, the pooled line says so.  Last, pair by pair, each file's failed
+and attempted counts with its failures per reason (when the file holds
+them), and whether the two shares differ: runs of different pass counts
+fail in equal shares when no call changed status.  Runs pair by seed
+(``env.seed``): the k-th run of a seed on one side with the k-th run of
+that seed on the other, whatever the order of the arguments; a seed run
+on one side only is named.  If a file lacks its seed, runs pair by
+position instead (the i-th parent file with the i-th change file).
+Exit status: 0, or 2 when a file lacks one of the metrics.  Output cut
+short by its reader (``| head``) ends quietly, with status 0.
 """
 
 import argparse
 import itertools
 import json
+import os
 import statistics
 import sys
 from fractions import Fraction
@@ -66,17 +71,37 @@ def pooled(side_runs):
     return sum(run["failed"] for run in side_runs), sum(run["attempted"] for run in side_runs)
 
 
-def pooled_note(parent_runs, change_runs):
+def pooled_note(parent_runs, change_runs, pairs):
     """Whether the two sides' pooled shares differ, and why when every run
     pair has the same share: the seeds' pass counts then weight their
     different shares differently, and no call changed status."""
     if Fraction(*pooled(parent_runs)) == Fraction(*pooled(change_runs)):
         return "pooled shares equal"
-    if len(parent_runs) == len(change_runs) and all(
-        share(p) == share(c) for p, c in zip(parent_runs, change_runs)
-    ):
+    if all(None not in pair and share(pair[0]) == share(pair[1]) for _, *pair in pairs):
         return "pooled shares differ: every run pair has the same share, so pass counts across seeds caused it"
     return "pooled shares differ"
+
+
+def _by_seed(side_runs):
+    """{(seed, k): the k-th run of that seed} over one side's runs"""
+    counts, out = {}, {}
+    for run in side_runs:
+        seed = run["env"]["seed"]
+        counts[seed] = counts.get(seed, 0) + 1
+        out[seed, counts[seed]] = run
+    return out
+
+
+def run_pairs(parent_runs, change_runs):
+    """[(label, parent run or None, change run or None)]: by seed when
+    every run carries ``env.seed``, the k-th run of a seed on one side
+    with its k-th run on the other; else by position."""
+    if not all("seed" in run.get("env", {}) for run in parent_runs + change_runs):
+        return [(f"run {i}", *pair)
+                for i, pair in enumerate(itertools.zip_longest(parent_runs, change_runs), start=1)]
+    parent, change = _by_seed(parent_runs), _by_seed(change_runs)
+    return [(f"seed {seed}" + (f" #{k}" if k > 1 else ""), parent.get((seed, k)), change.get((seed, k)))
+            for seed, k in sorted(parent.keys() | change.keys())]
 
 
 def _sides(argv):
@@ -125,17 +150,28 @@ def main(argv=None):
     for side, side_runs in zip(("parent", "change"), runs):
         failed, attempted = pooled(side_runs)
         print(f"pooled failed share {side}: {failed}/{attempted} = {failed / attempted:.2%}")
-    print(f"pooled: {pooled_note(*runs)}")
-    for i, pair in enumerate(itertools.zip_longest(*runs), start=1):
+    pairs = run_pairs(*runs)
+    print(f"pooled: {pooled_note(*runs, pairs)}")
+    for label, *pair in pairs:
         for side, run in zip(("parent", "change"), pair):
             if run is not None:
                 reasons = "".join(f", {n} x {reason}"
                                   for reason, n in sorted(run.get("failures", {}).items()))
-                print(f"run {i} {side}: failed {run['failed']}, attempted {run['attempted']}{reasons}")
+                print(f"{label} {side}: failed {run['failed']}, attempted {run['attempted']}{reasons}")
         if None not in pair:
-            print(f"run {i}: {share_note(*pair)}")
+            print(f"{label}: {share_note(*pair)}")
+        elif label.startswith("seed"):
+            print(f"{label}: {'parent' if pair[1] is None else 'change'} only")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; send what is left to devnull so
+        # the flush at exit raises no second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 0
+    sys.exit(status)

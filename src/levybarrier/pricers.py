@@ -21,9 +21,10 @@ The private algorithms take the grid, Psi and sigma (or None) on it, and alpha:
   acceleration.  The contour points are independent, so they are solved
   in blocks of up to BLOCK_SAMPLES // M points, each block a stack of
   rows through one numpy call or batched transform per step; every row
-  is bit for bit its point's solve alone.  On grids of M >= 2^12 the
-  blocks run on two threads (``_map_contour``) and are put back in
-  contour order, so prices are the same as from the serial loop.
+  is bit for bit its point's solve alone.  On grids of M >= 2^10 a call
+  of two or more blocks runs them on two threads (``_map_contour``) and
+  puts them back in contour order, so prices are the same as from the
+  serial loop.
 
 * ``_price_fl`` walks the value-function transform backwards date by
   date, applying the barrier window between propagation steps; cost is
@@ -115,8 +116,9 @@ class PricingResult:
     """One price and how it was obtained: ``grid_m`` is the requested M,
     ``plan.m`` the width that ran.  ``cpu_seconds`` is wall-clock
     ``time.perf_counter`` time of the whole ``price`` call after its
-    argument checks (not process CPU time; a z-domain call on a large
-    grid may use two threads); the name is kept for the CLI CSV headers."""
+    argument checks (not process CPU time; a z-domain call of two or
+    more contour blocks may use two threads); the name is kept for the
+    CLI CSV headers."""
 
     price: float
     plan: GridPlan
@@ -359,16 +361,16 @@ def _solver(
 # be bit for bit its point's solve alone.
 BLOCK_SAMPLES = 2**13
 
-# Smallest grid whose contour points run on the thread pool.  pocketfft
-# (scipy.fft) and numpy's ufunc loops release the GIL, so two points
-# overlap once their 2M-point FFTs and M-element loops outweigh the GIL
-# handoffs between the ~60 numpy calls of one point.  Serial -> pooled
-# speed of fgm-f on the kou/nig/vg double barrier at N=52 and N=504,
-# median of 6 alternated calls on a noisy 2-core VM: M=2^10 0.57-0.67x,
-# 2^11 0.77-1.14x, 2^12 0.96-1.17x, 2^13 1.65-2.18x.  Re-measured with
-# the transform buffers kept resident (hilbert._keep_transform_buffers):
-# 2^11 0.73-1.03x, 2^12 1.07-1.48x, so the threshold stays at 2^12.
-PARALLEL_MIN_M = 2**12
+# Smallest grid whose contour blocks run on the thread pool, for a call
+# of two or more blocks (one block would only wait on a pool thread).
+# pocketfft (scipy.fft) and numpy's ufunc loops release the GIL, so two
+# blocks overlap once their batched FFTs and loops outweigh the GIL
+# handoffs between the numpy calls of one sweep.  Pooled / serial time
+# of fgm and fgm-f on kou/nig/vg x double and down-and-out x N 4, 52,
+# 504, median [quartiles] of 11 alternated rounds on a 2-core VM: M=2^8
+# 1.05 [0.97-1.10], 2^9 1.02 [0.96-1.11], 2^10 0.84 [0.69-0.96], 2^11
+# 0.67 [0.66-0.69].
+PARALLEL_MIN_M = 2**10
 # Only two workers have been measured (on a 2-core machine); past that
 # the Python between the transforms holds the GIL most of the time.
 MAX_CONTOUR_WORKERS = 2
@@ -399,11 +401,12 @@ if hasattr(os, "register_at_fork"):
 
 def _map_contour(at: Callable, blocks: list, M: int) -> list:
     """[at(qs) for qs in blocks], on a pool of up to MAX_CONTOUR_WORKERS
-    threads (created on first use) when M >= PARALLEL_MIN_M and the
-    process may use two CPUs.  Results come back in contour order, and
-    the first failing block in that order raises, as in the serial loop."""
+    threads (created on first use) when there are two or more blocks,
+    M >= PARALLEL_MIN_M and the process may use two CPUs.  Results come
+    back in contour order, and the first failing block in that order
+    raises, as in the serial loop."""
     global _pool
-    cpus = _cpu_count() if M >= PARALLEL_MIN_M else 1
+    cpus = _cpu_count() if M >= PARALLEL_MIN_M and len(blocks) > 1 else 1
     if cpus < 2:
         return [at(qs) for qs in blocks]
     with _pool_lock:

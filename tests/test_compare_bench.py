@@ -1,5 +1,8 @@
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,12 +18,14 @@ def _script():
     return module
 
 
-def _run(tmp_path, name, values, failed=0, attempted=100, failures=None):
+def _run(tmp_path, name, values, failed=0, attempted=100, failures=None, seed=None):
     path = tmp_path / name
     metrics = {m: {"value": v, "unit": "x"} for m, v in zip(METRICS, values)}
     run = {"metrics": metrics, "failed": failed, "attempted": attempted}
     if failures is not None:
         run["failures"] = failures
+    if seed is not None:
+        run["env"] = {"seed": seed}
     path.write_text(json.dumps(run))
     return str(path)
 
@@ -142,3 +147,44 @@ def test_two_file_form_and_flags_do_not_mix(tmp_path):
         with pytest.raises(SystemExit) as exit_info:
             _script().main(argv)
         assert exit_info.value.code == 2
+
+
+def test_runs_pair_by_seed_whatever_the_order(tmp_path, capsys):
+    # seed 1 fails 15 of 103 calls per pass and seed 2 16; the change ran
+    # its seeds in the other order, and seed 3 on the parent only
+    def seeded(name, seed, passes):
+        return _run(tmp_path, name, [1.0] * 5, failed=(14 + seed) * passes,
+                    attempted=103 * passes, seed=seed)
+
+    parents = [seeded("p1.json", 1, 7), seeded("p2.json", 2, 8), seeded("p3.json", 3, 7)]
+    changes = [seeded("c2.json", 2, 9), seeded("c1.json", 1, 7), seeded("c1b.json", 1, 8)]
+    assert _script().main(["--parent", *parents, "--change", *changes]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "seed 1: same share, same counts" in out
+    assert "seed 2: same share: pass count differs, no status change" in out
+    assert "seed 1 #2 change: failed 120, attempted 824" in out
+    assert out[-1] == "seed 3: parent only"
+    assert "seed 1 #2: change only" in out
+    assert not any("share differs" in line for line in out)
+
+
+def test_runs_without_a_seed_pair_by_position(tmp_path, capsys):
+    parent = _run(tmp_path, "parent.json", [1.0] * 5, failed=15, attempted=103, seed=1)
+    change = _run(tmp_path, "change.json", [1.0] * 5, failed=15, attempted=103)
+    assert _script().main([parent, change]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "run 1: same share, same counts"
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    # the reader end is closed before the script writes, as by `| head -0`
+    parent = _run(tmp_path, "parent.json", [1.0] * 5)
+    change = _run(tmp_path, "change.json", [1.0] * 5)
+    script = Path(__file__).resolve().parents[1] / "scripts" / "compare_bench.py"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, str(script), parent, change], stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (0, "")

@@ -526,20 +526,39 @@ def test_pooled_contour_prices_bit_identical(model_name, shape, N, method, all_m
         monkeypatch, contract, model, method, 1024
     )
     assert on_serial == {threading.main_thread().name}
-    assert threading.main_thread().name not in on_pool
+    _assert_pool_runs_many_blocks(contract, 1024, on_pool)
     _assert_same_result(serial, pooled)
+
+
+def _assert_pool_runs_many_blocks(contract, M, on_pool):
+    """A call of one contour block (N = 3 up to M = 2^12, N = 4 up to
+    2^11) is solved by the caller; more blocks run on the pool only."""
+    main = threading.main_thread().name
+    if len(pricers._blocks(ztransform.contour_points(contract.N - 2).points, M)) == 1:
+        assert on_pool == {main}
+    else:
+        assert main not in on_pool
 
 
 @pytest.mark.parametrize("model_name, shape, N, method",
                          [("kou", "double", 52, "fgm-f"), ("nig", "down", 504, "fgm"),
-                          # 2 and 3 contour points: no split may leave a block empty
                           ("kou", "double", 3, "fgm-f"), ("vg", "down", 4, "fgm")])
 def test_pooled_contour_at_the_threshold(model_name, shape, N, method, all_models, monkeypatch):
     model, contract = all_models[model_name], SHAPES[shape](N)
     (serial, _), (pooled, on_pool) = _serial_and_pooled(
         monkeypatch, contract, model, method, pricers.PARALLEL_MIN_M
     )
-    assert threading.main_thread().name not in on_pool
+    _assert_pool_runs_many_blocks(contract, pricers.PARALLEL_MIN_M, on_pool)
+    _assert_same_result(serial, pooled)
+
+
+def test_contour_below_the_threshold_is_serial(kou, monkeypatch):
+    # 33 contour points in three blocks, on a grid just below the threshold
+    contract = double_barrier(52)
+    (serial, on_serial), (pooled, on_pool) = _serial_and_pooled(
+        monkeypatch, contract, kou, "fgm-f", pricers.PARALLEL_MIN_M // 2
+    )
+    assert on_serial == on_pool == {threading.main_thread().name}
     _assert_same_result(serial, pooled)
 
 
@@ -672,13 +691,16 @@ from levybarrier import default_grid, pricers, price
 from levybarrier.cases import MODELS, double_barrier
 c, kou = double_barrier(52), MODELS["kou"]
 counts = [threading.active_count()]
-price(c, kou, "fgm", default_grid(c, kou, 1024))
+price(c, kou, "fgm", default_grid(c, kou, 512))
+counts.append(threading.active_count())
+c4 = double_barrier(4)
+price(c4, kou, "fgm", default_grid(c4, kou, 1024))
 counts.append(threading.active_count())
 cpu_count, pricers._cpu_count, pricers._pool = pricers._cpu_count, lambda: 1, None
-price(c, kou, "fgm", default_grid(c, kou, 2**12))
+price(c, kou, "fgm", default_grid(c, kou, 1024))
 counts.append(threading.active_count())
 pricers._cpu_count = cpu_count
-price(c, kou, "fgm", default_grid(c, kou, 2**12))
+price(c, kou, "fgm", default_grid(c, kou, 1024))
 counts.append(threading.active_count())
 print(*counts, cpu_count())
 """
@@ -686,8 +708,8 @@ print(*counts, cpu_count())
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    after_import, small, one_cpu, pooled, cpus = map(int, out.stdout.split())
-    assert (after_import, small, one_cpu) == (1, 1, 1)
+    after_import, small, one_block, one_cpu, pooled, cpus = map(int, out.stdout.split())
+    assert (after_import, small, one_block, one_cpu) == (1, 1, 1, 1)
     assert pooled <= 1 + pricers.MAX_CONTOUR_WORKERS
     if cpus >= 2:
         assert pooled > 1
